@@ -207,7 +207,10 @@ def _hamilton_sorted(parts: tuple[int, ...]) -> int:
     numerator = _cyclic_word_count(parts)
     for ci in parts:
         numerator *= factorial(ci)
-    assert numerator % (2 * n) == 0
+    if numerator % (2 * n):
+        raise ArithmeticError(
+            f"word count not divisible by 2n for c={parts}: implementation bug"
+        )
     return numerator // (2 * n)
 
 
@@ -259,7 +262,8 @@ def bipartite_cycle_counts(n: int) -> tuple[dict[int, int], int]:
     spectrum: dict[int, int] = {}
     for r in range(2, t + 1):
         num = falling_factorial(t, r) * falling_factorial(t_up, r)
-        assert num % (2 * r) == 0
+        if num % (2 * r):
+            raise ArithmeticError(f"falling-factorial product not divisible by 2r at n={n}, r={r}")
         spectrum[2 * r] = num // (2 * r)
     return spectrum, sum(spectrum.values())
 

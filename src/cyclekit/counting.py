@@ -3,21 +3,99 @@
 Cycles are counted up to rotation and reflection.  Each cycle is charged to
 its lowest-indexed vertex s: a DP over (subset of vertices above s, endpoint)
 counts simple paths starting at s, a path closes to a cycle through the edge
-back to s, and the two traversal directions are merged by halving.
+back to s, and the two traversal directions are merged by halving.  Path
+counts from x run the same DP over the vertices other than x.
 
-All counts are Python ints, so they are exact at any size; the caps below
-only bound runtime.
+The DP for one anchor runs over its m allowed vertices in one of two forms,
+chosen from m:
+
+- a ``dict[(mask, v)] -> int`` frontier of Python ints, for small m and for
+  m above the int64 bound.  Its cost follows the reachable states exactly
+  and it has no per-layer fixed cost, which is what the many calls on
+  graphs of ten or fewer vertices (the extremal searches) need;
+- a numpy kernel (``_layer_sums``) for ``_KERNEL_MIN_M <= m <= _KERNEL_MAX_M``.
+  Layer p holds the paths through p allowed vertices as the sorted reachable
+  vertex sets and an int64 matrix of counts per (set, end vertex).  One
+  matrix product with the adjacency extends every path by one vertex.  Only
+  reachable sets are stored, so sparse graphs stay cheap.
+
+Every count the kernel forms (a matrix entry, a product entry, a column sum)
+is at most m! (ordered paths through at most m vertices), so int64 is exact
+while m! < 2^63, that is for m <= 20; the kernel checks this and the dict
+DP takes every larger m.  Per-layer column sums leave the kernel as Python
+ints, so all reported counts are Python ints, exact at any size; the caps
+below only bound runtime.
+
+The kernel pays a fixed cost of about a dozen numpy calls per layer, while
+the dict DP costs in proportion to the reachable states.  Timed per anchor
+on a 2-core x86 VM (numpy 2.4): at m = 11 the kernel is 2x faster at edge
+density 0.35, 4x at 0.5 and 19x on K_12, and at most 0.3 ms slower on
+sparser graphs; at m = 9 it is 4-12x slower on graphs of density 0.25 and
+below.  Hence ``_KERNEL_MIN_M = 11``: graphs on ten or fewer vertices, which
+is every graph the extremal searches count, keep the dict DP.
 """
 
 from __future__ import annotations
 
 import json
+from math import factorial
+
+import numpy as np
 
 from .graphs import Graph, PartitionInfo
 
 DEFAULT_CYCLE_CAP = 24
 DEFAULT_PATH_CAP = 22
 DEFAULT_SPLIT_CAP = 20
+
+# Anchors with fewer allowed vertices run the dict DP (see module docstring).
+_KERNEL_MIN_M = 11
+
+
+def _fits_int64(m: int) -> bool:
+    """Whether every count formed over m allowed vertices (at most m!) fits int64."""
+    return factorial(m) < 1 << 63
+
+
+_KERNEL_MAX_M = max(m for m in range(64) if _fits_int64(m))
+
+
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    cols = np.arange(g.n, dtype=np.int64)
+    return (np.array(g.adj, dtype=np.int64)[:, None] >> cols) & 1
+
+
+def _layer_sums(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Count simple paths from a start vertex outside the allowed set.
+
+    ``adj`` is the 0/1 int64 adjacency among the m allowed vertices and
+    ``start`` the 0/1 vector of the start vertex's neighbours among them.
+    Returns ``sums[p, v]``: the number of paths through exactly p allowed
+    vertices that end at v.
+    """
+    m = len(adj)
+    if not _fits_int64(m):
+        raise OverflowError(f"int64 path counts are exact only up to m = {_KERNEL_MAX_M} (m={m})")
+    # vertex sets below 2^20 fit int32, which sorts faster than int64
+    bits = np.int32(1) << np.arange(m, dtype=np.int32)
+    sums = np.zeros((m + 1, m), dtype=np.int64)
+    (first,) = np.nonzero(start)
+    masks = bits[first]
+    rows = np.zeros((len(first), m), dtype=np.int64)
+    rows[np.arange(len(first)), first] = 1
+    p = 1
+    while len(masks):
+        sums[p] = rows.sum(axis=0)
+        ext = rows @ adj
+        ext *= (masks[:, None] & bits) == 0
+        flat = np.flatnonzero(ext)
+        i, w = np.divmod(flat, m)
+        # (mask | w, w) has the single predecessor mask, so assignment suffices
+        masks, where = np.unique(masks[i] | bits[w], return_inverse=True)
+        rows = np.zeros((len(masks), m), dtype=np.int64)
+        rows[where, w] = ext.ravel()[flat]
+        p += 1
+    return sums
 
 
 def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int]:
@@ -26,9 +104,19 @@ def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int
     if n > max_n:
         raise ValueError(f"cycle counting capped at {max_n} vertices (n={n})")
     doubled = [0] * (n + 1)
+    full = None
     for s in range(n - 2):
         above = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
         if (g.adj[s] & above).bit_count() < 2:
+            continue
+        m = n - 1 - s
+        if _KERNEL_MIN_M <= m <= _KERNEL_MAX_M:
+            if full is None:
+                full = _adjacency_matrix(g)
+            closing = full[s, s + 1:]
+            sums = _layer_sums(full[s + 1:, s + 1:], closing)
+            for p in range(2, m + 1):
+                doubled[p + 1] += int(sums[p] @ closing)
             continue
         frontier = {(0, s): 1}
         size = 1
@@ -45,7 +133,8 @@ def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int
                     nxt[key] = nxt.get(key, 0) + cnt
             frontier = nxt
             size += 1
-    assert all(c % 2 == 0 for c in doubled)
+    if any(c % 2 for c in doubled):
+        raise ArithmeticError("directed cycle counts are not all even: implementation bug")
     return {r: doubled[r] // 2 for r in range(3, n + 1) if doubled[r]}
 
 
@@ -66,6 +155,12 @@ def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_PATH_CAP) -> dict
         raise ValueError(f"path counting capped at {max_n} vertices (n={n})")
     if not 0 <= x < n:
         raise ValueError(f"vertex {x} out of range")
+    if _KERNEL_MIN_M <= n - 1 <= _KERNEL_MAX_M:
+        full = _adjacency_matrix(g)
+        others = [v for v in range(n) if v != x]
+        sums = _layer_sums(full[np.ix_(others, others)], full[x, others])
+        totals = [sum(col) for col in sums.T.tolist()]
+        return {v: t for v, t in zip(others, totals) if t}
     result: dict[int, int] = {}
     frontier = {(1 << x, x): 1}
     while frontier:
@@ -113,10 +208,6 @@ def count_regular_and_irregular_cycles(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def spectrum_total(spectrum: dict[int, int]) -> int:
-    return sum(spectrum.values())
 
 
 def spectrum_to_csv(spectrum: dict[int, int]) -> str:

@@ -88,6 +88,10 @@ def estimate_prob(
     if event in ("P", "QP"):
         if content is None:
             raise ValueError(f"event {event} needs a content vector")
+        if len(content) > k:
+            raise ValueError(f"content has {len(content)} parts but the alphabet has k={k} letters")
+        if any(c < 0 for c in content):
+            raise ValueError("content parts must be nonnegative")
         if sum(content) != n:
             raise ValueError("content must sum to n")
     words = _draw_words(n, k, samples, _rng(seed))

@@ -258,6 +258,16 @@ class TestEstimate:
         assert lines[0] == "event,n,k,estimate,stderr,exact_value_if_known"
         assert lines[1].endswith(",1/8")
 
+    def test_content_with_more_parts_than_letters_is_rejected(self, capsys):
+        # used to print an "exact" probability of 45/32
+        code, out, err = run(
+            capsys, "estimate", "--n", "6", "--k", "2", "--event", "P",
+            "--content", "2,2,2", "--samples", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "k=2" in err
+
     def test_deterministic_output(self, capsys):
         args = (
             "estimate", "--n", "5", "--k", "3", "--event", "Q",

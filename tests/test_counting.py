@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclekit import counting
 from cyclekit.counting import (
     count_cycles,
     count_hamilton,
@@ -22,7 +24,7 @@ from cyclekit.counting import (
 )
 from cyclekit.graphs import PartitionInfo, best_k_partition, complete_multipartite, make_graph, turan_graph
 
-from _oracles import brute_count_paths, brute_cycle_spectrum, random_graph
+from _oracles import brute_count_paths, brute_cycle_spectrum, random_graph, walk_cycle_spectrum
 
 
 def cycle_graph(n):
@@ -57,12 +59,10 @@ class TestCycleSpectrum:
         assert count_cycles(K5) == 37
 
     def test_complete_graph_closed_form(self):
-        for n in range(3, 10):
+        for n in range(3, 15):
             kn = turan_graph(n, n)
-            expected = sum(
-                factorial(i) // (2 * i) * comb(n, i) for i in range(3, n + 1)
-            )
-            assert count_cycles(kn) == expected
+            expected = {i: factorial(i) // (2 * i) * comb(n, i) for i in range(3, n + 1)}
+            assert cycle_spectrum(kn) == expected
 
     def test_hamilton(self):
         assert count_hamilton(K5) == 12
@@ -74,7 +74,7 @@ class TestCycleSpectrum:
         for _ in range(60):
             n = rng.randint(1, 7)
             g = random_graph(rng, n, rng.random())
-            assert cycle_spectrum(g) == brute_cycle_spectrum(g)
+            assert cycle_spectrum(g) == brute_cycle_spectrum(g) == walk_cycle_spectrum(g)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -158,6 +158,74 @@ class TestPaths:
                 lhs += sum(from_x.get(y, 0) for y in range(x + 1, n) if g.has_edge(x, y))
             rhs = sum(r * c for r, c in cycle_spectrum(g).items())
             assert lhs == rhs + g.edge_count
+
+
+def codegree(g, u, v):
+    return (g.adj[u] & g.adj[v]).bit_count()
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """Record the allowed-set size m of every anchor run by the numpy kernel."""
+    sizes = []
+    kernel = counting._layer_sums
+
+    def recording(adj, start):
+        sizes.append(len(adj))
+        return kernel(adj, start)
+
+    monkeypatch.setattr(counting, "_layer_sums", recording)
+    return sizes
+
+
+class TestKernelSelection:
+    """The numpy kernel runs for anchors with _KERNEL_MIN_M <= m <= 20 allowed
+    vertices and the dict DP for the rest; both must give the same counts."""
+
+    def test_int64_bound(self):
+        assert counting._fits_int64(20)
+        assert not counting._fits_int64(21)
+        assert counting._KERNEL_MAX_M == 20
+        with pytest.raises(OverflowError):
+            counting._layer_sums(np.zeros((21, 21), dtype=np.int64), np.ones(21, dtype=np.int64))
+
+    def test_both_forms_in_one_call_match_walk_oracle(self, kernel_sizes):
+        rng = random.Random(53)
+        for n in (11, 12, 13):
+            for p in (0.25, 0.45, 0.8):
+                g = random_graph(rng, n, p)
+                assert cycle_spectrum(g) == walk_cycle_spectrum(g)
+        assert kernel_sizes and min(kernel_sizes) >= counting._KERNEL_MIN_M
+
+    def test_cycle_18(self, kernel_sizes):
+        assert cycle_spectrum(cycle_graph(18)) == {18: 1}
+        assert kernel_sizes == [17]
+
+    def test_sparse_18_identities(self, kernel_sizes):
+        rng = random.Random(59)
+        pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
+        g = make_graph(18, rng.sample(pairs, 27))
+        spec = cycle_spectrum(g)
+        assert 3 * spec.get(3, 0) == sum(codegree(g, u, v) for u, v in g.edges())
+        assert 2 * spec.get(4, 0) == sum(comb(codegree(g, u, v), 2) for u, v in pairs)
+        lhs = sum(count_paths_from(g, u).get(v, 0) for u, v in g.edges())
+        assert lhs == sum(r * c for r, c in spec.items()) + g.edge_count
+        assert 17 in kernel_sizes
+
+    def test_paths_at_n12_match_enumeration(self, kernel_sizes):
+        rng = random.Random(61)
+        for p in (0.3, 0.4):
+            g = random_graph(rng, 12, p)
+            x = rng.randrange(12)
+            from_x = count_paths_from(g, x)
+            assert from_x == {y: c for y in range(12) if y != x if (c := brute_count_paths(g, x, y))}
+        assert kernel_sizes == [11, 11]
+
+    def test_beyond_int64_bound_uses_python_ints(self, kernel_sizes):
+        g = cycle_graph(22).with_edge(0, 7)
+        assert cycle_spectrum(g) == {8: 1, 16: 1, 22: 1}
+        assert count_paths(g, 0, 7) == 3
+        assert max(kernel_sizes, default=0) <= 20
 
 
 class TestRegularIrregularSplit:

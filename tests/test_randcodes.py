@@ -80,6 +80,10 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_prob(4, 2, "P", 10, 0, content=(3, 2))  # wrong sum
         with pytest.raises(ValueError):
+            estimate_prob(6, 2, "P", 10, 0, content=(2, 2, 2))  # more parts than letters
+        with pytest.raises(ValueError):
+            estimate_prob(4, 2, "QP", 10, 0, content=(5, -1))  # negative part
+        with pytest.raises(ValueError):
             estimate_prob(4, 2, "Q", 0, 0)
 
 
