@@ -351,27 +351,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exact_event_probability(n: int, k: int, event: str, content) -> "Fraction":
-    from fractions import Fraction
-    from math import factorial
-
-    if event == "Q":
-        return Fraction((k - 1) ** n + (-1) ** n * (k - 1), k**n)
-    ways = factorial(n)
-    for c in content:
-        ways //= factorial(c)
-    if event == "P":
-        return Fraction(ways, k**n)
-    return Fraction(analytic.code_cycle_count(tuple(x for x in content if x)), k**n)
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     content = _parse_parts(args.content) if args.content else None
     est = randcodes.estimate_prob(
         args.n, args.k, args.event, args.samples, cfg.seed, content=content
     )
-    exact = _exact_event_probability(args.n, args.k, args.event, content)
+    exact = randcodes.exact_prob(args.n, args.k, args.event, content)
     out = {
         "event": args.event,
         "n": args.n,

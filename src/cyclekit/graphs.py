@@ -328,7 +328,8 @@ def best_k_partition(g: Graph, k: int, *, exhaustive_cap: int = PARTITION_CAP) -
         assignment[v] = 0
 
     descend(0, 0, 0)
-    assert best_assignment is not None  # the greedy cost is always attainable
+    if best_assignment is None:  # the greedy cost is always attainable
+        raise RuntimeError("exhaustive partition search found no assignment")
     return _partition_info(g, best_assignment, certified=True)
 
 

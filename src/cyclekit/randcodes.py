@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import rooted_hamilton_permutations_general
+from .analytic import code_cycle_count, rooted_hamilton_permutations_general
 from .graphs import turan_class_sizes
 
 EVENTS = ("Q", "P", "QP")
@@ -106,6 +106,19 @@ def estimate_prob(
     return ProbEstimate(
         estimate=p, stderr=sqrt(p * (1 - p) / samples), hits=hits, samples=samples
     )
+
+
+def exact_prob(n: int, k: int, event: str, content: Sequence[int] | None = None) -> Fraction:
+    """The exact probability that :func:`estimate_prob` estimates, for
+    arguments it accepts."""
+    if event == "Q":
+        return Fraction((k - 1) ** n + (-1) ** n * (k - 1), k**n)
+    ways = factorial(n)
+    for c in content:
+        ways //= factorial(c)
+    if event == "P":
+        return Fraction(ways, k**n)
+    return Fraction(code_cycle_count(tuple(x for x in content if x)), k**n)
 
 
 @dataclass(frozen=True)

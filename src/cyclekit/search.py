@@ -3,8 +3,12 @@
 Enumeration generates one representative per isomorphism class by vertex
 augmentation: every graph on m+1 vertices arises from a graph on m vertices
 by attaching a new vertex, and forbidden-subgraph freeness is hereditary, so
-augmenting the representatives level by level reaches every class.  Children
-are deduplicated inside invariant buckets with exact isomorphism tests.
+augmenting the representatives level by level reaches every class.  Swapping
+twins of the parent is an automorphism, so a child is fixed up to isomorphism
+by how many vertices of each twin class T the new vertex sees: a parent gets
+prod(|T| + 1) children instead of 2^m, each adjacent to the lowest vertices
+of each class.  One set of canonical forms per level removes the remaining
+duplicates, and the levels hold canonical forms.
 
 The verify_* suites check the counting inequalities exactly, in integer or
 rational arithmetic, across every composition in range.
@@ -14,13 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import product
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .analytic import (
     cycle_spectrum_multipartite,
@@ -30,10 +36,12 @@ from .analytic import (
 )
 from .counting import count_cycles
 from .graphs import Graph, complete_multipartite, turan_class_sizes
-from .morphisms import canonical_label, contains_subgraph, invariant_key, is_isomorphic
+from .morphisms import canonical_label, contains_subgraph, twin_classes
 from .graph_io import graph_to_graph6
 
 ENUM_CAP = 9
+# Stored in every cache file; a file with another value is recomputed.
+CACHE_SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
@@ -78,26 +86,30 @@ def compositions_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _augmentations(parents: list[Graph], forbid: Graph | None) -> list[Graph]:
-    buckets: dict[tuple, list[Graph]] = {}
+    seen: set[tuple[int, ...]] = set()
     out: list[Graph] = []
     for parent in parents:
         m = parent.n
-        for nb in range(1 << m):
+        # per twin class T: the masks of its lowest 0, 1, ..., |T| vertices
+        prefixes = [[sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)]
+                    for cls in twin_classes(parent)]
+        for picks in product(*prefixes):
+            nb = sum(picks)
             adj = [row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)]
             adj.append(nb)
             child = Graph(m + 1, tuple(adj))
             if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
                 continue
-            bucket = buckets.setdefault(invariant_key(child), [])
-            if any(is_isomorphic(child, seen) for seen in bucket):
-                continue
-            bucket.append(child)
-            out.append(child)
+            canon, _ = canonical_label(child)
+            if canon.adj not in seen:
+                seen.add(canon.adj)
+                out.append(canon)
     return out
 
 
 def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
-    """One representative per isomorphism class of forbid-free graphs on n vertices."""
+    """The canonical form of each isomorphism class of forbid-free graphs on
+    n vertices, once."""
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration capped at {ENUM_CAP} vertices")
     level = [Graph(1, (0,))]
@@ -163,13 +175,41 @@ class SearchResult:
             from_cache=bool(raw.get("from_cache", False)),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _cache_path(cache_dir: Path, n: int, h_canonical_g6: str) -> Path:
     digest = hashlib.sha256(h_canonical_g6.encode()).hexdigest()[:16]
     return cache_dir / f"maxcycles_n{n}_{digest}.json"
+
+
+def _read_cache(path: Path) -> SearchResult | None:
+    """The result cached at ``path``, or None on a miss.  A file that cannot
+    be used (unreadable, not a result, another schema) is a miss too, reported
+    in one line on stderr; the caller then recomputes and overwrites it."""
+    if not path.exists():
+        return None
+    try:
+        raw = json.loads(path.read_text())
+        if not isinstance(raw, dict) or raw.get("schema") != CACHE_SCHEMA:
+            raise ValueError(f"not a schema {CACHE_SCHEMA} search result")
+        result = SearchResult.from_dict(raw)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"warning: recomputing unusable cache file {path}: {exc!r}", file=sys.stderr)
+        return None
+    result.from_cache = True
+    return result
+
+
+def _write_cache(path: Path, result: SearchResult) -> None:
+    """Write through a temporary file and a rename, so that an interrupted
+    write never leaves a partial file at ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps({**result.to_dict(), "schema": CACHE_SCHEMA}, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def max_cycles_h_free(
@@ -183,7 +223,8 @@ def max_cycles_h_free(
     all extremal isomorphism classes as canonical graph6 strings.
 
     Results are cached per (n, canonical form of the forbidden graph) when a
-    cache directory is given; rerunning serves the stored report.
+    cache directory is given; rerunning serves the stored report, and a cache
+    file that cannot be read back is replaced by a fresh result.
     """
     canon_h, _ = canonical_label(forbid)
     canon_g6 = graph_to_graph6(canon_h)
@@ -191,10 +232,9 @@ def max_cycles_h_free(
     path = None
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), n, canon_g6)
-        if path.exists():
-            result = SearchResult.from_dict(json.loads(path.read_text()))
-            result.from_cache = True
-            return result
+        cached = _read_cache(path)
+        if cached is not None:
+            return cached
     t0 = time.perf_counter()
     best = 0
     extremal: list[Graph] = []
@@ -207,7 +247,7 @@ def max_cycles_h_free(
             extremal = [g]
         elif c == best:
             extremal.append(g)
-    g6s = tuple(sorted(graph_to_graph6(canonical_label(g)[0]) for g in extremal))
+    g6s = tuple(sorted(graph_to_graph6(g) for g in extremal))
     result = SearchResult(
         n=n,
         forbidden=label,
@@ -219,8 +259,7 @@ def max_cycles_h_free(
         from_cache=False,
     )
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(result.to_json())
+        _write_cache(path, result)
     return result
 
 
@@ -460,35 +499,3 @@ def report_rooted_class_share(n: int, k: int) -> VerifyReport:
                 report.failures += 1
     report.passed = None
     return report
-
-
-# ---------------------------------------------------------------------------
-# Brute-force cross-checks (used by tests; kept here so the CLI can expose them)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_graph_classes(n: int) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism by scanning every edge mask
-    and deduplicating with the minimum adjacency key over all permutations.
-    Exponential twice over; only sensible for n <= 5."""
-    if n > 5:
-        raise ValueError("brute-force class listing is a tiny-n cross-check")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen: set[tuple[int, ...]] = set()
-    out: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph(n, _adj_from_edges(n, edges))
-        key = min(tuple(g.relabel(p).adj) for p in permutations(range(n)))
-        if key not in seen:
-            seen.add(key)
-            out.append(Graph(n, key))
-    return out
-
-
-def _adj_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return tuple(adj)

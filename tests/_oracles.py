@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities by direct enumeration, deliberately
 avoiding the algorithms under test (no subset DP, no multiset-state word DP,
-no pruned backtracking).  Exponential everywhere; keep inputs tiny.
+no pruned backtracking).  Exponential everywhere; keep inputs tiny.  The one
+exception is :func:`reference_canonical_label`, the canonical labelling
+without twin pruning, which the pruned one must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from cyclekit.graphs import Graph, make_graph
+from cyclekit.graphs import Graph, _bits, make_graph
 
 
 def brute_cycle_spectrum(g: Graph) -> dict[int, int]:
@@ -155,3 +157,110 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return make_graph(n, edges)
+
+
+def brute_force_graph_classes(n: int) -> list[Graph]:
+    """All graphs on n vertices up to isomorphism by scanning every edge mask
+    and deduplicating with the minimum adjacency key over all permutations.
+    Exponential twice over; only sensible for n <= 5."""
+    if n > 5:
+        raise ValueError("brute-force class listing is a tiny-n cross-check")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen: set[tuple[int, ...]] = set()
+    out: list[Graph] = []
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        g = make_graph(n, edges)
+        key = min(tuple(g.relabel(p).adj) for p in permutations(range(n)))
+        if key not in seen:
+            seen.add(key)
+            out.append(Graph(n, key))
+    return out
+
+
+def _reference_colors(g: Graph) -> tuple[int, ...]:
+    colors = tuple(g.degree(v) for v in range(g.n))
+    while True:
+        sigs = tuple(
+            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v]))))
+            for v in range(g.n)
+        )
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = tuple(ranking[s] for s in sigs)
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def reference_canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """Canonical labelling without twin pruning: within refinement-color
+    classes every ordering is explored, with lexicographic pruning only, and
+    the first ordering reaching the maximal row sequence wins."""
+    n = g.n
+    e = g.edge_count
+    if e == 0 or e == n * (n - 1) // 2:
+        return g, tuple(range(n))
+    colors = _reference_colors(g)
+    class_of: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        class_of.setdefault(c, []).append(v)
+    slots: list[list[int]] = [class_of[c] for c in sorted(class_of)]
+    boundaries = []
+    acc = 0
+    for s in slots:
+        acc += len(s)
+        boundaries.append(acc)
+
+    best_rows: list[int] | None = None
+    best_order: list[int] | None = None
+    order: list[int] = []
+    rows: list[int] = []
+
+    def visit(cls_idx: int, used: int) -> None:
+        nonlocal best_rows, best_order
+        if cls_idx == len(slots):
+            if best_rows is None or rows > best_rows:
+                best_rows = rows.copy()
+                best_order = order.copy()
+            return
+        pos = len(order)
+        nxt = cls_idx + (1 if pos + 1 == boundaries[cls_idx] else 0)
+        for v in slots[cls_idx]:
+            if used >> v & 1:
+                continue
+            row_bits = 0
+            for i, u in enumerate(order):
+                if g.has_edge(v, u):
+                    row_bits |= 1 << i
+            if best_rows is not None and row_bits < best_rows[pos] and rows == best_rows[:pos]:
+                continue
+            rows.append(row_bits)
+            order.append(v)
+            visit(nxt, used | (1 << v))
+            order.pop()
+            rows.pop()
+
+    visit(0, 0)
+    perm = [0] * n
+    for new, old in enumerate(best_order):
+        perm[old] = new
+    return g.relabel(perm), tuple(perm)
+
+
+def reference_canonical_key(g: Graph) -> tuple[int, ...]:
+    return reference_canonical_label(g)[0].adj
+
+
+def augmentation_classes(n: int, forbid: Graph | None = None) -> set[tuple[int, ...]]:
+    """Reference canonical keys of the forbid-free classes on n vertices,
+    grown level by level with all 2^m neighbourhoods of each new vertex."""
+    level = {(0,)}
+    for m in range(1, n):
+        nxt: set[tuple[int, ...]] = set()
+        for adj in level:
+            for nb in range(1 << m):
+                child = Graph(m + 1, tuple(row | (nb >> v & 1) << m for v, row in enumerate(adj)) + (nb,))
+                if forbid is None or not brute_contains(child, forbid):
+                    nxt.add(reference_canonical_key(child))
+        level = nxt
+    return level

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from cyclekit.cli import main
 from cyclekit.graph_io import graph_from_graph6, graph_to_graph6
 from cyclekit.graphs import turan_graph
@@ -212,6 +214,34 @@ class TestSearch:
         assert first["from_cache"] is False
         assert second["from_cache"] is True
         assert first["max_cycles"] == second["max_cycles"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: b"\xff\xfe{garbage",
+            lambda raw: raw.replace(b'"schema": 1', b'"schema": 0'),
+            lambda raw: b'{"schema": 1}',
+        ],
+        ids=["truncated", "garbage", "wrong_schema", "missing_keys"],
+    )
+    def test_unusable_cache_file_is_recomputed(self, capsys, tmp_path, damage):
+        args = ("search", "--n", "5", "--forbid", "K3", "--cache-dir", str(tmp_path), "--format", "json")
+        _, out, _ = run(capsys, *args)
+        fresh = json.loads(out)
+        (path,) = tmp_path.iterdir()
+        path.write_bytes(damage(path.read_bytes()))
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        again = json.loads(out)
+        assert again["from_cache"] is False
+        assert {**again, "elapsed": 0} == {**fresh, "elapsed": 0}
+        assert len(err.splitlines()) == 1 and err.startswith("warning:")
+        assert list(tmp_path.iterdir()) == [path]
+        assert json.loads(path.read_text())["schema"] == 1
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["from_cache"] is True
 
     def test_cache_dir_from_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLEKIT_CACHE_DIR", str(tmp_path))

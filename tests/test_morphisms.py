@@ -9,11 +9,21 @@ from cyclekit.morphisms import (
     canonical_key,
     canonical_label,
     contains_subgraph,
-    invariant_key,
     is_isomorphic,
+    refinement_colors,
+    twin_classes,
 )
+from cyclekit.search import enumerate_graphs
 
-from _oracles import brute_contains, brute_is_isomorphic, random_graph
+from _oracles import brute_contains, brute_is_isomorphic, random_graph, reference_canonical_label
+
+
+def assert_labels_like_reference(g, rng):
+    """Bit-identical output to the unpruned labeling, on g and a relabeled copy."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    for x in (g, g.relabel(perm)):
+        assert canonical_label(x) == reference_canonical_label(x)
 
 
 def cycle_graph(n):
@@ -75,8 +85,27 @@ class TestIsomorphism:
         # both 2-regular on 6 vertices: C6 versus two triangles
         c6 = cycle_graph(6)
         two_triangles = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert invariant_key(c6) == invariant_key(two_triangles)
+        assert sorted(refinement_colors(c6)) == sorted(refinement_colors(two_triangles))
         assert not is_isomorphic(c6, two_triangles)
+
+
+class TestTwinClasses:
+    def test_against_definition(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            g = random_graph(rng, n, rng.random())
+            classes = twin_classes(g)
+            assert sorted(v for cls in classes for v in cls) == list(range(n))
+            assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+            which = {v: i for i, cls in enumerate(classes) for v in cls}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    twins = g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+                    assert (which[u] == which[v]) == twins
+
+    def test_complete_multipartite_parts(self):
+        assert twin_classes(complete_multipartite((3, 2, 1))) == [[0, 1, 2], [3, 4], [5]]
 
 
 class TestCanonicalLabel:
@@ -103,6 +132,23 @@ class TestCanonicalLabel:
         cg, perm = canonical_label(g)
         assert sorted(perm) == list(range(g.n))
         assert is_isomorphic(g, cg)
+
+    def test_matches_unpruned_labeling_on_every_small_class(self):
+        rng = random.Random(41)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert_labels_like_reference(g, rng)
+
+    def test_matches_unpruned_labeling_on_random_relabelings(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            assert_labels_like_reference(random_graph(rng, n, rng.random()), rng)
+
+    def test_matches_unpruned_labeling_on_symmetric_graphs(self):
+        rng = random.Random(47)
+        for g in (complete_multipartite((4, 4)), turan_graph(9, 3), cycle_graph(8)):
+            assert_labels_like_reference(g, rng)
 
     def test_symmetric_graphs(self):
         # high-automorphism inputs still canonicalize consistently

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from cyclekit.randcodes import (
     estimate_prob,
     estimate_second_letter_share,
     estimate_to_csv_rows,
+    exact_prob,
     sample_code,
 )
 from cyclekit.search import partitions_at_most
@@ -143,6 +145,15 @@ class TestExactSideIsExact:
                 for arranged in set(permutations(padded)):
                     total += multinomial_probability(n, k, arranged)
             assert total == 1
+
+    def test_exact_prob_matches_word_enumeration(self):
+        for n, k, content in [(4, 2, (2, 2)), (5, 3, (2, 2, 1)), (6, 3, (3, 0, 3)), (5, 3, (1, 3, 1))]:
+            words = list(product(range(1, k + 1), repeat=n))
+            in_q = [all(w[i] != w[(i + 1) % n] for i in range(n)) for w in words]
+            has = [tuple(w.count(a) for a in range(1, k + 1)) == content for w in words]
+            assert exact_prob(n, k, "Q") == Fraction(sum(in_q), k**n)
+            assert exact_prob(n, k, "P", content) == Fraction(sum(has), k**n)
+            assert exact_prob(n, k, "QP", content) == Fraction(sum(map(min, in_q, has)), k**n)
 
     def test_walk_exact_share_consistent_with_probability(self):
         sizes = turan_class_sizes(8, 3)

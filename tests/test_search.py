@@ -7,12 +7,11 @@ import json
 import pytest
 
 from cyclekit.counting import count_cycles
-from cyclekit.graphs import complete_multipartite, turan_graph
+from cyclekit.graphs import complete_multipartite, make_graph, turan_graph
 from cyclekit.graph_io import graph_from_graph6, named_graph
 from cyclekit.morphisms import contains_subgraph, is_isomorphic
 from cyclekit.search import (
     SearchResult,
-    brute_force_graph_classes,
     compositions_exact,
     enumerate_graphs,
     extremal_number,
@@ -25,6 +24,8 @@ from cyclekit.search import (
     verify_rooted_turan_envelope,
     verify_turan_dominance,
 )
+
+from _oracles import augmentation_classes, brute_force_graph_classes
 
 K3 = named_graph("K3")
 
@@ -50,8 +51,9 @@ class TestEnumeration:
         ]
 
     def test_triangle_free_counts(self):
-        assert [len(list(enumerate_graphs(n, K3))) for n in range(1, 9)] == [
-            1, 2, 3, 7, 14, 38, 107, 410,
+        # OEIS A006785
+        assert [len(list(enumerate_graphs(n, K3))) for n in range(1, 10)] == [
+            1, 2, 3, 7, 14, 38, 107, 410, 1897,
         ]
 
     def test_every_emitted_graph_is_forbid_free(self):
@@ -69,6 +71,18 @@ class TestEnumeration:
         # adjacency key over all permutations
         for n in range(1, 6):
             assert len(list(enumerate_graphs(n))) == len(brute_force_graph_classes(n))
+
+    @pytest.mark.parametrize("forbid", [None, "K3", "C4", "P4", "K4", "K1,3"])
+    def test_matches_full_augmentation(self, forbid):
+        # every neighbourhood of every new vertex, deduplicated by the
+        # unpruned canonical labeling and filtered by brute-force containment;
+        # equal sets also show that the emitted graphs are canonical forms
+        if forbid == "K1,3":
+            h = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+        else:
+            h = None if forbid is None else named_graph(forbid)
+        for n in range(1, 7):
+            assert {g.adj for g in enumerate_graphs(n, h)} == augmentation_classes(n, h)
 
     def test_cap(self):
         with pytest.raises(ValueError):
