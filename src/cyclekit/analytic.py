@@ -9,12 +9,43 @@ class.  Counting those words exactly therefore counts Hamilton cycles exactly,
 with a factor ``prod(c_i!) / (2n)`` for the class orderings, the starting
 point, and the traversal direction.
 
-The word count is a memoized DP.  Its state keeps only the sorted multiset of
-remaining letter multiplicities, plus the remaining multiplicity of the word's
-first letter (the cyclic closure constrains it) and of the letter just placed
-(the next letter must differ).  Letters with equal remaining multiplicity and
-no pending constraint are interchangeable, which collapses the state space far
-enough to handle n up to ~60.
+Words are counted by inclusion-exclusion over equal adjacencies, the
+Smirnov/Carlitz-word technique of Flajolet & Sedgewick, *Analytic
+Combinatorics*, Ex. III.24: cutting a word into J monochrome blocks with sign
+(-1)^(n-J) leaves exactly the words with no equal neighbours.  The c copies of
+one letter form j blocks in C(c-1, j-1) ways, so a letter class has the
+exponential generating function (EGF) with integer coefficients
+``e_j = C(c-1, j-1)``, j = 1..c, and the block sequences of a content are the
+exponential convolution ``(a*b)_J = sum_i C(J, i) a_i b_(J-i)`` of its
+classes' EGFs.  Every value is a Python int; nothing is rational or a float.
+
+- **Cyclic word count.**  A cycle of n positions cut into J blocks in a given
+  cyclic order admits n / J placements, so with e the product EGF,
+  ``W = n * sum_J (-1)^(n-J) e_J / J``, evaluated as an integer sum scaled by
+  n!.  A one-letter content has no such word and gives 0.
+- **Rooted count** (w_1 = letter i, w_2 = letter j).  Dropping one i and one
+  j leaves a linear word on m letters whose first letter is not j and whose
+  last is not i.  With B the EGF product of the other classes and E' the EGF
+  shifted left by one (its derivative, which marks the first or last block),
+  ``R = sum_J (-1)^(m-J) ((B E_i E_j)_J - (B E_i E_j')_(J-1)
+  - (B E_i' E_j)_(J-1) + (B E_i' E_j')_(J-2))``.  Shifting the index folds
+  the four terms into one product with ``E + E'``, whose coefficients for a
+  class of d copies are ``C(d, t)``, t = 0..d.  No division is involved; m = 0
+  gives 1.
+- **Spectrum.**  A length-r cycle picks a_i vertices of each class and a
+  Hamilton cycle on them, so one bivariate product
+  ``prod_i sum_a C(c_i, a) a! E_a(t) u^a`` holds, at u^r, the summed EGFs of
+  every sub-content of size r with its vertex choices and orderings.  The
+  cyclic closure of that coefficient counts them all, except that each
+  one-class sub-content contributes the closure ``W_1(r)`` of the lone EGF
+  E_r, which is not 0; those C(c_i, r) r! W_1(r) terms are subtracted and the
+  rest divided by 2r.
+
+Every exact division (by n!, by 2r, by 2n) is checked and raises
+``ArithmeticError`` on a remainder.  Word counts are memoized on the
+canonical content (sorted counts, and the sorted counts of the two rooted
+letters after the drop) in one bounded cache.  The work is polynomial in n,
+so the only size cap is the 64 vertices of a ``ClassVector``.
 
 Class indices are 1-based throughout this module, matching the alphabet.
 """
@@ -27,7 +58,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .graphs import ClassVector, as_class_vector, falling_factorial, turan_class_sizes
+from .graphs import ClassVector, as_class_vector, falling_factorial
 
 
 @dataclass(frozen=True)
@@ -52,67 +83,60 @@ class CodeClassSpec:
                 raise ValueError("rooted letters must differ")
 
 
-def _insert(sorted_counts: tuple[int, ...], value: int) -> tuple[int, ...]:
-    if value == 0:
-        return sorted_counts
-    out = list(sorted_counts)
-    lo = 0
-    while lo < len(out) and out[lo] < value:
-        lo += 1
-    out.insert(lo, value)
-    return tuple(out)
+def _exact_div(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} not divisible by {denominator}: implementation bug")
+    return quotient
 
 
-@lru_cache(maxsize=None)
-def _complete(others: tuple[int, ...], first_rem: int, last_rem: int, last_is_first: bool) -> int:
-    """Count completions of a partially placed cyclic word.
+def _class_egf(c: int) -> list[int]:
+    """Blocks of c copies of one letter: e_j = C(c-1, j-1); the empty class is 1."""
+    if c == 0:
+        return [1]
+    return [0] + [comb(c - 1, j - 1) for j in range(1, c + 1)]
 
-    ``others``: sorted remaining multiplicities of letters that are neither
-    the word's first letter nor the letter just placed.  ``first_rem``:
-    remaining copies of the first letter (meaningful only when it is not the
-    letter just placed).  ``last_rem``: remaining copies of the letter just
-    placed.  The completed word must end with a letter different from the
-    first (cyclic adjacency).
-    """
-    remaining = sum(others) + last_rem + (0 if last_is_first else first_rem)
-    if remaining == 0:
-        return 0 if last_is_first else 1
-    ways = 0
-    if not last_is_first and first_rem:
-        ways += _complete(_insert(others, last_rem), first_rem - 1, first_rem - 1, True)
-    prev = None
-    for idx, r in enumerate(others):
-        if r == prev:
-            continue
-        prev = r
-        mult = others.count(r)
-        rest = others[:idx] + others[idx + 1 :]
-        if last_is_first:
-            # the first letter goes back to being tracked via first_rem
-            ways += mult * _complete(rest, last_rem, r - 1, False)
-        else:
-            ways += mult * _complete(_insert(rest, last_rem), first_rem, r - 1, False)
-    return ways
+
+def _add_product(out: list[int], a: list[int], b: list[int]) -> None:
+    """out += the exponential convolution of a and b."""
+    for i, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b, i):
+                out[t] += comb(t, i) * x * y
+
+
+def _egf_product(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    _add_product(out, a, b)
+    return out
+
+
+def _cyclic_closure(e: list[int], n: int) -> int:
+    """n * sum_J (-1)^(n-J) e_J / J, for the block EGF e of an n-letter content."""
+    scale = factorial(n)
+    scaled = sum((-1) ** (n - j) * x * (scale // j) for j, x in enumerate(e) if j)
+    return _exact_div(n * scaled, scale, f"cyclic closure at n={n}")
+
+
+@lru_cache(maxsize=4096)
+def _word_count(content: tuple[int, ...], rooted: tuple[int, int] | None) -> int:
+    """Cyclic word count of the sorted ``content``; with ``rooted=(d, d')``, the
+    rooted count whose two prefix letters have d and d' copies left after the
+    drop and the other letters have ``content``."""
+    e = [1]
+    for c in content:
+        e = _egf_product(e, _class_egf(c))
+    if rooted is None:
+        return 0 if len(content) == 1 else _cyclic_closure(e, sum(content))
+    for d in rooted:
+        e = _egf_product(e, [comb(d, t) for t in range(d + 1)])
+    m = len(e) - 1
+    return sum((-1) ** (m - j) * x for j, x in enumerate(e))
 
 
 def _cyclic_word_count(parts: Sequence[int]) -> int:
     """Words with the given letter content, cyclically adjacent letters distinct."""
-    counts = tuple(x for x in parts if x)
-    n = sum(counts)
-    if n == 0:
-        return 1
-    if len(counts) == 1:
-        return 0
-    total = 0
-    seen = set()
-    for idx, r in enumerate(counts):
-        if r in seen:
-            continue
-        seen.add(r)
-        mult = counts.count(r)
-        rest = tuple(sorted(counts[:idx] + counts[idx + 1 :]))
-        total += mult * _complete(rest, r - 1, r - 1, True)
-    return total
+    return _word_count(tuple(sorted(parts)), None)
 
 
 def _rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
@@ -122,10 +146,10 @@ def _rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
     ci, cj = parts[i - 1], parts[j - 1]
     if ci < 1 or cj < 1:
         raise ValueError("rooted letters exceed content")
-    rest = tuple(
-        sorted(c for idx, c in enumerate(parts) if idx not in (i - 1, j - 1) and c > 0)
-    )
-    return _complete(rest, ci - 1, cj - 1, False)
+    rest = tuple(sorted(c for idx, c in enumerate(parts) if idx not in (i - 1, j - 1) and c > 0))
+    # reading a word backwards from its second letter swaps the roles of i and
+    # j, so the count is symmetric in the two and the key sorts them
+    return _word_count(rest, tuple(sorted((ci - 1, cj - 1))))
 
 
 def code_cycle_count(spec: CodeClassSpec | ClassVector | Sequence[int]) -> int:
@@ -157,11 +181,7 @@ def hamilton_multipartite(c: ClassVector | Sequence[int]) -> int:
     numerator = _cyclic_word_count(cv.parts)
     for ci in cv.parts:
         numerator *= factorial(ci)
-    if numerator % (2 * n):
-        raise ArithmeticError(
-            f"word count not divisible by 2n for c={cv.parts}: implementation bug"
-        )
-    return numerator // (2 * n)
+    return _exact_div(numerator, 2 * n, f"word count times class orderings for c={cv.parts}")
 
 
 def rooted_hamilton_permutations(c: ClassVector | Sequence[int], j: int) -> int:
@@ -172,16 +192,9 @@ def rooted_hamilton_permutations(c: ClassVector | Sequence[int], j: int) -> int:
     are both counted when their second vertex lies in class j, so summing over
     j gives twice the rooted cycle count.
     """
-    cv = as_class_vector(c)
     if j == 1:
         raise ValueError("second class must differ from the root class 1")
-    if not 2 <= j <= cv.k:
-        raise ValueError(f"class index {j} out of range 2..{cv.k}")
-    count = _rooted_word_count(cv.parts, 1, j)
-    out = factorial(cv.parts[0] - 1)
-    for ci in cv.parts[1:]:
-        out *= factorial(ci)
-    return out * count
+    return rooted_hamilton_permutations_general(c, 1, j)
 
 
 def rooted_hamilton_permutations_general(
@@ -199,53 +212,30 @@ def rooted_hamilton_permutations_general(
     return out * count
 
 
-@lru_cache(maxsize=None)
-def _hamilton_sorted(parts: tuple[int, ...]) -> int:
-    n = sum(parts)
-    if n < 3 or len(parts) == 1:
-        return 0
-    numerator = _cyclic_word_count(parts)
-    for ci in parts:
-        numerator *= factorial(ci)
-    if numerator % (2 * n):
-        raise ArithmeticError(
-            f"word count not divisible by 2n for c={parts}: implementation bug"
-        )
-    return numerator // (2 * n)
-
-
-def cycle_spectrum_multipartite(
-    c: ClassVector | Sequence[int], *, max_n: int = 40
-) -> dict[int, int]:
+def cycle_spectrum_multipartite(c: ClassVector | Sequence[int]) -> dict[int, int]:
     """Per-length cycle counts of the complete multipartite graph on classes c.
 
-    A length-r cycle is a choice of a_i vertices from each class (sum r)
-    together with a Hamilton cycle of the induced complete multipartite
-    subgraph, so the spectrum is a sum of binomial products against Hamilton
-    counts of the sub-vectors, memoized on their sorted form.
+    ``rows[r]`` is the u^r coefficient of prod_i sum_a C(c_i, a) a! E_a(t) u^a,
+    a block EGF in t; its cyclic closure, less the one-class terms, is 2r
+    times the number of r-cycles.
     """
     cv = as_class_vector(c)
-    if cv.n > max_n:
-        raise ValueError(f"analytic spectrum capped at {max_n} vertices")
+    rows = [[1]]
+    for size in cv.parts:
+        factor = [[comb(size, a) * factorial(a) * x for x in _class_egf(a)] for a in range(size + 1)]
+        grown = [[0] * (r + 1) for r in range(len(rows) + size)]
+        for r, row in enumerate(rows):
+            for a, block in enumerate(factor):
+                _add_product(grown[r + a], row, block)
+        rows = grown
     spectrum: dict[int, int] = {}
-    parts = cv.parts
-    k = cv.k
-    sub = [0] * k
-
-    def descend(idx: int, chosen: int, coeff: int) -> None:
-        if idx == k:
-            if chosen >= 3:
-                h = _hamilton_sorted(tuple(sorted(a for a in sub if a)))
-                if h:
-                    spectrum[chosen] = spectrum.get(chosen, 0) + coeff * h
-            return
-        for a in range(parts[idx] + 1):
-            sub[idx] = a
-            descend(idx + 1, chosen + a, coeff * comb(parts[idx], a))
-        sub[idx] = 0
-
-    descend(0, 0, 1)
-    return dict(sorted(spectrum.items()))
+    for r in range(3, cv.n + 1):
+        one_class = sum(comb(size, r) for size in cv.parts) * factorial(r)
+        closed = _cyclic_closure(rows[r], r) - one_class * _cyclic_closure(_class_egf(r), r)
+        count = _exact_div(closed, 2 * r, f"length-{r} closure for c={cv.parts}")
+        if count:
+            spectrum[r] = count
+    return spectrum
 
 
 def bipartite_cycle_counts(n: int) -> tuple[dict[int, int], int]:
@@ -262,17 +252,5 @@ def bipartite_cycle_counts(n: int) -> tuple[dict[int, int], int]:
     spectrum: dict[int, int] = {}
     for r in range(2, t + 1):
         num = falling_factorial(t, r) * falling_factorial(t_up, r)
-        if num % (2 * r):
-            raise ArithmeticError(f"falling-factorial product not divisible by 2r at n={n}, r={r}")
-        spectrum[2 * r] = num // (2 * r)
+        spectrum[2 * r] = _exact_div(num, 2 * r, f"falling-factorial product at n={n}, r={r}")
     return spectrum, sum(spectrum.values())
-
-
-def balanced_vector(n: int, k: int) -> ClassVector:
-    """Class sizes of the Turán graph T_k(n) as a ClassVector."""
-    return ClassVector(turan_class_sizes(n, k))
-
-
-def clear_caches() -> None:
-    _complete.cache_clear()
-    _hamilton_sorted.cache_clear()

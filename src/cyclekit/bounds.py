@@ -17,9 +17,9 @@ from math import comb
 import mpmath as mp
 
 from .analytic import (
-    _hamilton_sorted,
     bipartite_cycle_counts,
     cycle_spectrum_multipartite,
+    hamilton_multipartite,
 )
 from .graphs import falling_factorial, turan_class_sizes, turan_edge_count
 
@@ -36,7 +36,7 @@ def _tk(t: int, k: int) -> int:
 
 def _balanced_hamilton(n: int, k: int) -> int:
     # T_k(n) degenerates to the complete graph when n <= k
-    return _hamilton_sorted(tuple(sorted(turan_class_sizes(n, min(k, n)))))
+    return hamilton_multipartite(turan_class_sizes(n, min(k, n)))
 
 
 def _ln(value) -> float | None:
@@ -354,7 +354,7 @@ def check_total_to_hamilton(n: int, k: int) -> BoundReport:
         raise ValueError("need n >= 3")
     spectrum = cycle_spectrum_multipartite(turan_class_sizes(n, min(k, n)))
     total = sum(spectrum.values())
-    ham = _balanced_hamilton(n, k)
+    ham = spectrum[n]
     lo, hi = exp_bounds(Fraction(2 * k, k - 2))
     rhs = lo * ham
     return BoundReport(

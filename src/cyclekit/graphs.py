@@ -176,15 +176,6 @@ def turan_edge_count(n: int, k: int) -> int:
     return (n * n - sum(s * s for s in sizes)) // 2
 
 
-def vertex_classes(c: ClassVector | Sequence[int]) -> tuple[int, ...]:
-    """Class index of each vertex of ``complete_multipartite(c)``."""
-    cv = as_class_vector(c)
-    out = []
-    for i, size in enumerate(cv.parts):
-        out.extend([i] * size)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Chromatic diagnostics
 # ---------------------------------------------------------------------------
@@ -309,7 +300,7 @@ def best_k_partition(g: Graph, k: int, *, exhaustive_cap: int = PARTITION_CAP) -
     best_assignment: list[int] | None = None
     assignment = [0] * n
 
-    def descend(v: int, cost: int, used: int) -> None:
+    def assign(v: int, cost: int, used: int) -> None:
         nonlocal best_cost, best_assignment
         if cost > best_cost or (cost == best_cost and best_assignment is not None):
             return
@@ -324,10 +315,10 @@ def best_k_partition(g: Graph, k: int, *, exhaustive_cap: int = PARTITION_CAP) -
                 if assignment[u] == c:
                     extra += 1
             assignment[v] = c
-            descend(v + 1, cost + extra, max(used, c + 1))
+            assign(v + 1, cost + extra, max(used, c + 1))
         assignment[v] = 0
 
-    descend(0, 0, 0)
+    assign(0, 0, 0)
     if best_assignment is None:  # the greedy cost is always attainable
         raise RuntimeError("exhaustive partition search found no assignment")
     return _partition_info(g, best_assignment, certified=True)

@@ -164,12 +164,19 @@ class SearchResult:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SearchResult":
+        graphs = raw["extremal_graphs"]
+        if not isinstance(graphs, list) or not all(isinstance(g, str) for g in graphs):
+            raise TypeError("extremal_graphs must be a list of graph6 strings")
+        if not isinstance(raw["unique"], bool):
+            raise TypeError("unique must be a boolean")
+        if not isinstance(raw["forbidden"], str):
+            raise TypeError("forbidden must be a string")
         return cls(
             n=int(raw["n"]),
             forbidden=raw["forbidden"],
             max_cycles=int(raw["max_cycles"]),
-            extremal_graphs=tuple(raw["extremal_graphs"]),
-            unique=bool(raw["unique"]),
+            extremal_graphs=tuple(graphs),
+            unique=raw["unique"],
             graphs_examined=int(raw["graphs_examined"]),
             elapsed=float(raw["elapsed"]),
             from_cache=bool(raw.get("from_cache", False)),

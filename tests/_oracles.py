@@ -2,16 +2,21 @@
 
 Everything here recomputes quantities by direct enumeration, deliberately
 avoiding the algorithms under test (no subset DP, no multiset-state word DP,
-no pruned backtracking).  Exponential everywhere; keep inputs tiny.  The one
-exception is :func:`reference_canonical_label`, the canonical labelling
-without twin pruning, which the pruned one must match bit for bit.
+no pruned backtracking).  Exponential everywhere; keep inputs tiny.  Two
+exceptions are reference implementations that the package once used and that
+its replacements must match bit for bit: :func:`reference_canonical_label`,
+the canonical labelling without twin pruning, and the memoized cyclic-word DP
+with its sub-vector walk (``reference_*_word_count`` and
+:func:`reference_cycle_spectrum_multipartite`).
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
+from typing import Sequence
 
 import numpy as np
 
@@ -264,3 +269,123 @@ def augmentation_classes(n: int, forbid: Graph | None = None) -> set[tuple[int, 
                     nxt.add(reference_canonical_key(child))
         level = nxt
     return level
+
+
+# ---------------------------------------------------------------------------
+# Memoized cyclic-word DP (the analytic module's former implementation)
+# ---------------------------------------------------------------------------
+
+
+def _insert(sorted_counts: tuple[int, ...], value: int) -> tuple[int, ...]:
+    if value == 0:
+        return sorted_counts
+    out = list(sorted_counts)
+    lo = 0
+    while lo < len(out) and out[lo] < value:
+        lo += 1
+    out.insert(lo, value)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _complete(others: tuple[int, ...], first_rem: int, last_rem: int, last_is_first: bool) -> int:
+    """Count completions of a partially placed cyclic word.
+
+    ``others``: sorted remaining multiplicities of letters that are neither
+    the word's first letter nor the letter just placed.  ``first_rem``:
+    remaining copies of the first letter (meaningful only when it is not the
+    letter just placed).  ``last_rem``: remaining copies of the letter just
+    placed.  The completed word must end with a letter different from the
+    first (cyclic adjacency).
+    """
+    remaining = sum(others) + last_rem + (0 if last_is_first else first_rem)
+    if remaining == 0:
+        return 0 if last_is_first else 1
+    ways = 0
+    if not last_is_first and first_rem:
+        ways += _complete(_insert(others, last_rem), first_rem - 1, first_rem - 1, True)
+    prev = None
+    for idx, r in enumerate(others):
+        if r == prev:
+            continue
+        prev = r
+        mult = others.count(r)
+        rest = others[:idx] + others[idx + 1 :]
+        if last_is_first:
+            # the first letter goes back to being tracked via first_rem
+            ways += mult * _complete(rest, last_rem, r - 1, False)
+        else:
+            ways += mult * _complete(_insert(rest, last_rem), first_rem, r - 1, False)
+    return ways
+
+
+def reference_cyclic_word_count(parts: Sequence[int]) -> int:
+    """Words with the given letter content, cyclically adjacent letters distinct."""
+    counts = tuple(x for x in parts if x)
+    n = sum(counts)
+    if n == 0:
+        return 1
+    if len(counts) == 1:
+        return 0
+    total = 0
+    seen = set()
+    for idx, r in enumerate(counts):
+        if r in seen:
+            continue
+        seen.add(r)
+        mult = counts.count(r)
+        rest = tuple(sorted(counts[:idx] + counts[idx + 1 :]))
+        total += mult * _complete(rest, r - 1, r - 1, True)
+    return total
+
+
+def reference_rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
+    """Cyclic words as above with first letter i and second letter j (1-based)."""
+    if i == j:
+        raise ValueError("rooted letters must differ")
+    ci, cj = parts[i - 1], parts[j - 1]
+    if ci < 1 or cj < 1:
+        raise ValueError("rooted letters exceed content")
+    rest = tuple(
+        sorted(c for idx, c in enumerate(parts) if idx not in (i - 1, j - 1) and c > 0)
+    )
+    return _complete(rest, ci - 1, cj - 1, False)
+
+
+@lru_cache(maxsize=None)
+def _reference_hamilton_sorted(parts: tuple[int, ...]) -> int:
+    n = sum(parts)
+    if n < 3 or len(parts) == 1:
+        return 0
+    numerator = reference_cyclic_word_count(parts)
+    for ci in parts:
+        numerator *= factorial(ci)
+    if numerator % (2 * n):
+        raise ArithmeticError(
+            f"word count not divisible by 2n for c={parts}: implementation bug"
+        )
+    return numerator // (2 * n)
+
+
+def reference_cycle_spectrum_multipartite(parts: Sequence[int]) -> dict[int, int]:
+    """Per-length cycle counts of the complete multipartite graph on classes
+    ``parts``: binomial products against the Hamilton counts of all
+    prod(c_i + 1) sub-vectors, memoized on their sorted form."""
+    spectrum: dict[int, int] = {}
+    k = len(parts)
+    sub = [0] * k
+
+    def descend(idx: int, chosen: int, coeff: int) -> None:
+        if idx == k:
+            if chosen >= 3:
+                h = _reference_hamilton_sorted(tuple(sorted(a for a in sub if a)))
+                if h:
+                    spectrum[chosen] = spectrum.get(chosen, 0) + coeff * h
+            return
+        for a in range(parts[idx] + 1):
+            sub[idx] = a
+            descend(idx + 1, chosen + a, coeff * comb(parts[idx], a))
+        sub[idx] = 0
+
+    descend(0, 0, 1)
+    return dict(sorted(spectrum.items()))

@@ -1,14 +1,21 @@
-"""Cyclic-word counting against enumeration, and oracle equality with the DP."""
+"""Cyclic-word counting against enumeration, the subset DP, the former
+memoized word DP and closed forms."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclekit import analytic
 from cyclekit.analytic import (
     CodeClassSpec,
     bipartite_cycle_counts,
@@ -21,9 +28,14 @@ from cyclekit.analytic import (
 )
 from cyclekit.counting import count_hamilton, cycle_spectrum
 from cyclekit.graphs import complete_multipartite, turan_class_sizes
-from cyclekit.search import partitions_at_most, partitions_exact
+from cyclekit.search import compositions_exact, partitions_at_most, partitions_exact
 
-from _oracles import brute_code_count
+from _oracles import (
+    brute_code_count,
+    reference_cycle_spectrum_multipartite,
+    reference_cyclic_word_count,
+    reference_rooted_word_count,
+)
 
 
 compositions = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
@@ -164,6 +176,8 @@ class TestRootedPermutations:
     def test_rejects_root_as_target(self):
         with pytest.raises(ValueError):
             rooted_hamilton_permutations((2, 2), 1)
+        with pytest.raises(ValueError):
+            rooted_hamilton_permutations((2, 2), 3)
 
 
 class TestSpectra:
@@ -197,3 +211,78 @@ class TestSpectra:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             bipartite_cycle_counts(3)
+
+
+class TestAgainstReferenceDP:
+    """The generating-function kernel equals the memoized word DP it replaced."""
+
+    def test_cyclic_counts(self):
+        for n in range(1, 13):
+            for k in range(1, 6):
+                for comp in compositions_exact(n, k):
+                    assert code_cycle_count(comp) == reference_cyclic_word_count(comp), comp
+
+    def test_spectra(self):
+        for n in range(3, 11):
+            for k in range(1, 5):
+                for comp in compositions_exact(n, k):
+                    want = reference_cycle_spectrum_multipartite(comp)
+                    assert cycle_spectrum_multipartite(comp) == want, comp
+
+    def test_every_rooted_pair(self):
+        for n in range(2, 11):
+            for k in range(2, 5):
+                for comp in compositions_exact(n, k):
+                    for i in range(1, k + 1):
+                        for j in range(1, k + 1):
+                            if i != j:
+                                spec = CodeClassSpec(content=comp, rooted=(i, j))
+                                want = reference_rooted_word_count(comp, i, j)
+                                assert code_cycle_count(spec) == want, (comp, i, j)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_complete_graph_spectrum(self, n):
+        want = {r: comb(n, r) * factorial(r - 1) // 2 for r in range(3, n + 1)}
+        assert cycle_spectrum_multipartite((1,) * n) == want
+
+    def test_balanced_bipartite_at_64(self):
+        spectrum, _ = bipartite_cycle_counts(64)
+        assert cycle_spectrum_multipartite((32, 32)) == spectrum
+
+    def test_cap_is_the_class_vector_limit(self):
+        with pytest.raises(ValueError):
+            cycle_spectrum_multipartite((1,) * 65)
+
+    def test_one_letter_closure_is_not_zero(self):
+        # the spectrum subtracts these one-class terms; they alternate in sign
+        for r in range(1, 12):
+            assert analytic._cyclic_closure(analytic._class_egf(r), r) == (-1) ** (r + 1)
+
+
+class TestDivisionChecks:
+    def test_remainder_raises(self):
+        with pytest.raises(ArithmeticError):
+            analytic._exact_div(7, 2, "seven halves")
+        assert analytic._exact_div(8, 2, "eight halves") == 4
+
+    def test_remainder_in_hamilton_count_raises(self, monkeypatch):
+        # K_{2,2,2} has 24 * 2!^3 / 12 = 16 Hamilton cycles; with one word
+        # fewer, 23 * 8 leaves a remainder modulo 2n = 12
+        monkeypatch.setattr(analytic, "_cyclic_word_count", lambda parts: 23)
+        with pytest.raises(ArithmeticError):
+            hamilton_multipartite((2, 2, 2))
+
+    def test_remainder_raises_with_asserts_stripped(self):
+        code = (
+            "from cyclekit.analytic import _exact_div\n"
+            "try:\n"
+            "    _exact_div(7, 2, 'seven halves')\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(analytic.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0

@@ -18,6 +18,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _retyped(key, value):
+    """Damage for a cache file: one field of the stored result gets the wrong type."""
+
+    def damage(raw: bytes) -> bytes:
+        data = json.loads(raw)
+        data[key] = value
+        return json.dumps(data).encode()
+
+    return damage
+
+
 class TestCount:
     def test_turan(self, capsys):
         code, out, _ = run(capsys, "count", "--turan", "6", "3", "--format", "json")
@@ -97,6 +108,15 @@ class TestAnalytic:
     def test_bad_parts(self, capsys):
         code, _, err = run(capsys, "analytic", "--parts", "2,zero")
         assert code == 2
+
+    def test_spectrum_up_to_the_64_vertex_limit(self, capsys):
+        code, out, _ = run(capsys, "analytic", "--parts", ",".join(["1"] * 64), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["spectrum"]["64"] == data["h"] > 0
+        code, _, err = run(capsys, "analytic", "--parts", ",".join(["1"] * 65), "--format", "json")
+        assert code == 2
+        assert "64" in err
 
 
 class TestVerify:
@@ -222,8 +242,13 @@ class TestSearch:
             lambda raw: b"\xff\xfe{garbage",
             lambda raw: raw.replace(b'"schema": 1', b'"schema": 0'),
             lambda raw: b'{"schema": 1}',
+            _retyped("extremal_graphs", "DFw"),
+            _retyped("extremal_graphs", [7]),
+            _retyped("unique", "yes"),
+            _retyped("forbidden", 3),
         ],
-        ids=["truncated", "garbage", "wrong_schema", "missing_keys"],
+        ids=["truncated", "garbage", "wrong_schema", "missing_keys", "graphs_string",
+             "graphs_not_strings", "unique_not_bool", "forbidden_not_string"],
     )
     def test_unusable_cache_file_is_recomputed(self, capsys, tmp_path, damage):
         args = ("search", "--n", "5", "--forbid", "K3", "--cache-dir", str(tmp_path), "--format", "json")
