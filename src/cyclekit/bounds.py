@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath as mp
@@ -39,6 +40,13 @@ def _balanced_hamilton(n: int, k: int) -> int:
     return hamilton_multipartite(turan_class_sizes(n, min(k, n)))
 
 
+@lru_cache(maxsize=256)
+def _bipartite_top_and_total(n: int) -> tuple[int, int]:
+    """Longest even cycle count and total cycle count of T_2(n)."""
+    spectrum, total = bipartite_cycle_counts(n)
+    return spectrum[2 * (n // 2)], total
+
+
 def _ln(value) -> float | None:
     """Natural log as a float, exact-input safe for huge ints and Fractions."""
     with mp.workdps(WORK_DPS):
@@ -54,11 +62,13 @@ def _ln(value) -> float | None:
         return float(mp.log(v)) if v > 0 else None
 
 
+@lru_cache(maxsize=64)
 def exp_bounds(x: Fraction, terms: int = 40) -> tuple[Fraction, Fraction]:
     """Rational lower and upper bounds for e^x, x >= 0, via the Taylor tail.
 
     The lower bound is the partial sum; the upper bound adds the geometric
-    majorant of the tail (requires x < terms + 2).
+    majorant of the tail (requires x < terms + 2).  Memoized: the checks ask
+    for the same few constants in every case.
     """
     if x < 0:
         raise ValueError("nonnegative arguments only")
@@ -374,9 +384,8 @@ def check_bipartite_decay(n: int, i: int) -> BoundReport:
     """c(T_2(n-i)) <= 2e (4/n)^i c_{2 floor(n/2)}(T_2(n)), e rounded down."""
     if i < 0 or n - i < 4:
         raise ValueError("need i >= 0 and n - i >= 4")
-    _, lhs = bipartite_cycle_counts(n - i)
-    spectrum, _ = bipartite_cycle_counts(n)
-    top = spectrum[2 * (n // 2)]
+    _, lhs = _bipartite_top_and_total(n - i)
+    top, _ = _bipartite_top_and_total(n)
     e_lo, e_hi = exp_bounds(Fraction(1))
     rhs = 2 * e_lo * Fraction(4, n) ** i * top
     return BoundReport(
@@ -402,8 +411,7 @@ def report_asymptotic_ratio(n: int, k: int) -> BoundReport:
         raise ValueError("need n >= 4")
     with mp.workdps(WORK_DPS):
         if k == 2:
-            spectrum, _ = bipartite_cycle_counts(n)
-            exact = spectrum[2 * (n // 2)]
+            exact, _ = _bipartite_top_and_total(n)
             denom_log = mp.log(mp.pi) - n * mp.log(2) + n * mp.log(n) - n
             name = "kkmain-bipartite"
         elif k >= 3:

@@ -114,7 +114,7 @@ def graph_from_edge_list(text: str) -> Graph:
 def named_graph(name: str) -> Graph:
     """Catalog lookup: complete graphs K2..K9, cycles C3..C9, paths P2..P9."""
     s = name.strip().upper()
-    if len(s) >= 2 and s[0] in "KCP" and s[1:].isdigit():
+    if len(s) >= 2 and s[0] in "KCP" and s[1:].isdecimal():
         m = int(s[1:])
         if s[0] == "K" and 2 <= m <= 9:
             return make_graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])

@@ -31,19 +31,24 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"adjacency row {v} mentions vertices >= {self.n}")
+                raise ValueError(f"adjacency row {v} mentions vertices >= {n}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in _bits(row):
-                if not (self.adj[u] >> v) & 1:
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -81,11 +86,13 @@ class Graph:
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
         adj = [0] * self.n
-        for v in range(self.n):
-            row = 0
-            for u in _bits(self.adj[v]):
-                row |= 1 << perm[u]
-            adj[perm[v]] = row
+        for v, row in enumerate(self.adj):
+            new = 0
+            while row:
+                low = row & -row
+                new |= 1 << perm[low.bit_length() - 1]
+                row ^= low
+            adj[perm[v]] = new
         return Graph(self.n, tuple(adj))
 
     def degree_sequence(self) -> tuple[int, ...]:

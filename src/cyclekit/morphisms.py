@@ -3,7 +3,7 @@
 Containment is non-induced: an injective map of H's vertices into G sending
 every H-edge to a G-edge, found by backtracking with degree pruning.
 
-Isomorphism is equality of canonical forms.  :func:`canonical_label` tries
+Isomorphism is equality of canonical forms.  :func:`canonical_orbits` tries
 every vertex ordering inside each refinement-color class and keeps the first
 one whose adjacency rows are lexicographically largest.  Two prunings leave
 that result unchanged.  A prefix whose rows already fall below the best
@@ -17,6 +17,16 @@ many; twin-free symmetric graphs such as cycles stay exponential, so this is
 meant for n <= ~10.  Cached search results, extremal graph6 strings and
 recorded digests depend on the exact labeling, which the tests compare bit
 for bit with the unpruned search.
+
+The same search returns the orbits of Aut(g).  Two orderings with equal rows
+differ by an automorphism, so every leaf that ties the best is united with
+it vertex by vertex; and every twin class is united, because twin swaps
+cover what the twin pruning skips.  For an automorphism a, replacing the
+vertex at each position of a(best), left to right, by the lowest unused
+vertex of its twin class is a product of twin swaps and gives an ordering
+the search visits, with the best rows.  So a lies in the group generated by
+the tying leaves and the twin swaps, and the united sets are exactly the
+orbits.
 """
 
 from __future__ import annotations
@@ -86,17 +96,16 @@ def refinement_colors(g: Graph) -> tuple[int, ...]:
     graphs get identical color multisets (the converse can fail for regular
     graphs, such as C6 and two triangles).
     """
-    colors = tuple(g.degree(v) for v in range(g.n))
+    nbrs = [list(_bits(row)) for row in g.adj]
+    colors = [len(nb) for nb in nbrs]
+    count = len(set(colors))
     while True:
-        sigs = tuple(
-            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v]))))
-            for v in range(g.n)
-        )
+        sigs = [(colors[v], tuple(sorted([colors[u] for u in nb]))) for v, nb in enumerate(nbrs)]
         ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = tuple(ranking[s] for s in sigs)
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        new = [ranking[s] for s in sigs]
+        if len(ranking) == count:
+            return tuple(new)
+        colors, count = new, len(ranking)
 
 
 def twin_classes(g: Graph) -> list[list[int]]:
@@ -117,13 +126,15 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return list(classes.values())
 
 
-def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Canonically relabeled copy of ``g`` plus the relabeling permutation
-    (``perm[old] = new``); see the module docstring for the search."""
+def canonical_orbits(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """Canonically relabeled copy of ``g``, the relabeling permutation
+    (``perm[old] = new``) and the orbits of Aut(g) (``orbits[v]`` is the
+    lowest vertex of v's orbit); see the module docstring for the search."""
     n = g.n
     e = g.edge_count
     if e == 0 or e == n * (n - 1) // 2:
-        return g, tuple(range(n))
+        return g, tuple(range(n)), (0,) * n
+    adj = g.adj
     colors = refinement_colors(g)
     class_of: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -135,11 +146,25 @@ def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         acc += len(s)
         boundaries.append(acc)
 
+    # union-find over vertices; a root is the lowest vertex of its set
+    link = list(range(n))
+
+    def find(v: int) -> int:
+        while link[v] != v:
+            link[v] = v = link[link[v]]
+        return v
+
+    def union(u: int, v: int) -> None:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            link[max(ru, rv)] = min(ru, rv)
+
     twins = [0] * n
     for cls in twin_classes(g):
         mask = sum(1 << v for v in cls)
         for v in cls:
             twins[v] = mask
+            union(cls[0], v)
 
     best_rows: list[int] | None = None
     best_order: list[int] | None = None
@@ -152,6 +177,10 @@ def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
             if best_rows is None or rows > best_rows:
                 best_rows = rows.copy()
                 best_order = order.copy()
+            elif rows == best_rows:
+                # equal rows: mapping one ordering onto the other is an automorphism
+                for u, v in zip(best_order, order):
+                    union(u, v)
             return
         pos = len(order)
         nxt = cls_idx + (1 if pos + 1 == boundaries[cls_idx] else 0)
@@ -160,9 +189,10 @@ def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
             if (used | tried) >> v & 1:
                 continue
             tried |= twins[v]
+            row_v = adj[v]
             row_bits = 0
             for i, u in enumerate(order):
-                if g.has_edge(v, u):
+                if row_v >> u & 1:
                     row_bits |= 1 << i
             if best_rows is not None and row_bits < best_rows[pos] and rows == best_rows[:pos]:
                 continue
@@ -178,7 +208,14 @@ def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     perm = [0] * n
     for new, old in enumerate(best_order):
         perm[old] = new
-    return g.relabel(perm), tuple(perm)
+    return g.relabel(perm), tuple(perm), tuple(find(v) for v in range(n))
+
+
+def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """Canonically relabeled copy of ``g`` plus the relabeling permutation
+    (``perm[old] = new``): :func:`canonical_orbits` without the orbits."""
+    canon, perm, _ = canonical_orbits(g)
+    return canon, perm
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:

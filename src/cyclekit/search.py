@@ -1,14 +1,28 @@
 """Exhaustive desk-scale search and verification.
 
-Enumeration generates one representative per isomorphism class by vertex
-augmentation: every graph on m+1 vertices arises from a graph on m vertices
-by attaching a new vertex, and forbidden-subgraph freeness is hereditary, so
-augmenting the representatives level by level reaches every class.  Swapping
-twins of the parent is an automorphism, so a child is fixed up to isomorphism
-by how many vertices of each twin class T the new vertex sees: a parent gets
-prod(|T| + 1) children instead of 2^m, each adjacent to the lowest vertices
-of each class.  One set of canonical forms per level removes the remaining
-duplicates, and the levels hold canonical forms.
+Enumeration yields one canonical form per isomorphism class by canonical
+augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  Every graph on m+1 vertices arises from one on m vertices by attaching
+a new vertex, and forbidden-subgraph freeness is hereditary, so each class
+grows from the class of any of its one-vertex deletions.  Swapping twins of
+the parent is an automorphism, so a child is fixed up to isomorphism by how
+many vertices of each twin class T the new vertex sees: a parent gets
+prod(|T| + 1) children, each adjacent to the lowest vertices of each class.
+
+A child is kept only when its new vertex is a canonical deletion, a vertex
+that the child itself singles out up to automorphism.  The candidates are
+the vertices with the least key (degree, sum of neighbour degrees), a cheap
+invariant tested before any containment test or labelling; among tied
+candidates the canonical deletion is the one with the highest canonical
+position, and the new vertex passes when it lies in that vertex's orbit under
+Aut(child), which the labelling returns.  The rule depends on the child's
+isomorphism class only, so an accepted child determines the class of its
+parent: accepted children of different parents are never isomorphic, and
+each class is accepted from the class of its canonical deletion.  Two
+accepted children of one parent can still be isomorphic through an
+automorphism of the parent that is not a twin swap, so one set of canonical
+forms per parent drops those; no set spans a level, and the enumeration
+streams depth first.
 
 The verify_* suites check the counting inequalities exactly, in integer or
 rational arithmetic, across every composition in range.
@@ -35,11 +49,11 @@ from .analytic import (
     rooted_hamilton_permutations_general,
 )
 from .counting import count_cycles
-from .graphs import Graph, complete_multipartite, turan_class_sizes
-from .morphisms import canonical_label, contains_subgraph, twin_classes
+from .graphs import Graph, _bits, complete_multipartite, turan_class_sizes
+from .morphisms import canonical_label, canonical_orbits, contains_subgraph, twin_classes
 from .graph_io import graph_to_graph6
 
-ENUM_CAP = 9
+ENUM_CAP = 10
 # Stored in every cache file; a file with another value is recomputed.
 CACHE_SCHEMA = 1
 
@@ -85,39 +99,73 @@ def compositions_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _augmentations(parents: list[Graph], forbid: Graph | None) -> list[Graph]:
+def _deletion_ties(adj: list[int], deg: list[int]) -> list[int] | None:
+    """The vertices of minimum degree whose sum of neighbour degrees equals
+    the last vertex's, when that sum is the least among them; else None.
+    The last vertex must have the minimum degree."""
+    m = len(adj) - 1
+    key = sum(deg[u] for u in _bits(adj[m]))
+    ties = [m]
+    for v in range(m):
+        if deg[v] == deg[m]:
+            other = sum(deg[u] for u in _bits(adj[v]))
+            if other < key:
+                return None
+            if other == key:
+                ties.append(v)
+    return ties
+
+
+def _children(parent: Graph, forbid: Graph | None) -> Iterator[Graph]:
+    """Canonical forms of the forbid-free children of ``parent`` whose new
+    vertex is a canonical deletion, each once."""
+    m = parent.n
     seen: set[tuple[int, ...]] = set()
-    out: list[Graph] = []
-    for parent in parents:
-        m = parent.n
-        # per twin class T: the masks of its lowest 0, 1, ..., |T| vertices
-        prefixes = [[sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)]
-                    for cls in twin_classes(parent)]
-        for picks in product(*prefixes):
-            nb = sum(picks)
-            adj = [row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)]
-            adj.append(nb)
-            child = Graph(m + 1, tuple(adj))
-            if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
-                continue
-            canon, _ = canonical_label(child)
-            if canon.adj not in seen:
-                seen.add(canon.adj)
-                out.append(canon)
-    return out
+    # per twin class T: the masks of its lowest 0, 1, ..., |T| vertices
+    prefixes = [[sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)]
+                for cls in twin_classes(parent)]
+    deg = [row.bit_count() for row in parent.adj]
+    # below[t]: the parent's vertices of degree < t
+    below = [sum(1 << v for v in range(m) if deg[v] < t) for t in range(m + 1)]
+    for picks in product(*prefixes):
+        nb = sum(picks)
+        d = nb.bit_count()
+        # the new vertex must have the minimum degree; a parent vertex inside
+        # nb gains one (for d = 0, nb is empty, so below[-1] & nb is 0)
+        if below[d] & ~nb or below[d - 1] & nb:
+            continue
+        adj = [row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)]
+        adj.append(nb)
+        ties = _deletion_ties(adj, [x + (nb >> v & 1) for v, x in enumerate(deg)] + [d])
+        if ties is None:
+            continue
+        child = Graph(m + 1, tuple(adj))
+        if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
+            continue
+        canon, perm, orbits = canonical_orbits(child)
+        if len(ties) > 1 and orbits[max(ties, key=perm.__getitem__)] != orbits[m]:
+            continue
+        if canon.adj not in seen:
+            seen.add(canon.adj)
+            yield canon
 
 
 def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
     """The canonical form of each isomorphism class of forbid-free graphs on
-    n vertices, once."""
+    n vertices, once, depth first."""
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration capped at {ENUM_CAP} vertices")
-    level = [Graph(1, (0,))]
     if forbid is not None and forbid.n <= 1:
         raise ValueError("forbidden graph needs at least 2 vertices")
-    for _ in range(1, n):
-        level = _augmentations(level, forbid)
-    yield from level
+
+    def grow(g: Graph) -> Iterator[Graph]:
+        if g.n == n:
+            yield g
+            return
+        for child in _children(g, forbid):
+            yield from grow(child)
+
+    yield from grow(Graph(1, (0,)))
 
 
 def extremal_number(t: int, forbid: Graph) -> int:

@@ -2,12 +2,14 @@
 
 Everything here recomputes quantities by direct enumeration, deliberately
 avoiding the algorithms under test (no subset DP, no multiset-state word DP,
-no pruned backtracking).  Exponential everywhere; keep inputs tiny.  Two
+no pruned backtracking).  Exponential everywhere; keep inputs tiny.  The
 exceptions are reference implementations that the package once used and that
 its replacements must match bit for bit: :func:`reference_canonical_label`,
-the canonical labelling without twin pruning, and the memoized cyclic-word DP
-with its sub-vector walk (``reference_*_word_count`` and
-:func:`reference_cycle_spectrum_multipartite`).
+the canonical labelling without twin pruning, :func:`reference_enumerate_graphs`,
+the twin augmentation with one dedup set per level, and the memoized
+cyclic-word DP with its sub-vector walk (``reference_*_word_count`` and
+:func:`reference_cycle_spectrum_multipartite`).  :func:`graph_texts` is the
+hypothesis strategy of parser input that the fuzz tests share.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
+from cyclekit.graph_io import graph_to_graph6
 from cyclekit.graphs import Graph, _bits, make_graph
 
 
@@ -121,6 +125,17 @@ def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     return any(tuple(g.relabel(p).adj) == h.adj for p in permutations(range(g.n)))
 
 
+def brute_automorphism_orbits(g: Graph) -> tuple[int, ...]:
+    """Lowest vertex of each vertex's orbit, from every permutation that
+    preserves the adjacency."""
+    orbit = list(range(g.n))
+    for p in permutations(range(g.n)):
+        if all(sum(1 << p[u] for u in _bits(g.adj[v])) == g.adj[p[v]] for v in range(g.n)):
+            for v in range(g.n):
+                orbit[p[v]] = min(orbit[p[v]], v)
+    return tuple(orbit)
+
+
 def brute_chromatic(g: Graph) -> int:
     for t in range(1, g.n + 1):
         for coloring in product(range(t), repeat=g.n):
@@ -162,6 +177,27 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return make_graph(n, edges)
+
+
+@st.composite
+def _damaged_graph6(draw) -> str:
+    g = random_graph(random.Random(draw(st.integers(0, 1 << 16))), draw(st.integers(1, 9)), 0.5)
+    s = graph_to_graph6(g)
+    i = draw(st.integers(0, len(s)))
+    ch = draw(st.characters())
+    return draw(st.sampled_from((s[:i] + ch + s[i + 1:], s[:i] + s[i + 1:], s[:i] + ch + s[i:])))
+
+
+def graph_texts() -> st.SearchStrategy[str]:
+    """Text for the graph parsers: arbitrary strings, strings over the graph6
+    alphabet, catalog-like names, and valid graph6 strings of small graphs
+    with one character replaced, deleted or inserted.  Most are malformed."""
+    return st.one_of(
+        st.text(max_size=30),
+        st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=14),
+        st.from_regex(r" ?[KCPQkcp~>][-+0-9\u00b2\u0663]{0,3} ?", fullmatch=True),
+        _damaged_graph6(),
+    )
 
 
 def brute_force_graph_classes(n: int) -> list[Graph]:
@@ -254,6 +290,33 @@ def reference_canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 def reference_canonical_key(g: Graph) -> tuple[int, ...]:
     return reference_canonical_label(g)[0].adj
+
+
+def reference_enumerate_graphs(n: int, forbid: Graph | None = None) -> list[Graph]:
+    """Canonical forms of the forbid-free classes on n vertices, grown level by
+    level: each parent gets one child per vector of counts over its twin
+    classes, and one set of canonical forms per level removes duplicates."""
+    from cyclekit.morphisms import canonical_label, contains_subgraph, twin_classes
+
+    level = [Graph(1, (0,))]
+    for m in range(1, n):
+        seen: set[tuple[int, ...]] = set()
+        nxt: list[Graph] = []
+        for parent in level:
+            prefixes = [[sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)]
+                        for cls in twin_classes(parent)]
+            for picks in product(*prefixes):
+                nb = sum(picks)
+                adj = [row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)]
+                child = Graph(m + 1, tuple(adj) + (nb,))
+                if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
+                    continue
+                canon, _ = canonical_label(child)
+                if canon.adj not in seen:
+                    seen.add(canon.adj)
+                    nxt.append(canon)
+        level = nxt
+    return level
 
 
 def augmentation_classes(n: int, forbid: Graph | None = None) -> set[tuple[int, ...]]:

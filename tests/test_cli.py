@@ -2,20 +2,34 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from cyclekit.cli import main
-from cyclekit.graph_io import graph_from_graph6, graph_to_graph6
+from cyclekit.counting import count_cycles
+from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_graph6, parse_graph_argument
 from cyclekit.graphs import turan_graph
 from cyclekit.morphisms import is_isomorphic
+
+from _oracles import graph_texts
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    """main() with stdout and stderr captured, for use inside hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def _retyped(key, value):
@@ -288,7 +302,7 @@ class TestSearch:
         assert code == 2
 
     def test_cap_exceeded_exit_2(self, capsys):
-        code, _, _ = run(capsys, "search", "--n", "10", "--forbid", "K3")
+        code, _, _ = run(capsys, "search", "--n", "11", "--forbid", "K3")
         assert code == 2
 
 
@@ -351,3 +365,44 @@ class TestConfigFile:
             capsys, "count", "--turan", "4", "2", "--config", str(conf)
         )
         assert code == 2
+
+
+class TestFuzz:
+    """Malformed graph arguments exit 2 with one error message: no traceback
+    and nothing on stdout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_texts())
+    def test_count_graph6(self, text):
+        try:
+            g = graph_from_graph6(text)
+        except GraphFormatError:
+            g = None
+        if g is not None and g.n > 10:
+            return  # well formed but too costly to count here
+        code, out, err = run_quiet("count", f"--graph6={text}", "--format", "json")
+        assert "Traceback" not in err
+        if g is None:
+            assert (code, out) == (2, "")
+            assert err.startswith("error:")
+        else:
+            assert code == 0
+            assert json.loads(out)["total"] == count_cycles(g)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=graph_texts())
+    def test_search_forbid(self, monkeypatch, text):
+        monkeypatch.delenv("CYCLEKIT_CACHE_DIR", raising=False)
+        try:
+            h = parse_graph_argument(text)
+        except GraphFormatError:
+            h = None
+        code, out, err = run_quiet("search", "--n", "4", f"--forbid={text}", "--format", "json")
+        assert "Traceback" not in err
+        if h is None or h.n < 2:
+            assert (code, out) == (2, "")
+            assert err
+        elif code == 0:
+            assert json.loads(out)["n"] == 4
+        else:
+            assert (code, out) == (2, "")

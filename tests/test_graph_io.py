@@ -20,7 +20,7 @@ from cyclekit.graph_io import (
 )
 from cyclekit.morphisms import is_isomorphic
 
-from _oracles import random_graph
+from _oracles import graph_texts, random_graph
 
 
 class TestGraph6:
@@ -118,3 +118,47 @@ class TestCatalog:
         assert parse_graph_argument("DqK").n == 5
         with pytest.raises(GraphFormatError):
             parse_graph_argument("totally bogus")
+
+    def test_non_decimal_digits_are_not_a_name(self):
+        # "K\u00b2" passed str.isdigit but made int() raise a bare ValueError,
+        # so the graph6 fallback was never tried
+        for bad in ("K\u00b2", "C3\u00b2"):
+            with pytest.raises(GraphFormatError):
+                named_graph(bad)
+            with pytest.raises(GraphFormatError):
+                parse_graph_argument(bad)
+
+
+class TestFuzz:
+    """Arbitrary text either parses to a graph or raises GraphFormatError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph_texts())
+    def test_graph6(self, text):
+        try:
+            g = graph_from_graph6(text)
+        except GraphFormatError:
+            return
+        assert graph_from_graph6(graph_to_graph6(g)).adj == g.adj
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts())
+    def test_parse_graph_argument(self, text):
+        try:
+            g = parse_graph_argument(text)
+        except GraphFormatError:
+            return
+        assert graph_from_graph6(graph_to_graph6(g)).adj == g.adj
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(max_size=12),
+        st.integers(-3, 12).map(str),
+        st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(lambda e: f"{e[0]} {e[1]}"),
+    ), max_size=8))
+    def test_edge_list(self, lines):
+        try:
+            g = graph_from_edge_list("\n".join(lines))
+        except GraphFormatError:
+            return
+        assert graph_from_edge_list(graph_to_edge_list(g)).adj == g.adj

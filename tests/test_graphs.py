@@ -59,6 +59,19 @@ class TestMakeGraph:
         with pytest.raises(ValueError):
             make_graph(65, [])
 
+    def test_constructor_validates_rows(self):
+        Graph(3, (0b110, 0b101, 0b011))
+        bad_rows = {
+            "length": (0b10, 0b01),
+            "vertices >= 3": (0b1000, 0, 0),
+            "self-loop": (0b001, 0, 0),
+            "asymmetric adjacency between 2 and 0": (0b100, 0, 0),
+            "asymmetric adjacency between 0 and 2": (0, 0, 0b001),
+        }
+        for message, rows in bad_rows.items():
+            with pytest.raises(ValueError, match=message):
+                Graph(3, rows)
+
 
 class TestTuran:
     def test_small_cases(self):

@@ -8,6 +8,7 @@ from cyclekit.graphs import complete_multipartite, make_graph, turan_graph
 from cyclekit.morphisms import (
     canonical_key,
     canonical_label,
+    canonical_orbits,
     contains_subgraph,
     is_isomorphic,
     refinement_colors,
@@ -15,7 +16,13 @@ from cyclekit.morphisms import (
 )
 from cyclekit.search import enumerate_graphs
 
-from _oracles import brute_contains, brute_is_isomorphic, random_graph, reference_canonical_label
+from _oracles import (
+    brute_automorphism_orbits,
+    brute_contains,
+    brute_is_isomorphic,
+    random_graph,
+    reference_canonical_label,
+)
 
 
 def assert_labels_like_reference(g, rng):
@@ -155,3 +162,30 @@ class TestCanonicalLabel:
         for g in (turan_graph(8, 2), turan_graph(9, 3), cycle_graph(8)):
             relabeled = g.relabel(list(reversed(range(g.n))))
             assert canonical_key(g) == canonical_key(relabeled)
+
+
+class TestOrbits:
+    def test_against_brute_force_automorphisms(self):
+        rng = random.Random(53)
+        for _ in range(600):
+            n = rng.randint(1, 7)
+            g = random_graph(rng, n, rng.random())
+            canon, perm, orbits = canonical_orbits(g)
+            assert (canon, perm) == canonical_label(g)
+            assert orbits == brute_automorphism_orbits(g)
+
+    def test_every_small_class(self):
+        # canonical forms of small classes are rich in automorphisms
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                assert canonical_orbits(g)[2] == brute_automorphism_orbits(g)
+
+    def test_known_orbits(self):
+        petersen = make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)])
+        for g in (petersen, cycle_graph(8), turan_graph(9, 3), make_graph(4, []), K4):
+            assert canonical_orbits(g)[2] == (0,) * g.n
+        path = make_graph(5, [(i, i + 1) for i in range(4)])
+        assert canonical_orbits(path)[2] == (0, 1, 2, 1, 0)
+        assert canonical_orbits(complete_multipartite((3, 2)))[2] == (0, 0, 0, 3, 3)

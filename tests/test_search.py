@@ -25,9 +25,15 @@ from cyclekit.search import (
     verify_turan_dominance,
 )
 
-from _oracles import augmentation_classes, brute_force_graph_classes
+from _oracles import augmentation_classes, brute_force_graph_classes, reference_enumerate_graphs
 
 K3 = named_graph("K3")
+
+
+def _forbidden(name):
+    if name == "K1,3":
+        return make_graph(4, [(0, 1), (0, 2), (0, 3)])
+    return None if name is None else named_graph(name)
 
 
 class TestCompositions:
@@ -45,15 +51,15 @@ class TestCompositions:
 
 class TestEnumeration:
     def test_unrestricted_counts(self):
-        # numbers of graphs up to isomorphism on 1..7 vertices
-        assert [len(list(enumerate_graphs(n))) for n in range(1, 8)] == [
-            1, 2, 4, 11, 34, 156, 1044,
+        # numbers of graphs up to isomorphism on 1..8 vertices (OEIS A000088)
+        assert [len(list(enumerate_graphs(n))) for n in range(1, 9)] == [
+            1, 2, 4, 11, 34, 156, 1044, 12346,
         ]
 
     def test_triangle_free_counts(self):
         # OEIS A006785
-        assert [len(list(enumerate_graphs(n, K3))) for n in range(1, 10)] == [
-            1, 2, 3, 7, 14, 38, 107, 410, 1897,
+        assert [len(list(enumerate_graphs(n, K3))) for n in range(1, 11)] == [
+            1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172,
         ]
 
     def test_every_emitted_graph_is_forbid_free(self):
@@ -77,16 +83,23 @@ class TestEnumeration:
         # every neighbourhood of every new vertex, deduplicated by the
         # unpruned canonical labeling and filtered by brute-force containment;
         # equal sets also show that the emitted graphs are canonical forms
-        if forbid == "K1,3":
-            h = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-        else:
-            h = None if forbid is None else named_graph(forbid)
+        h = _forbidden(forbid)
         for n in range(1, 7):
             assert {g.adj for g in enumerate_graphs(n, h)} == augmentation_classes(n, h)
 
+    @pytest.mark.parametrize("forbid", [None, "K3", "C4", "P4", "K4", "K1,3", "C5"])
+    def test_matches_level_by_level_dedup(self, forbid):
+        # the twin augmentation with one dedup set per level, which the
+        # canonical-deletion test replaced: the same canonical forms, once each
+        h = _forbidden(forbid)
+        for n in range(1, 8):
+            emitted = [g.adj for g in enumerate_graphs(n, h)]
+            assert len(emitted) == len(set(emitted))
+            assert set(emitted) == {g.adj for g in reference_enumerate_graphs(n, h)}
+
     def test_cap(self):
         with pytest.raises(ValueError):
-            list(enumerate_graphs(10))
+            list(enumerate_graphs(11))
 
 
 class TestExtremalNumbers:
