@@ -323,6 +323,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     except GraphFormatError as exc:
         print(f"bad --forbid argument: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # before the search, so that a forbidden graph over the chromatic cap
+    # fails at once and leaves no cache file
+    chi = chromatic_number(forbid)
+    critical = has_critical_edge(forbid)
     result = search.max_cycles_h_free(
         args.n,
         forbid,
@@ -330,8 +334,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         cache_dir=cfg.cache_dir,
     )
     out = result.to_dict()
-    out["forbidden_chi"] = chromatic_number(forbid)
-    out["forbidden_has_critical_edge"] = has_critical_edge(forbid)
+    out["forbidden_chi"] = chi
+    out["forbidden_has_critical_edge"] = critical
     if cfg.output_format == "json":
         print(json.dumps(out, sort_keys=True))
     elif cfg.output_format == "csv":

@@ -37,7 +37,6 @@ is every graph the extremal searches count, keep the dict DP.
 
 from __future__ import annotations
 
-import json
 from math import factorial
 
 import numpy as np
@@ -214,12 +213,3 @@ def spectrum_to_csv(spectrum: dict[int, int]) -> str:
     lines = ["r,count"]
     lines += [f"{r},{spectrum[r]}" for r in sorted(spectrum)]
     return "\n".join(lines) + "\n"
-
-
-def spectrum_to_json(spectrum: dict[int, int]) -> str:
-    return json.dumps({str(r): spectrum[r] for r in sorted(spectrum)})
-
-
-def spectrum_from_json(text: str) -> dict[int, int]:
-    raw = json.loads(text)
-    return {int(r): int(c) for r, c in raw.items()}

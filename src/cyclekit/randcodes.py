@@ -4,6 +4,11 @@ the exact counts.
 Streams are drawn from PCG64 generators seeded through SeedSequence spawn
 keys, so every estimate is reproducible from (seed, stream) regardless of
 how calls are interleaved.
+
+:func:`estimate_prob` draws its words in chunks of at most ``_CHUNK_LETTERS``
+letters and keeps only the running hit count, so its memory is bounded
+independently of the sample count.  A generator's draws are sequential in C
+order, so the chunked words are exactly those of one ``samples x n`` draw.
 """
 
 from __future__ import annotations
@@ -19,19 +24,12 @@ from .analytic import code_cycle_count, rooted_hamilton_permutations_general
 from .graphs import turan_class_sizes
 
 EVENTS = ("Q", "P", "QP")
+# Letters per chunk of draws in estimate_prob: 8 MB of int64 whatever n is.
+_CHUNK_LETTERS = 2**20
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
-
-
-@dataclass(frozen=True)
-class CodeSample:
-    """One uniform word over {1..k} with its event data."""
-
-    code: tuple[int, ...]
-    in_q: bool
-    content: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -42,12 +40,12 @@ class ProbEstimate:
     samples: int
 
 
-def _draw_words(n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(1, k + 1, size=(samples, n))
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_LETTERS // n)
 
 
 def _in_q(words: np.ndarray) -> np.ndarray:
-    return np.all(words != np.roll(words, -1, axis=1), axis=1)
+    return np.all(words[:, 1:] != words[:, :-1], axis=1) & (words[:, 0] != words[:, -1])
 
 
 def _has_content(words: np.ndarray, content: Sequence[int], k: int) -> np.ndarray:
@@ -58,15 +56,22 @@ def _has_content(words: np.ndarray, content: Sequence[int], k: int) -> np.ndarra
     return ok
 
 
-def sample_code(n: int, k: int, seed: int) -> CodeSample:
-    """A single word with independently uniform letters, plus its event data."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    word = _draw_words(n, k, 1, _rng(seed))[0]
-    code = tuple(int(x) for x in word)
-    in_q = all(code[i] != code[(i + 1) % n] for i in range(n))
-    content = tuple(code.count(letter) for letter in range(1, k + 1))
-    return CodeSample(code=code, in_q=in_q, content=content)
+def _check_event(n: int, k: int, event: str, content: Sequence[int] | None) -> None:
+    if event not in EVENTS:
+        raise ValueError(f"event must be one of {EVENTS}")
+    if n < 1:
+        raise ValueError(f"words need at least one letter, got n={n}")
+    if k < 1:
+        raise ValueError(f"the alphabet needs at least one letter, got k={k}")
+    if event in ("P", "QP"):
+        if content is None:
+            raise ValueError(f"event {event} needs a content vector")
+        if len(content) > k:
+            raise ValueError(f"content has {len(content)} parts but the alphabet has k={k} letters")
+        if any(c < 0 for c in content):
+            raise ValueError("content parts must be nonnegative")
+        if sum(content) != n:
+            raise ValueError("content must sum to n")
 
 
 def estimate_prob(
@@ -80,28 +85,23 @@ def estimate_prob(
     """Frequency estimate with standard error for one of the word events:
     "Q" (cyclically adjacent-distinct), "P" (fixed letter content), or "QP"
     (both).  P and QP need ``content``, zero-padded to k letters if shorter.
+    Memory is bounded independently of ``samples``.
     """
-    if event not in EVENTS:
-        raise ValueError(f"event must be one of {EVENTS}")
+    _check_event(n, k, event, content)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if event in ("P", "QP"):
-        if content is None:
-            raise ValueError(f"event {event} needs a content vector")
-        if len(content) > k:
-            raise ValueError(f"content has {len(content)} parts but the alphabet has k={k} letters")
-        if any(c < 0 for c in content):
-            raise ValueError("content parts must be nonnegative")
-        if sum(content) != n:
-            raise ValueError("content must sum to n")
-    words = _draw_words(n, k, samples, _rng(seed))
-    if event == "Q":
-        hits_mask = _in_q(words)
-    elif event == "P":
-        hits_mask = _has_content(words, content, k)
-    else:
-        hits_mask = _in_q(words) & _has_content(words, content, k)
-    hits = int(hits_mask.sum())
+    rng = _rng(seed)
+    rows = _chunk_rows(n)
+    hits = 0
+    for start in range(0, samples, rows):
+        words = rng.integers(1, k + 1, size=(min(rows, samples - start), n))
+        if event == "Q":
+            hits_mask = _in_q(words)
+        elif event == "P":
+            hits_mask = _has_content(words, content, k)
+        else:
+            hits_mask = _in_q(words) & _has_content(words, content, k)
+        hits += int(hits_mask.sum())
     p = hits / samples
     return ProbEstimate(
         estimate=p, stderr=sqrt(p * (1 - p) / samples), hits=hits, samples=samples
@@ -111,6 +111,7 @@ def estimate_prob(
 def exact_prob(n: int, k: int, event: str, content: Sequence[int] | None = None) -> Fraction:
     """The exact probability that :func:`estimate_prob` estimates, for
     arguments it accepts."""
+    _check_event(n, k, event, content)
     if event == "Q":
         return Fraction((k - 1) ** n + (-1) ** n * (k - 1), k**n)
     ways = factorial(n)
@@ -144,6 +145,11 @@ def estimate_second_letter_share(
     the rooted words, so the acceptance-frequency of (second letter = 2) is an
     unbiased estimate of the exact rooted-count ratio, returned alongside it.
     No acceptances is reported, not fatal.
+
+    Unlike :func:`estimate_prob`, memory grows with ``samples``: the draws go
+    column by column (one ``samples``-long step vector per position), so
+    drawing in chunks of rows would reorder the generator's stream and change
+    every estimate.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -173,14 +179,3 @@ def estimate_second_letter_share(
     stderr = sqrt(p * (1 - p) / accepted)
     z = None if stderr == 0 else (p - float(exact)) / stderr
     return WalkShareEstimate(p, stderr, accepted, samples, exact, z)
-
-
-def estimate_to_csv_rows(
-    results: dict[str, tuple[ProbEstimate, Fraction | None]], n: int, k: int
-) -> list[str]:
-    rows = ["event,n,k,estimate,stderr,exact_value_if_known"]
-    for event in sorted(results):
-        est, exact = results[event]
-        exact_str = "" if exact is None else f"{exact.numerator}/{exact.denominator}"
-        rows.append(f"{event},{n},{k},{est.estimate!r},{est.stderr!r},{exact_str}")
-    return rows

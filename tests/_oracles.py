@@ -8,7 +8,8 @@ its replacements must match bit for bit: :func:`reference_canonical_label`,
 the canonical labelling without twin pruning, :func:`reference_enumerate_graphs`,
 the twin augmentation with one dedup set per level, and the memoized
 cyclic-word DP with its sub-vector walk (``reference_*_word_count`` and
-:func:`reference_cycle_spectrum_multipartite`).  :func:`graph_texts` is the
+:func:`reference_cycle_spectrum_multipartite`), and the one-shot Monte Carlo
+draw :func:`reference_estimate_hits`.  :func:`graph_texts` is the
 hypothesis strategy of parser input that the fuzz tests share.
 """
 
@@ -452,3 +453,19 @@ def reference_cycle_spectrum_multipartite(parts: Sequence[int]) -> dict[int, int
 
     descend(0, 0, 1)
     return dict(sorted(spectrum.items()))
+
+
+def reference_estimate_hits(
+    n: int, k: int, event: str, samples: int, seed: int, content: Sequence[int] | None = None
+) -> int:
+    """Hits of ``randcodes.estimate_prob`` from one ``samples x n`` draw of
+    the same stream, tested with a rotated copy of the words."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    words = rng.integers(1, k + 1, size=(samples, n))
+    in_q = np.all(words != np.roll(words, -1, axis=1), axis=1)
+    padded = list(content or ()) + [0] * (k - len(content or ()))
+    has = np.ones(samples, dtype=bool)
+    for letter, want in enumerate(padded, start=1):
+        has &= (words == letter).sum(axis=1) == want
+    mask = {"Q": in_q, "P": has, "QP": in_q & has}[event]
+    return int(mask.sum())

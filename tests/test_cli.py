@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from cyclekit.cli import main
 from cyclekit.counting import count_cycles
 from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_graph6, parse_graph_argument
-from cyclekit.graphs import turan_graph
+from cyclekit.graphs import make_graph, turan_graph
 from cyclekit.morphisms import is_isomorphic
 
 from _oracles import graph_texts
@@ -305,6 +305,14 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--n", "11", "--forbid", "K3")
         assert code == 2
 
+    def test_forbidden_graph_over_chromatic_cap_fails_before_the_search(self, capsys, tmp_path):
+        # used to run the whole search and write its cache file, then exit 2
+        path17 = graph_to_graph6(make_graph(17, [(i, i + 1) for i in range(16)]))
+        code, out, err = run(capsys, "search", "--n", "7", "--forbid", path17, "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "chromatic_number capped at 16" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEstimate:
     def test_json(self, capsys):
@@ -336,6 +344,13 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert "k=2" in err
+
+    @pytest.mark.parametrize("n, k", [("0", "3"), ("4", "0")])
+    def test_empty_word_or_alphabet_exit_2(self, capsys, n, k):
+        # --n 0 used to print "exact": "3/1", --k 0 numpy's bare "low >= high"
+        code, out, err = run(capsys, "estimate", "--n", n, "--k", k, "--event", "Q", "--samples", "100")
+        assert (code, out) == (2, "")
+        assert "at least one letter" in err
 
     def test_deterministic_output(self, capsys):
         args = (

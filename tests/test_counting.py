@@ -18,9 +18,7 @@ from cyclekit.counting import (
     count_paths_from,
     count_regular_and_irregular_cycles,
     cycle_spectrum,
-    spectrum_from_json,
     spectrum_to_csv,
-    spectrum_to_json,
 )
 from cyclekit.graphs import PartitionInfo, best_k_partition, complete_multipartite, make_graph, turan_graph
 
@@ -261,11 +259,3 @@ class TestRegularIrregularSplit:
 class TestSerialization:
     def test_csv(self):
         assert spectrum_to_csv({3: 4, 4: 3}) == "r,count\n3,4\n4,3\n"
-
-    def test_json_roundtrip(self):
-        spec = cycle_spectrum(turan_graph(8, 2))
-        assert spectrum_from_json(spectrum_to_json(spec)) == spec
-
-    def test_json_is_exact_for_big_counts(self):
-        big = {20: 10**40 + 1}
-        assert spectrum_from_json(spectrum_to_json(big)) == big

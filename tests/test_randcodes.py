@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -10,13 +11,14 @@ import pytest
 from cyclekit.analytic import code_cycle_count, prob_Q_given_P
 from cyclekit.graphs import turan_class_sizes
 from cyclekit.randcodes import (
+    _chunk_rows,
     estimate_prob,
     estimate_second_letter_share,
-    estimate_to_csv_rows,
     exact_prob,
-    sample_code,
 )
 from cyclekit.search import partitions_at_most
+
+from _oracles import reference_estimate_hits
 
 
 def exact_q_probability(n: int, k: int) -> Fraction:
@@ -30,23 +32,6 @@ def multinomial_probability(n: int, k: int, content: tuple[int, ...]) -> Fractio
     for c in content:
         ways //= factorial(c)
     return Fraction(ways, k**n)
-
-
-class TestSampleCode:
-    def test_deterministic(self):
-        assert sample_code(6, 3, 42) == sample_code(6, 3, 42)
-        assert sample_code(6, 3, 42) != sample_code(6, 3, 43)
-
-    def test_event_data_consistent(self):
-        s = sample_code(8, 3, 5)
-        assert sum(s.content) == 8
-        assert s.in_q == all(
-            s.code[i] != s.code[(i + 1) % 8] for i in range(8)
-        )
-
-    def test_rejects_k1(self):
-        with pytest.raises(ValueError):
-            sample_code(5, 1, 0)
 
 
 class TestEstimates:
@@ -88,6 +73,41 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_prob(4, 2, "Q", 0, 0)
 
+    @pytest.mark.parametrize("n, k", [(0, 3), (-1, 3), (4, 0), (4, -2)])
+    def test_rejects_empty_words_and_alphabets(self, n, k):
+        # n = 0 used to give an exact Q probability of k, k = 0 numpy's "low >= high"
+        for call in (lambda: estimate_prob(n, k, "Q", 10, 0), lambda: exact_prob(n, k, "Q")):
+            with pytest.raises(ValueError, match="at least one letter"):
+                call()
+
+    def test_one_letter_alphabet(self):
+        assert estimate_prob(1, 1, "Q", 10, 0).hits == 0 == exact_prob(1, 1, "Q")
+        assert estimate_prob(3, 1, "P", 10, 0, content=(3,)).hits == 10
+        assert exact_prob(3, 1, "P", (3,)) == 1
+
+
+class TestChunkedDraws:
+    N = 12
+    R = _chunk_rows(N)
+
+    @pytest.mark.parametrize("samples", [1, R - 1, R, R + 1, 3 * R + 7])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_hits_equal_one_draw(self, k, samples):
+        content = turan_class_sizes(self.N, k)
+        for event in ("Q", "P", "QP"):
+            est = estimate_prob(self.N, k, event, samples, k, content=content)
+            assert est.hits == reference_estimate_hits(self.N, k, event, samples, k, content)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # one draw of 2*10^6 words of 12 letters held 2 x 192 MB
+        tracemalloc.start()
+        try:
+            estimate_prob(12, 3, "Q", 2_000_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestWalkShare:
     def test_balanced_three_classes_is_half(self):
@@ -120,17 +140,6 @@ class TestWalkShare:
     def test_rejects_k2(self):
         with pytest.raises(ValueError):
             estimate_second_letter_share(6, 2, 100, 0)
-
-
-class TestCsv:
-    def test_rows(self):
-        est = estimate_prob(4, 2, "Q", 10_000, 1)
-        rows = estimate_to_csv_rows(
-            {"Q": (est, exact_q_probability(4, 2))}, 4, 2
-        )
-        assert rows[0] == "event,n,k,estimate,stderr,exact_value_if_known"
-        assert rows[1].startswith("Q,4,2,")
-        assert rows[1].endswith(",1/8")
 
 
 class TestExactSideIsExact:
