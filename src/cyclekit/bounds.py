@@ -155,43 +155,6 @@ def lambda_param(n: int, m: int, k: int) -> mp.mpf:
         return 1 - root
 
 
-def hfree_cycle_bound_log(n: int, m: int, k: int) -> mp.mpf:
-    """ln of lambda^n n^(n+2) ((k-1)/k)^n e^((2k-1)/((k-1)lambda) - lambda n).
-
-    The multiplicative constant of the underlying O(.) is unconstrained and
-    excluded.  Diverges as lambda -> 0, which is reported as an error.
-    """
-    lam = lambda_param(n, m, k)
-    if lam == 0:
-        raise ValueError("lambda = 0: bound expression diverges")
-    with mp.workdps(WORK_DPS):
-        return (
-            n * mp.log(lam)
-            + (n + 2) * mp.log(n)
-            + n * mp.log(mp.mpf(k - 1) / k)
-            + mp.mpf(2 * k - 1) / ((k - 1) * lam)
-            - lam * n
-        )
-
-
-def chromatic_cycle_bound_log(n: int, k: int, eps: float) -> mp.mpf:
-    """ln of ((k-1)/k)^n n^(n+3) e^(eps n + sqrt(n) - n); constant excluded."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    with mp.workdps(WORK_DPS):
-        return (
-            n * mp.log(mp.mpf(k - 1) / k)
-            + (n + 3) * mp.log(n)
-            + mp.mpf(eps) * n
-            + mp.sqrt(mp.mpf(n))
-            - n
-        )
-
-
 # ---------------------------------------------------------------------------
 # Path-product optimizer
 # ---------------------------------------------------------------------------

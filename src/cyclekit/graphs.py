@@ -7,6 +7,7 @@ values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -115,6 +116,24 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """Sorted twin classes of ``g``, ordered by lowest vertex.
+
+    u and v are twins when N(u) - {v} == N(v) - {u}, that is open
+    (non-adjacent) or closed (adjacent) twins.  No vertex has twins of both
+    kinds, so the classes partition the vertices, and every permutation
+    inside a class is an automorphism of ``g``.
+    """
+    open_size = Counter(g.adj)
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj):
+        # keys of the two kinds never collide: row_u == row_v | 1 << v would
+        # put v in N(u), hence u in N[v] = N(u)
+        key = row if open_size[row] > 1 else row | 1 << v
+        classes.setdefault(key, []).append(v)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)

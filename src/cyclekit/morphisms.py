@@ -1,4 +1,4 @@
-"""Subgraph containment, twin classes, and canonical labeling.
+"""Subgraph containment and canonical labeling.
 
 Containment is non-induced: an injective map of H's vertices into G sending
 every H-edge to a G-edge, found by backtracking with degree pruning.
@@ -31,9 +31,7 @@ orbits.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, twin_classes
 
 
 def _h_vertex_order(h: Graph) -> list[int]:
@@ -106,24 +104,6 @@ def refinement_colors(g: Graph) -> tuple[int, ...]:
         if len(ranking) == count:
             return tuple(new)
         colors, count = new, len(ranking)
-
-
-def twin_classes(g: Graph) -> list[list[int]]:
-    """Sorted twin classes of ``g``, ordered by lowest vertex.
-
-    u and v are twins when N(u) - {v} == N(v) - {u}, that is open
-    (non-adjacent) or closed (adjacent) twins.  No vertex has twins of both
-    kinds, so the classes partition the vertices, and every permutation
-    inside a class is an automorphism of ``g``.
-    """
-    open_size = Counter(g.adj)
-    classes: dict[int, list[int]] = {}
-    for v, row in enumerate(g.adj):
-        # keys of the two kinds never collide: row_u == row_v | 1 << v would
-        # put v in N(u), hence u in N[v] = N(u)
-        key = row if open_size[row] > 1 else row | 1 << v
-        classes.setdefault(key, []).append(v)
-    return list(classes.values())
 
 
 def canonical_orbits(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:

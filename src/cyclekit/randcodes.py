@@ -9,6 +9,8 @@ how calls are interleaved.
 letters and keeps only the running hit count, so its memory is bounded
 independently of the sample count.  A generator's draws are sequential in C
 order, so the chunked words are exactly those of one ``samples x n`` draw.
+:func:`estimate_second_letter_share` keeps O(k) numbers per walk instead of
+the walk itself.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ def _has_content(words: np.ndarray, content: Sequence[int], k: int) -> np.ndarra
     return ok
 
 
+def _hits(words: np.ndarray, event: str, content: Sequence[int] | None, k: int) -> int:
+    if event == "Q":
+        mask = _in_q(words)
+    elif event == "P":
+        mask = _has_content(words, content, k)
+    else:
+        mask = _in_q(words) & _has_content(words, content, k)
+    return int(mask.sum())
+
+
 def _check_event(n: int, k: int, event: str, content: Sequence[int] | None) -> None:
     if event not in EVENTS:
         raise ValueError(f"event must be one of {EVENTS}")
@@ -94,14 +106,8 @@ def estimate_prob(
     rows = _chunk_rows(n)
     hits = 0
     for start in range(0, samples, rows):
-        words = rng.integers(1, k + 1, size=(min(rows, samples - start), n))
-        if event == "Q":
-            hits_mask = _in_q(words)
-        elif event == "P":
-            hits_mask = _has_content(words, content, k)
-        else:
-            hits_mask = _in_q(words) & _has_content(words, content, k)
-        hits += int(hits_mask.sum())
+        # passed straight in, so a chunk is freed before the next is drawn
+        hits += _hits(rng.integers(1, k + 1, size=(min(rows, samples - start), n)), event, content, k)
     p = hits / samples
     return ProbEstimate(
         estimate=p, stderr=sqrt(p * (1 - p) / samples), hits=hits, samples=samples
@@ -146,26 +152,29 @@ def estimate_second_letter_share(
     unbiased estimate of the exact rooted-count ratio, returned alongside it.
     No acceptances is reported, not fatal.
 
-    Unlike :func:`estimate_prob`, memory grows with ``samples``: the draws go
-    column by column (one ``samples``-long step vector per position), so
-    drawing in chunks of rows would reorder the generator's stream and change
-    every estimate.
+    The draws go column by column, one ``samples``-long step vector per
+    position.  Per walk only the current letter, the k running letter counts
+    and whether letter 2 came second are kept, so memory is O(k * samples)
+    whatever n is.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     if samples < 1:
         raise ValueError("need at least one sample")
     sizes = turan_class_sizes(n, k)
-    b1 = sizes[0]
     rng = _rng(seed)
-    walks = np.empty((samples, n + 1), dtype=np.int64)
-    walks[:, 0] = 1
+    walk = np.arange(samples)
+    letter = np.ones(samples, dtype=np.int64)
+    counts = np.zeros((k, samples), dtype=np.int32)
     for j in range(1, n + 1):
+        counts[letter - 1, walk] += 1  # letter j - 1 of the body
         step = rng.integers(1, k, size=samples)
-        walks[:, j] = step + (step >= walks[:, j - 1])
-    body = walks[:, :n]
-    accept = ((body == 1).sum(axis=1) == b1) & (walks[:, n] == 1)
-    accept &= _has_content(body, sizes, k)
+        letter = step + (step >= letter)
+        if j == 1:
+            second_is_2 = letter == 2
+    accept = letter == 1
+    for row, want in zip(counts, sizes):
+        accept &= row == want
     accepted = int(accept.sum())
     numer = rooted_hamilton_permutations_general(sizes, 1, 2)
     denom = sum(
@@ -174,7 +183,7 @@ def estimate_second_letter_share(
     exact = Fraction(numer, denom)
     if accepted == 0:
         return WalkShareEstimate(None, None, 0, samples, exact, None)
-    hits = int((walks[accept, 1] == 2).sum())
+    hits = int((second_is_2 & accept).sum())
     p = hits / accepted
     stderr = sqrt(p * (1 - p) / accepted)
     z = None if stderr == 0 else (p - float(exact)) / stderr

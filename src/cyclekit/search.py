@@ -49,8 +49,8 @@ from .analytic import (
     rooted_hamilton_permutations_general,
 )
 from .counting import count_cycles
-from .graphs import Graph, _bits, complete_multipartite, turan_class_sizes
-from .morphisms import canonical_label, canonical_orbits, contains_subgraph, twin_classes
+from .graphs import Graph, _bits, complete_multipartite, turan_class_sizes, twin_classes
+from .morphisms import canonical_label, canonical_orbits, contains_subgraph
 from .graph_io import graph_to_graph6
 
 ENUM_CAP = 10
@@ -76,12 +76,6 @@ def partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - first, parts_left - 1, first, prefix + (first,))
 
     yield from rec(n, k, n, ())
-
-
-def partitions_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    for p in partitions_at_most(n, k):
-        if len(p) == k:
-            yield p
 
 
 def compositions_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -154,7 +148,7 @@ def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
     """The canonical form of each isomorphism class of forbid-free graphs on
     n vertices, once, depth first."""
     if not 1 <= n <= ENUM_CAP:
-        raise ValueError(f"enumeration capped at {ENUM_CAP} vertices")
+        raise ValueError(f"enumeration needs 1..{ENUM_CAP} vertices (n={n})")
     if forbid is not None and forbid.n <= 1:
         raise ValueError("forbidden graph needs at least 2 vertices")
 
@@ -171,15 +165,6 @@ def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
 def extremal_number(t: int, forbid: Graph) -> int:
     """Maximum edge count of a forbid-free graph on t vertices (exhaustive)."""
     return max(g.edge_count for g in enumerate_graphs(t, forbid))
-
-
-def extremal_function_from_search(forbid: Graph, t_max: int) -> "ExtremalFunction":
-    """Edge-maximum table for the path-product optimizer, filled by exhaustive
-    search over forbid-free graphs (t_max capped by the enumeration limit)."""
-    from .bounds import ExtremalFunction
-
-    values = tuple(extremal_number(t, forbid) for t in range(2, t_max + 1))
-    return ExtremalFunction(values, provenance="exhaustive")
 
 
 # ---------------------------------------------------------------------------

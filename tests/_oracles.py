@@ -8,9 +8,12 @@ its replacements must match bit for bit: :func:`reference_canonical_label`,
 the canonical labelling without twin pruning, :func:`reference_enumerate_graphs`,
 the twin augmentation with one dedup set per level, and the memoized
 cyclic-word DP with its sub-vector walk (``reference_*_word_count`` and
-:func:`reference_cycle_spectrum_multipartite`), and the one-shot Monte Carlo
-draw :func:`reference_estimate_hits`.  :func:`graph_texts` is the
-hypothesis strategy of parser input that the fuzz tests share.
+:func:`reference_cycle_spectrum_multipartite`), the one-shot Monte Carlo
+draw :func:`reference_estimate_hits`, and the whole-array walk estimator
+:func:`reference_second_letter_share`.  :func:`graph_texts` is the
+hypothesis strategy of parser input that the fuzz tests share, and
+:func:`partitions_exact` and :func:`extremal_function_from_search` are
+helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -180,6 +183,43 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return make_graph(n, edges)
 
 
+def random_blowup(rng: random.Random, sizes: Sequence[int], p: float) -> Graph:
+    """A randomly relabeled blow-up of a G(len(sizes), p) graph: vertex i
+    becomes a class of sizes[i] vertices, at random a clique or an independent
+    set, and two classes are joined completely when their base vertices are
+    adjacent."""
+    base = random_graph(rng, len(sizes), p)
+    clique = [rng.random() < 0.5 for _ in sizes]
+    cls = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(cls)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [
+        (perm[x], perm[y])
+        for x in range(n)
+        for y in range(x + 1, n)
+        if (clique[cls[x]] if cls[x] == cls[y] else base.has_edge(cls[x], cls[y]))
+    ]
+    return make_graph(n, edges)
+
+
+def partitions_exact(n: int, k: int) -> list[tuple[int, ...]]:
+    """Nonincreasing tuples of exactly k positive ints summing to n."""
+    from cyclekit.search import partitions_at_most
+
+    return [p for p in partitions_at_most(n, k) if len(p) == k]
+
+
+def extremal_function_from_search(forbid: Graph, t_max: int):
+    """Edge-maximum table for the path-product optimizer, filled by exhaustive
+    search over forbid-free graphs (t_max capped by the enumeration limit)."""
+    from cyclekit.bounds import ExtremalFunction
+    from cyclekit.search import extremal_number
+
+    values = tuple(extremal_number(t, forbid) for t in range(2, t_max + 1))
+    return ExtremalFunction(values, provenance="exhaustive")
+
+
 @st.composite
 def _damaged_graph6(draw) -> str:
     g = random_graph(random.Random(draw(st.integers(0, 1 << 16))), draw(st.integers(1, 9)), 0.5)
@@ -297,7 +337,8 @@ def reference_enumerate_graphs(n: int, forbid: Graph | None = None) -> list[Grap
     """Canonical forms of the forbid-free classes on n vertices, grown level by
     level: each parent gets one child per vector of counts over its twin
     classes, and one set of canonical forms per level removes duplicates."""
-    from cyclekit.morphisms import canonical_label, contains_subgraph, twin_classes
+    from cyclekit.graphs import twin_classes
+    from cyclekit.morphisms import canonical_label, contains_subgraph
 
     level = [Graph(1, (0,))]
     for m in range(1, n):
@@ -469,3 +510,41 @@ def reference_estimate_hits(
         has &= (words == letter).sum(axis=1) == want
     mask = {"Q": in_q, "P": has, "QP": in_q & has}[event]
     return int(mask.sum())
+
+
+def reference_second_letter_share(n: int, k: int, samples: int, seed: int):
+    """``randcodes.estimate_second_letter_share`` from the whole
+    ``samples x (n+1)`` walk array, drawn column by column from the same
+    stream."""
+    from fractions import Fraction
+    from math import sqrt
+
+    from cyclekit.analytic import rooted_hamilton_permutations_general
+    from cyclekit.graphs import turan_class_sizes
+    from cyclekit.randcodes import WalkShareEstimate
+
+    sizes = turan_class_sizes(n, k)
+    b1 = sizes[0]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    walks = np.empty((samples, n + 1), dtype=np.int64)
+    walks[:, 0] = 1
+    for j in range(1, n + 1):
+        step = rng.integers(1, k, size=samples)
+        walks[:, j] = step + (step >= walks[:, j - 1])
+    body = walks[:, :n]
+    accept = ((body == 1).sum(axis=1) == b1) & (walks[:, n] == 1)
+    for letter, want in enumerate(sizes, start=1):
+        accept &= (body == letter).sum(axis=1) == want
+    accepted = int(accept.sum())
+    numer = rooted_hamilton_permutations_general(sizes, 1, 2)
+    denom = sum(
+        rooted_hamilton_permutations_general(sizes, 1, j) for j in range(2, k + 1)
+    )
+    exact = Fraction(numer, denom)
+    if accepted == 0:
+        return WalkShareEstimate(None, None, 0, samples, exact, None)
+    hits = int((walks[accept, 1] == 2).sum())
+    p = hits / accepted
+    stderr = sqrt(p * (1 - p) / accepted)
+    z = None if stderr == 0 else (p - float(exact)) / stderr
+    return WalkShareEstimate(p, stderr, accepted, samples, exact, z)

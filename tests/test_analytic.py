@@ -28,10 +28,11 @@ from cyclekit.analytic import (
 )
 from cyclekit.counting import count_hamilton, cycle_spectrum
 from cyclekit.graphs import complete_multipartite, turan_class_sizes
-from cyclekit.search import compositions_exact, partitions_at_most, partitions_exact
+from cyclekit.search import compositions_exact, partitions_at_most
 
 from _oracles import (
     brute_code_count,
+    partitions_exact,
     reference_cycle_spectrum_multipartite,
     reference_cyclic_word_count,
     reference_rooted_word_count,

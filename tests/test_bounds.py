@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
 
 import mpmath as mp
 import pytest
@@ -13,9 +12,7 @@ from cyclekit.bounds import (
     check_bipartite_decay,
     check_recursion,
     check_total_to_hamilton,
-    chromatic_cycle_bound_log,
     exp_bounds,
-    hfree_cycle_bound_log,
     lambda_param,
     path_bound_exhaustive,
     path_bound_structured,
@@ -69,66 +66,6 @@ class TestLambda:
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             lambda_param(20, 10**4, 2)
-
-
-class TestBoundLogs:
-    def test_hfree_formula(self):
-        n, m, k = 40, 300, 3
-        lam = lambda_param(n, m, k)
-        with mp.workdps(60):
-            want = (
-                n * mp.log(lam)
-                + (n + 2) * mp.log(n)
-                + n * mp.log(mp.mpf(k - 1) / k)
-                + (2 * k - 1) / ((k - 1) * lam)
-                - lam * n
-            )
-        assert abs(hfree_cycle_bound_log(n, m, k) - want) < mp.mpf(10) ** -40
-
-    def test_hfree_rejects_zero_lambda(self):
-        with pytest.raises(ValueError):
-            hfree_cycle_bound_log(30, 0, 2)
-
-    def test_hfree_monotone_in_lambda_regime(self):
-        # d/dx of (n ln x + c/x - xn) is positive exactly when n x(1-x) > c
-        # with c = (2k-1)/(k-1); that region is an interval, so checking both
-        # endpoints certifies monotonicity between consecutive grid points
-        for n, k in ((60, 2), (120, 2), (90, 3)):
-            c = mp.mpf(2 * k - 1) / (k - 1)
-            prev_lam = prev_val = None
-            for m in range(50, turan_edge_count(n, k) - 10 * n, 97):
-                lam = lambda_param(n, m, k)
-                val = hfree_cycle_bound_log(n, m, k)
-                if (
-                    prev_lam is not None
-                    and n * prev_lam * (1 - prev_lam) > c
-                    and n * lam * (1 - lam) > c
-                    and lam <= 1 - mp.mpf(2) / n
-                ):
-                    assert prev_val < val, (n, k, m)
-                prev_lam, prev_val = lam, val
-
-    def test_chromatic_formula(self):
-        n, k, eps = 100, 2, 0.1
-        got = chromatic_cycle_bound_log(n, k, eps)
-        with mp.workdps(60):
-            want = (
-                n * mp.log(mp.mpf(1) / 2)
-                + 103 * mp.log(mp.mpf(100))
-                + mp.mpf("0.1") * 100
-                + 10
-                - 100
-            )
-        assert abs(got - want) < mp.mpf(10) ** -10
-        # plain float evaluation agrees to ten digits
-        rough = n * mp.log(0.5) + 103 * mp.log(100) + 0.1 * 100 + sqrt(100) - 100
-        assert abs(float(got) - float(rough)) < 1e-8
-
-    def test_chromatic_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            chromatic_cycle_bound_log(10, 2, 1.0)
-        with pytest.raises(ValueError):
-            chromatic_cycle_bound_log(10, 2, 0.0)
 
 
 class TestPathBoundExhaustive:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from cyclekit.cli import main
 from cyclekit.counting import count_cycles
 from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_graph6, parse_graph_argument
-from cyclekit.graphs import make_graph, turan_graph
+from cyclekit.graphs import make_graph, turan_class_sizes, turan_graph
 from cyclekit.morphisms import is_isomorphic
 
 from _oracles import graph_texts
@@ -83,6 +83,14 @@ class TestCount:
         assert code == 0
         totals = [json.loads(line)["total"] for line in out.splitlines()]
         assert totals == [7, 3]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_turan_at_the_cap_matches_analytic(self, capsys, k):
+        code, out, _ = run(capsys, "count", "--turan", "24", str(k), "--format", "json")
+        parts = ",".join(map(str, turan_class_sizes(24, k)))
+        _, want, _ = run(capsys, "analytic", "--parts", parts, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["spectrum"] == json.loads(want)["spectrum"]
 
     def test_malformed_graph6_exit_2(self, capsys):
         code, _, err = run(capsys, "count", "--graph6", "C~extra")
@@ -304,6 +312,12 @@ class TestSearch:
     def test_cap_exceeded_exit_2(self, capsys):
         code, _, _ = run(capsys, "search", "--n", "11", "--forbid", "K3")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "11"])
+    def test_out_of_range_n_names_the_range(self, capsys, n):
+        code, out, err = run(capsys, "search", "--n", n, "--forbid", "K3")
+        assert (code, out) == (2, "")
+        assert err == f"error: enumeration needs 1..10 vertices (n={n})\n"
 
     def test_forbidden_graph_over_chromatic_cap_fails_before_the_search(self, capsys, tmp_path):
         # used to run the whole search and write its cache file, then exit 2

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclekit import counting
+from cyclekit.analytic import cycle_spectrum_multipartite
 from cyclekit.counting import (
     count_cycles,
     count_hamilton,
@@ -20,9 +25,24 @@ from cyclekit.counting import (
     cycle_spectrum,
     spectrum_to_csv,
 )
-from cyclekit.graphs import PartitionInfo, best_k_partition, complete_multipartite, make_graph, turan_graph
+from cyclekit.graphs import (
+    PartitionInfo,
+    best_k_partition,
+    complete_multipartite,
+    make_graph,
+    turan_class_sizes,
+    turan_graph,
+    twin_classes,
+)
+from cyclekit.search import compositions_exact
 
-from _oracles import brute_count_paths, brute_cycle_spectrum, random_graph, walk_cycle_spectrum
+from _oracles import (
+    brute_count_paths,
+    brute_cycle_spectrum,
+    random_blowup,
+    random_graph,
+    walk_cycle_spectrum,
+)
 
 
 def cycle_graph(n):
@@ -224,6 +244,87 @@ class TestKernelSelection:
         assert cycle_spectrum(g) == {8: 1, 16: 1, 22: 1}
         assert count_paths(g, 0, 7) == 3
         assert max(kernel_sizes, default=0) <= 20
+
+    def test_twin_free_graph_runs_the_kernel(self, kernel_sizes):
+        rng = random.Random(71)
+        pairs = [(u, v) for u in range(13) for v in range(u + 1, 13)]
+        g = make_graph(13, rng.sample(pairs, 40))
+        assert len(twin_classes(g)) == 13
+        cycle_spectrum(g)
+        assert kernel_sizes and min(kernel_sizes) >= counting._KERNEL_MIN_M
+
+    def test_twin_rich_graph_skips_the_kernel(self, kernel_sizes):
+        assert cycle_spectrum(complete_multipartite((8, 8))) == cycle_spectrum_multipartite((8, 8))
+        assert kernel_sizes == []
+
+
+def blowup_sizes(rng, n, t):
+    """A random composition of n into t positive class sizes."""
+    cuts = sorted(rng.sample(range(1, n), t - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [n])]
+
+
+class TestQuotient:
+    """The DP over twin classes, which cycle_spectrum runs on graphs with at
+    least _KERNEL_MIN_M vertices and fewer twin classes."""
+
+    def test_matches_walk_oracle_on_blowups(self):
+        rng = random.Random(67)
+        kinds = set()
+        for n in (11, 11, 12, 12, 13, 13):
+            g = random_blowup(rng, blowup_sizes(rng, n, rng.randint(3, 7)), rng.uniform(0.4, 0.9))
+            classes = twin_classes(g)
+            assert len(classes) < counting._KERNEL_MIN_M
+            kinds |= {g.has_edge(*cls[:2]) for cls in classes if len(cls) > 1}
+            assert counting._quotient_spectrum(g, classes) == walk_cycle_spectrum(g)
+        assert kinds == {False, True}  # open and clique classes both occur
+
+    def test_matches_vertex_dp_on_small_blowups(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            g = random_blowup(rng, blowup_sizes(rng, n, rng.randint(1, n)), rng.random())
+            assert counting._quotient_spectrum(g, twin_classes(g)) == counting._vertex_spectrum(g)
+
+    def test_every_multipartite_composition(self):
+        # the analytic spectrum depends on the class sizes only, so one value
+        # per sorted composition serves all its orders
+        analytic: dict[tuple[int, ...], dict[int, int]] = {}
+        for n in range(11, 17):
+            for k in range(1, 6):
+                for parts in compositions_exact(n, k):
+                    key = tuple(sorted(parts))
+                    if key not in analytic:
+                        analytic[key] = cycle_spectrum_multipartite(key)
+                    assert cycle_spectrum(complete_multipartite(parts)) == analytic[key], parts
+
+    def test_remainder_raises(self):
+        assert counting._divide_rootings({(3, 1): 4, (4, 2): 8, (4, 1): 2}) == {3: 2, 4: 3}
+        with pytest.raises(ArithmeticError):
+            counting._divide_rootings({(4, 2): 6})
+
+    def test_remainder_raises_with_asserts_stripped(self):
+        code = (
+            "from cyclekit.counting import _divide_rootings\n"
+            "try:\n"
+            "    _divide_rootings({(4, 2): 6})\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(counting.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
+
+
+class TestVertexPath:
+    """cycle_spectrum sends twin-rich graphs with n >= 11 to the quotient, so
+    the vertex DP is checked on them directly."""
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_complete_multipartite(self, n):
+        for parts in ((1,) * n, turan_class_sizes(n, 2), turan_class_sizes(n, 3), (n - 4, 3, 1)):
+            assert counting._vertex_spectrum(complete_multipartite(parts)) == cycle_spectrum_multipartite(parts)
 
 
 class TestRegularIrregularSplit:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from cyclekit.graphs import complete_multipartite, make_graph, turan_graph
+from cyclekit.graphs import complete_multipartite, make_graph, turan_graph, twin_classes
 from cyclekit.morphisms import (
     canonical_key,
     canonical_label,
@@ -12,7 +12,6 @@ from cyclekit.morphisms import (
     contains_subgraph,
     is_isomorphic,
     refinement_colors,
-    twin_classes,
 )
 from cyclekit.search import enumerate_graphs
 

@@ -18,7 +18,7 @@ from cyclekit.randcodes import (
 )
 from cyclekit.search import partitions_at_most
 
-from _oracles import reference_estimate_hits
+from _oracles import reference_estimate_hits, reference_second_letter_share
 
 
 def exact_q_probability(n: int, k: int) -> Fraction:
@@ -99,14 +99,16 @@ class TestChunkedDraws:
             assert est.hits == reference_estimate_hits(self.N, k, event, samples, k, content)
 
     def test_memory_does_not_grow_with_samples(self):
-        # one draw of 2*10^6 words of 12 letters held 2 x 192 MB
+        # one draw of 2*10^6 words of 12 letters held 2 x 192 MB; one 8 MB
+        # chunk and its masks take 9.8 MiB, and 16.8 MiB when the previous
+        # chunk was still alive during the next draw
         tracemalloc.start()
         try:
             estimate_prob(12, 3, "Q", 2_000_000, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestWalkShare:
@@ -140,6 +142,26 @@ class TestWalkShare:
     def test_rejects_k2(self):
         with pytest.raises(ValueError):
             estimate_second_letter_share(6, 2, 100, 0)
+
+    @pytest.mark.parametrize("n,k,samples,seed", [
+        (3, 3, 50, 9), (6, 3, 1_000, 0), (9, 3, 5_000, 4), (7, 5, 3_000, 2),
+        (12, 4, 20_000, 1), (12, 4, 1, 0), (20, 6, 10_000, 5),
+    ])
+    def test_equals_whole_walk_array(self, n, k, samples, seed):
+        assert estimate_second_letter_share(n, k, samples, seed) == reference_second_letter_share(
+            n, k, samples, seed
+        )
+
+    @pytest.mark.parametrize("n", [12, 36])
+    def test_memory_does_not_grow_with_walk_length(self, n):
+        # the whole walk array held 26.4 MB at n = 12 and 69.9 MB at n = 36
+        tracemalloc.start()
+        try:
+            estimate_second_letter_share(n, 4, 200_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
 
 class TestExactSideIsExact:

@@ -17,7 +17,6 @@ from cyclekit.search import (
     extremal_number,
     max_cycles_h_free,
     partitions_at_most,
-    partitions_exact,
     report_rooted_class_share,
     verify_balanced_code_probability,
     verify_rooted_move_inequality,
@@ -25,7 +24,13 @@ from cyclekit.search import (
     verify_turan_dominance,
 )
 
-from _oracles import augmentation_classes, brute_force_graph_classes, reference_enumerate_graphs
+from _oracles import (
+    augmentation_classes,
+    brute_force_graph_classes,
+    extremal_function_from_search,
+    partitions_exact,
+    reference_enumerate_graphs,
+)
 
 K3 = named_graph("K3")
 
@@ -101,6 +106,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_graphs(11))
 
+    def test_zero_vertices_names_the_range(self):
+        with pytest.raises(ValueError, match=r"needs 1\.\.10 vertices \(n=0\)"):
+            list(enumerate_graphs(0))
+
 
 class TestExtremalNumbers:
     def test_triangle_free_edge_maxima(self):
@@ -115,7 +124,6 @@ class TestExtremalNumbers:
 
     def test_search_backed_table_matches_formula(self):
         from cyclekit.bounds import ExtremalFunction
-        from cyclekit.search import extremal_function_from_search
 
         searched = extremal_function_from_search(K3, 7)
         formula = ExtremalFunction.turan_formula(2, 7)
