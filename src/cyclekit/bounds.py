@@ -129,33 +129,6 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form bound expressions
-# ---------------------------------------------------------------------------
-
-
-def lambda_param(n: int, m: int, k: int) -> mp.mpf:
-    """The decay parameter 1 - sqrt(1 - (2k/(k-1)) m/(n-3)^2), at 60 digits.
-
-    The radicand's sign is decided exactly in rational arithmetic before any
-    rounding; a negative radicand is an error.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if m < 0:
-        raise ValueError("edge count must be nonnegative")
-    if m == 0:
-        return mp.mpf(0)
-    if n <= 3:
-        raise ValueError("need n >= 4 when m > 0")
-    radicand = 1 - Fraction(2 * k, k - 1) * Fraction(m, (n - 3) ** 2)
-    if radicand < 0:
-        raise ValueError(f"negative radicand for (n={n}, m={m}, k={k}): m too large")
-    with mp.workdps(WORK_DPS):
-        root = mp.sqrt(mp.mpf(radicand.numerator) / mp.mpf(radicand.denominator))
-        return 1 - root
-
-
-# ---------------------------------------------------------------------------
 # Path-product optimizer
 # ---------------------------------------------------------------------------
 

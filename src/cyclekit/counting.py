@@ -1,38 +1,81 @@
 """Exact cycle and path counting by anchored subset dynamic programming.
 
 Cycles are counted up to rotation and reflection.  Each cycle is charged to
-its lowest-indexed vertex s: a DP over (subset of vertices above s, endpoint)
-counts simple paths starting at s, a path closes to a cycle through the edge
-back to s, and the two traversal directions are merged by halving.  Path
-counts from x run the same DP over the vertices other than x.
+its lowest-indexed vertex s, its anchor: a DP over (vertex set, end vertex)
+counts the simple paths that start at s and visit only vertices above s, a
+path closes to a cycle through the edge back to s, and the two traversal
+directions are merged by halving.  Path counts from x run the same DP with x
+as the only anchor and every other vertex above it.
 
-The DP for one anchor runs over its m allowed vertices in one of two forms,
-chosen from m:
+The DP runs in one of two forms:
 
-- a ``dict[(mask, v)] -> int`` frontier of Python ints, for small m and for
-  m above the int64 bound.  Its cost follows the reachable states exactly
-  and it has no per-layer fixed cost, which is what the many calls on
-  graphs of ten or fewer vertices (the extremal searches) need;
-- a numpy kernel (``_layer_sums``) for ``_KERNEL_MIN_M <= m <= _KERNEL_MAX_M``.
-  Layer p holds the paths through p allowed vertices as the sorted reachable
-  vertex sets and an int64 matrix of counts per (set, end vertex).  One
-  matrix product with the adjacency extends every path by one vertex.  Only
-  reachable sets are stored, so sparse graphs stay cheap.
+- a ``dict[(mask, v)] -> int`` frontier of Python ints, one anchor at a
+  time, for graphs on fewer than ``_KERNEL_MIN_M`` = 11 vertices and for
+  anchors with more than ``_KERNEL_MAX_M`` = 20 vertices above them (n >= 22;
+  for path counts, every x of such a graph).  Its cost follows the reachable
+  states exactly and it has no per-layer fixed cost, which is what the many
+  calls on graphs of ten or fewer vertices (the extremal searches) need;
+- a numpy kernel (``_path_layers``) for every other anchor.  Layer p holds
+  the paths through p vertices as their vertex sets and an int64 matrix of
+  counts per (set, end vertex); the anchor of a set is its lowest vertex.
+  One matrix product with the adjacency extends every path by one vertex.
+  The product's entry in the anchor's column is the closing count, read
+  before the set and the vertices below the anchor (``set | (low - 1)``)
+  are masked out.  Only reachable sets are stored, so sparse graphs stay
+  cheap.
 
-Every count the kernel forms (a matrix entry, a product entry, a column sum)
-is at most m! (ordered paths through at most m vertices), so int64 is exact
-while m! < 2^63, that is for m <= 20; the kernel checks this and the dict
-DP takes every larger m.  Per-layer column sums leave the kernel as Python
-ints, so all reported counts are Python ints, exact at any size; the caps
-below only bound runtime.
+The kernel runs twice per graph: once for the lowest anchor it takes, alone,
+then once for all higher anchors together, so a graph pays the kernel's
+fixed cost per layer twice instead of once per anchor.  The lowest anchor
+has about as many reachable sets as all higher anchors together, and
+running the two apart halves the peak memory of one pass over all anchors.
+Each layer's new sets are deduplicated by direct addressing (``_dedup``):
+every set is scattered into a 2^n slot table, one writer per set wins, and
+reading the table back gives each path its row.  That replaces a sort
+(``np.unique``); exact counts do not depend on the order of the rows.
 
-The kernel pays a fixed cost of about a dozen numpy calls per layer, while
-the dict DP costs in proportion to the reachable states.  Timed per anchor
-on a 2-core x86 VM (numpy 2.4): at m = 11 the kernel is 2x faster at edge
-density 0.35, 4x at 0.5 and 19x on K_12, and at most 0.3 ms slower on
-sparser graphs; at m = 9 it is 4-12x slower on graphs of density 0.25 and
-below.  Hence ``_KERNEL_MIN_M = 11``: graphs on ten or fewer vertices, which
-is every graph the extremal searches count, keep the dict DP.
+A row belongs to one anchor, and every count in it (a matrix entry or a
+product entry) is at most m! for an anchor with m vertices above it
+(ordered paths through at most m vertices).  A column or closing sum adds
+the rows of several anchors.  A kernel call is given the n' vertices from
+its lowest anchor up, so its anchors have distinct m <= n' - 1 and such a
+sum is at most sum_{m < n'} m! <= 2 (n' - 1)!.  So int64 is exact while
+2 m! < 2^63 for m = n' - 1, that is for m <= 20; the kernel checks this and
+raises ``OverflowError`` past it, and the dict DP takes every larger m.
+Per-layer sums leave the kernel as Python ints, so all reported counts are
+Python ints, exact at any size; the caps below only bound runtime.
+
+The kernel pays a fixed cost of about fifteen numpy calls per layer, while
+the dict DP costs in proportion to the reachable states.  Timed per graph on
+a 2-core x86 VM (numpy 2.4, seeded G(n, p), kernel over dict DP, median of
+8 graphs): at n = 10 the two kernel passes take 0.76x the dict DP's time at
+p = 0.5 and 0.21x at p = 0.8, but 17x at p = 0.25 (0.18 ms against
+0.011 ms); at n = 11 they take 6x at p = 0.25 (0.24 ms against 0.04 ms),
+0.22x at p = 0.5 and 0.10x at p = 0.8.  Hence ``_KERNEL_MIN_M = 11``:
+graphs on ten or fewer vertices, which is every graph the extremal searches
+count, keep the dict DP.
+
+Timed on the same VM against the previous design, which made one kernel
+call per anchor with 11 to 20 vertices above it, deduplicated with
+``np.unique`` and ran the dict DP for the other anchors.  Seeded twin-free
+G(n, p), two processes per side; time is the best of 3 calls in either
+process, peak RSS the higher of the two (about 28 MB of it the interpreter
+and numpy):
+
+===  ================================  ================================
+n    p = 0.5: ms      peak RSS MB      p = 0.75: ms     peak RSS MB
+===  ================================  ================================
+11   0.835 -> 0.507   29 -> 29         5.1 -> 0.723     29 -> 29
+12   2.78 -> 0.96     30 -> 29         5.72 -> 1.18     30 -> 29
+13   5.25 -> 1.84     30 -> 29         5.74 -> 1.98     30 -> 30
+14   4.77 -> 3.17     30 -> 30         10.7 -> 4.46     31 -> 30
+15   8.98 -> 6.02     31 -> 30         16.8 -> 9.67     32 -> 31
+16   22.5 -> 17.3     35 -> 34         31.4 -> 20.7     36 -> 35
+17   39.7 -> 34.4     40 -> 38         57.2 -> 44.1     42 -> 41
+18   96.7 -> 81.8     53 -> 49         121 -> 98.3      55 -> 52
+19   209 -> 181       79 -> 74         245 -> 202       79 -> 73
+20   429 -> 366       128 -> 111       536 -> 430       123 -> 115
+===  ================================  ================================
 
 The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
 anchored dict DP over twin classes instead of vertices (twins have equal
@@ -50,11 +93,12 @@ vertex forms walk 2^23 vertex sets from one anchor.
 
 ``cycle_spectrum`` takes the quotient when n >= ``_KERNEL_MIN_M`` and the graph
 has fewer than ``_KERNEL_MIN_M`` twin classes; every other graph takes the
-vertex forms.  Timed on the same VM, on seeded random blow-ups with n = 11,
-13 and 15 (15 graphs per class count, quotient over vertex forms, median):
-0.12 at 6 classes, 0.31 at 8, 0.78 at 10, 1.04 at 11 and 1.80 at 12.  Graphs
-on ten or fewer vertices, and twin-free graphs such as G(n, m), never compute
-the quotient.
+vertex forms.  Against the two-pass kernel the crossover depends on n:
+timed on the same VM on seeded random blow-ups (up to 6 per cell, quotient
+over vertex forms, median), the ratio is 0.69 at 7 classes and 1.41 at 8
+for n = 11, 0.95 at 8 and 1.33 at 9 for n = 13, 0.81 at 9 and 1.17 at 10
+for n = 15, and still 0.83 at 11 for n = 17.  Graphs on ten or fewer
+vertices, and twin-free graphs such as G(n, m), never compute the quotient.
 """
 
 from __future__ import annotations
@@ -69,15 +113,16 @@ DEFAULT_CYCLE_CAP = 24
 DEFAULT_PATH_CAP = 22
 DEFAULT_SPLIT_CAP = 20
 
-# Anchors with fewer allowed vertices run the dict DP, and graphs with at
-# least this many vertices but fewer twin classes the quotient DP (see the
-# module docstring).
+# Graphs with fewer vertices run the dict DP, and graphs with at least this
+# many vertices but fewer twin classes the quotient DP (see the module
+# docstring).
 _KERNEL_MIN_M = 11
 
 
 def _fits_int64(m: int) -> bool:
-    """Whether every count formed over m allowed vertices (at most m!) fits int64."""
-    return factorial(m) < 1 << 63
+    """Whether the kernel's counts fit int64 when its lowest anchor has m
+    vertices above it: they are at most 2 m! (see the module docstring)."""
+    return 2 * factorial(m) < 1 << 63
 
 
 _KERNEL_MAX_M = max(m for m in range(64) if _fits_int64(m))
@@ -88,37 +133,70 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return (np.array(g.adj, dtype=np.int64)[:, None] >> cols) & 1
 
 
-def _layer_sums(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Count simple paths from a start vertex outside the allowed set.
+def _path_layers(adj: np.ndarray, anchors: list[int]) -> tuple[list[int], np.ndarray]:
+    """Count the simple paths that start at one of the ``anchors`` and then
+    visit only vertices above their anchor, in one layered pass.
 
-    ``adj`` is the 0/1 int64 adjacency among the m allowed vertices and
-    ``start`` the 0/1 vector of the start vertex's neighbours among them.
-    Returns ``sums[p, v]``: the number of paths through exactly p allowed
-    vertices that end at v.
+    ``adj`` is the 0/1 int64 adjacency of the graph.  Returns
+    ``(closed, sums)``: ``closed[p]`` is the number of paths through p
+    vertices whose end vertex is adjacent to their anchor, and ``sums[p, v]``
+    the number of paths through p vertices that end at v.
     """
-    m = len(adj)
-    if not _fits_int64(m):
-        raise OverflowError(f"int64 path counts are exact only up to m = {_KERNEL_MAX_M} (m={m})")
-    # vertex sets below 2^20 fit int32, which sorts faster than int64
-    bits = np.int32(1) << np.arange(m, dtype=np.int32)
-    sums = np.zeros((m + 1, m), dtype=np.int64)
-    (first,) = np.nonzero(start)
-    masks = bits[first]
-    rows = np.zeros((len(first), m), dtype=np.int64)
-    rows[np.arange(len(first)), first] = 1
+    n = len(adj)
+    if not _fits_int64(n - 1):
+        raise OverflowError(f"int64 path counts are exact only up to m = {_KERNEL_MAX_M} (m={n - 1})")
+    bits = 1 << np.arange(n)
+    slot = np.empty(1 << n, dtype=np.intp)  # scratch for _dedup, indexed by vertex set
+    closed = [0] * (n + 1)
+    sums = np.zeros((n + 1, n), dtype=np.int64)
+    masks = bits[anchors]
+    rows = np.zeros((len(anchors), n), dtype=np.int64)
+    rows[np.arange(len(anchors)), anchors] = 1
     p = 1
     while len(masks):
         sums[p] = rows.sum(axis=0)
         ext = rows @ adj
-        ext *= (masks[:, None] & bits) == 0
-        flat = np.flatnonzero(ext)
-        i, w = np.divmod(flat, m)
+        del rows  # each large array goes once used, to lower the peak memory
+        low = masks & -masks  # the anchor of each set
+        closed[p] = int(ext[np.arange(len(ext)), np.searchsorted(bits, low)].sum())
+        # a path may not revisit its set or step below its anchor
+        free = _bit_rows(~(masks | (low - 1)), n)
+        free &= ext.astype(bool)
+        flat = np.flatnonzero(free)
+        del free
+        counts = ext.ravel()[flat]
+        del ext
+        w = flat % n
+        masks, where = _dedup(masks[flat // n] | bits[w], slot)
+        del flat
+        rows = np.zeros(len(masks) * n, dtype=np.int64)
         # (mask | w, w) has the single predecessor mask, so assignment suffices
-        masks, where = np.unique(masks[i] | bits[w], return_inverse=True)
-        rows = np.zeros((len(masks), m), dtype=np.int64)
-        rows[where, w] = ext.ravel()[flat]
+        rows[where * n + w] = counts
+        rows = rows.reshape(-1, n)
         p += 1
-    return sums
+    return closed, sums
+
+
+def _bit_rows(values: np.ndarray, n: int) -> np.ndarray:
+    """The n low bits of each int64 in ``values``, bit v in column v, as a
+    0/1 uint8 matrix (one byte per bit, where ``values[:, None] & bits``
+    would take eight)."""
+    octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+
+
+def _dedup(keys: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for nonnegative int ``keys``
+    by direct addressing instead of a sort, with ``slot`` as scratch indexed
+    by key; the distinct keys come in no particular order.
+    """
+    at = np.arange(len(keys))
+    # each key's slot keeps the position of one of its copies, and that copy
+    # stands for the key
+    slot[keys] = at
+    distinct = keys[slot[keys] == at]
+    slot[distinct] = np.arange(len(distinct))
+    return distinct, slot[keys]
 
 
 def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int]:
@@ -137,20 +215,23 @@ def _vertex_spectrum(g: Graph) -> dict[int, int]:
     """The cycle spectrum from the anchored DP over single vertices."""
     n = g.n
     doubled = [0] * (n + 1)
-    full = None
-    for s in range(n - 2):
+    # anchors with at least two neighbours above them
+    anchors = [s for s in range(n - 2) if (g.adj[s] >> (s + 1)).bit_count() >= 2]
+    if n >= _KERNEL_MIN_M:
+        # the kernel takes every anchor with at most _KERNEL_MAX_M vertices
+        # above it: the lowest on its own, then the rest in one pass
+        first = n - 1 - _KERNEL_MAX_M
+        kernel = [s for s in anchors if s >= first]
+        anchors = [s for s in anchors if s < first]
+        full = _adjacency_matrix(g)
+        for part in (kernel[:1], kernel[1:]):
+            if part:
+                a = part[0]
+                closed, _ = _path_layers(full[a:, a:], [s - a for s in part])
+                for p in range(3, len(closed)):
+                    doubled[p] += closed[p]
+    for s in anchors:
         above = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
-        if (g.adj[s] & above).bit_count() < 2:
-            continue
-        m = n - 1 - s
-        if _KERNEL_MIN_M <= m <= _KERNEL_MAX_M:
-            if full is None:
-                full = _adjacency_matrix(g)
-            closing = full[s, s + 1:]
-            sums = _layer_sums(full[s + 1:, s + 1:], closing)
-            for p in range(2, m + 1):
-                doubled[p + 1] += int(sums[p] @ closing)
-            continue
         frontier = {(0, s): 1}
         size = 1
         while frontier:
@@ -260,12 +341,12 @@ def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_PATH_CAP) -> dict
         raise ValueError(f"path counting capped at {max_n} vertices (n={n})")
     if not 0 <= x < n:
         raise ValueError(f"vertex {x} out of range")
-    if _KERNEL_MIN_M <= n - 1 <= _KERNEL_MAX_M:
-        full = _adjacency_matrix(g)
-        others = [v for v in range(n) if v != x]
-        sums = _layer_sums(full[np.ix_(others, others)], full[x, others])
-        totals = [sum(col) for col in sums.T.tolist()]
-        return {v: t for v, t in zip(others, totals) if t}
+    if _KERNEL_MIN_M <= n <= _KERNEL_MAX_M + 1:
+        # x first, so that every other vertex lies above the one anchor
+        order = [x] + [v for v in range(n) if v != x]
+        _, sums = _path_layers(_adjacency_matrix(g)[np.ix_(order, order)], [0])
+        totals = [sum(col) for col in sums[2:].T.tolist()]
+        return {v: t for v, t in zip(order[1:], totals[1:]) if t}
     result: dict[int, int] = {}
     frontier = {(1 << x, x): 1}
     while frontier:

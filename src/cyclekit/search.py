@@ -162,11 +162,6 @@ def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
     yield from grow(Graph(1, (0,)))
 
 
-def extremal_number(t: int, forbid: Graph) -> int:
-    """Maximum edge count of a forbid-free graph on t vertices (exhaustive)."""
-    return max(g.edge_count for g in enumerate_graphs(t, forbid))
-
-
 # ---------------------------------------------------------------------------
 # Maximum-cycle search
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ cyclic-word DP with its sub-vector walk (``reference_*_word_count`` and
 draw :func:`reference_estimate_hits`, and the whole-array walk estimator
 :func:`reference_second_letter_share`.  :func:`graph_texts` is the
 hypothesis strategy of parser input that the fuzz tests share, and
-:func:`partitions_exact` and :func:`extremal_function_from_search` are
-helpers that only the tests use.
+:func:`partitions_exact`, :func:`extremal_number` and
+:func:`extremal_function_from_search` are helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -60,21 +60,24 @@ def walk_cycle_spectrum(g: Graph) -> dict[int, int]:
     vertex set is exactly S number sum over T subset of S of
     (-1)^{|S|-|T|} tr(A_T^r), so summing over |S| = r gives
     2r * c_r = sum_T (-1)^{r-|T|} C(n-|T|, r-|T|) tr(A_T^r).
-    Polynomial per subset, so it reaches n = 13 where enumeration cannot;
-    traces fit int64 while n * (n-1)^n < 2^63.
+    Polynomial per subset, so it reaches n = 16 where enumeration cannot; the
+    subsets of one size are multiplied as one stack.  Every entry of A_T^r is
+    at most the one of K_n, so traces fit int64 while (n-1)^n + n-1 < 2^63,
+    and they are summed as Python ints.
     """
     n = g.n
-    if n > 14:
-        raise ValueError("walk oracle keeps traces in int64 only up to n = 14")
+    if n > 16:
+        raise ValueError("walk oracle keeps traces in int64 only up to n = 16")
     full = np.array([[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)], dtype=np.int64)
     doubled = [0] * (n + 1)
     for t in range(1, n + 1):
-        for subset in combinations(range(n), t):
-            a = full[np.ix_(subset, subset)]
-            power = np.linalg.matrix_power(a, max(t, 3) - 1)
-            for r in range(max(t, 3), n + 1):
-                power = power @ a
-                doubled[r] += (-1) ** (r - t) * comb(n - t, r - t) * int(np.trace(power))
+        subsets = np.array(list(combinations(range(n), t)), dtype=np.intp)
+        a = full[subsets[:, :, None], subsets[:, None, :]]
+        power = np.linalg.matrix_power(a, max(t, 3) - 1)
+        for r in range(max(t, 3), n + 1):
+            power = power @ a
+            traces = sum(np.trace(power, axis1=1, axis2=2).tolist())
+            doubled[r] += (-1) ** (r - t) * comb(n - t, r - t) * traces
     return {r: doubled[r] // (2 * r) for r in range(3, n + 1) if doubled[r]}
 
 
@@ -210,11 +213,17 @@ def partitions_exact(n: int, k: int) -> list[tuple[int, ...]]:
     return [p for p in partitions_at_most(n, k) if len(p) == k]
 
 
+def extremal_number(t: int, forbid: Graph) -> int:
+    """Maximum edge count of a forbid-free graph on t vertices (exhaustive)."""
+    from cyclekit.search import enumerate_graphs
+
+    return max(g.edge_count for g in enumerate_graphs(t, forbid))
+
+
 def extremal_function_from_search(forbid: Graph, t_max: int):
     """Edge-maximum table for the path-product optimizer, filled by exhaustive
     search over forbid-free graphs (t_max capped by the enumeration limit)."""
     from cyclekit.bounds import ExtremalFunction
-    from cyclekit.search import extremal_number
 
     values = tuple(extremal_number(t, forbid) for t in range(2, t_max + 1))
     return ExtremalFunction(values, provenance="exhaustive")

@@ -13,7 +13,6 @@ from cyclekit.bounds import (
     check_recursion,
     check_total_to_hamilton,
     exp_bounds,
-    lambda_param,
     path_bound_exhaustive,
     path_bound_structured,
     report_asymptotic_ratio,
@@ -37,35 +36,6 @@ class TestExpBounds:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             exp_bounds(Fraction(-1))
-
-
-class TestLambda:
-    def test_frozen_values(self):
-        assert abs(float(lambda_param(23, 55, 2)) - 0.3291796068) < 1e-9
-        assert abs(float(lambda_param(103, 2000, 2)) - 0.5527864045) < 1e-9
-
-    def test_zero_edges(self):
-        assert lambda_param(30, 0, 4) == 0
-
-    def test_high_precision(self):
-        # independent evaluation at higher precision agrees to 50 digits
-        with mp.workdps(80):
-            want = 1 - mp.sqrt(1 - mp.mpf(4) * 55 / mp.mpf(400))
-            got = lambda_param(23, 55, 2)
-            assert abs(got - want) < mp.mpf(10) ** -50
-
-    def test_monotone_in_edges(self):
-        for n in (20, 30, 47):
-            for k in (2, 3):
-                cap = turan_edge_count(n, k) - 10 * n
-                if cap <= 2:
-                    continue
-                values = [lambda_param(n, m, k) for m in range(0, cap, max(cap // 7, 1))]
-                assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_negative_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            lambda_param(20, 10**4, 2)
 
 
 class TestPathBoundExhaustive:

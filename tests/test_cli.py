@@ -5,10 +5,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from cyclekit import cli
 from cyclekit.cli import main
 from cyclekit.counting import count_cycles
 from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_graph6, parse_graph_argument
@@ -394,6 +399,31 @@ class TestConfigFile:
             capsys, "count", "--turan", "4", "2", "--config", str(conf)
         )
         assert code == 2
+
+
+def run_fresh(*argv):
+    """main() in a new interpreter: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import sys; from cyclekit.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("count", "--turan", "4"), ("bogus",), ("estimate", "--n", "3", "--k", "2", "--event", "Z")],
+    )
+    def test_usage_error_then_valid_command(self, capsys, bad):
+        good = ("count", "--turan", "5", "2", "--format", "json")
+        in_process = [run(capsys, *bad), run(capsys, *good)]
+        assert in_process[0][0] == 2 and in_process[1][0] == 0
+        assert in_process == [run_fresh(*bad), run_fresh(*good)]
 
 
 class TestFuzz:

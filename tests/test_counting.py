@@ -183,43 +183,79 @@ def codegree(g, u, v):
 
 
 @pytest.fixture
-def kernel_sizes(monkeypatch):
-    """Record the allowed-set size m of every anchor run by the numpy kernel."""
-    sizes = []
-    kernel = counting._layer_sums
+def kernel_calls(monkeypatch):
+    """Record (vertices, anchors) of every call of the numpy kernel."""
+    calls = []
+    kernel = counting._path_layers
 
-    def recording(adj, start):
-        sizes.append(len(adj))
-        return kernel(adj, start)
+    def recording(adj, anchors):
+        calls.append((len(adj), len(anchors)))
+        return kernel(adj, anchors)
 
-    monkeypatch.setattr(counting, "_layer_sums", recording)
-    return sizes
+    monkeypatch.setattr(counting, "_path_layers", recording)
+    return calls
+
+
+def dict_spectrum(monkeypatch, g):
+    """The vertex spectrum with the kernel switched off: the dict DP runs
+    every anchor."""
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_KERNEL_MIN_M", 65)
+        return counting._vertex_spectrum(g)
 
 
 class TestKernelSelection:
-    """The numpy kernel runs for anchors with _KERNEL_MIN_M <= m <= 20 allowed
-    vertices and the dict DP for the rest; both must give the same counts."""
+    """On graphs with n >= _KERNEL_MIN_M the numpy kernel runs in two passes,
+    the lowest anchor with at most 20 vertices above it alone and every
+    higher anchor together; anchors with more vertices above them, and every
+    anchor of a smaller graph, run the dict DP.  All forms must agree."""
 
     def test_int64_bound(self):
         assert counting._fits_int64(20)
         assert not counting._fits_int64(21)
         assert counting._KERNEL_MAX_M == 20
         with pytest.raises(OverflowError):
-            counting._layer_sums(np.zeros((21, 21), dtype=np.int64), np.ones(21, dtype=np.int64))
+            counting._path_layers(np.zeros((22, 22), dtype=np.int64), [0])
+        closed, sums = counting._path_layers(np.zeros((21, 21), dtype=np.int64), [0, 20])
+        assert closed == [0] * 22
+        assert sums.tolist() == [[0] * 21, [1] + [0] * 19 + [1]] + [[0] * 21] * 20
 
-    def test_both_forms_in_one_call_match_walk_oracle(self, kernel_sizes):
+    def test_both_forms_in_one_call_match_walk_oracle(self, kernel_calls):
+        # "both forms": the lone pass and the pass over the higher anchors
         rng = random.Random(53)
-        for n in (11, 12, 13):
-            for p in (0.25, 0.45, 0.8):
+        for n in range(11, 17):
+            for p in (0.2, 0.45, 0.8):
                 g = random_graph(rng, n, p)
-                assert cycle_spectrum(g) == walk_cycle_spectrum(g)
-        assert kernel_sizes and min(kernel_sizes) >= counting._KERNEL_MIN_M
+                del kernel_calls[:]
+                assert counting._vertex_spectrum(g) == walk_cycle_spectrum(g), (n, p)
+                assert kernel_calls[0][1] == 1 and len(kernel_calls) <= 2
 
-    def test_cycle_18(self, kernel_sizes):
+    def test_dict_anchors_and_kernel_passes_at_n22_23(self, kernel_calls, monkeypatch):
+        rng = random.Random(79)
+        for n in (22, 23):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = make_graph(n, rng.sample(pairs, 2 * n))
+            del kernel_calls[:]
+            spec = cycle_spectrum(g)
+            # anchors 0..n-22 have more than 20 vertices above them
+            assert kernel_calls[0] == (21, 1) and len(kernel_calls) == 2
+            assert spec == dict_spectrum(monkeypatch, g)
+            assert 3 * spec.get(3, 0) == sum(codegree(g, u, v) for u, v in g.edges())
+            assert 2 * spec.get(4, 0) == sum(comb(codegree(g, u, v), 2) for u, v in pairs)
+
+    def test_matches_dict_dp_on_random_graphs(self, monkeypatch):
+        rng = random.Random(83)
+        for _ in range(40):
+            n = rng.randint(11, 15)
+            g = random_graph(rng, n, rng.random())
+            assert counting._vertex_spectrum(g) == dict_spectrum(monkeypatch, g)
+
+    def test_cycle_18(self, kernel_calls):
         assert cycle_spectrum(cycle_graph(18)) == {18: 1}
-        assert kernel_sizes == [17]
+        # only anchor 0 has two neighbours above it
+        assert kernel_calls == [(18, 1)]
 
-    def test_sparse_18_identities(self, kernel_sizes):
+    def test_sparse_18_identities(self, kernel_calls):
         rng = random.Random(59)
         pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
         g = make_graph(18, rng.sample(pairs, 27))
@@ -228,34 +264,58 @@ class TestKernelSelection:
         assert 2 * spec.get(4, 0) == sum(comb(codegree(g, u, v), 2) for u, v in pairs)
         lhs = sum(count_paths_from(g, u).get(v, 0) for u, v in g.edges())
         assert lhs == sum(r * c for r, c in spec.items()) + g.edge_count
-        assert 17 in kernel_sizes
+        assert kernel_calls[0][1] == 1 and kernel_calls[1][1] > 1
 
-    def test_paths_at_n12_match_enumeration(self, kernel_sizes):
+    def test_paths_at_n12_match_enumeration(self, kernel_calls):
         rng = random.Random(61)
         for p in (0.3, 0.4):
             g = random_graph(rng, 12, p)
             x = rng.randrange(12)
             from_x = count_paths_from(g, x)
             assert from_x == {y: c for y in range(12) if y != x if (c := brute_count_paths(g, x, y))}
-        assert kernel_sizes == [11, 11]
+        assert kernel_calls == [(12, 1), (12, 1)]
 
-    def test_beyond_int64_bound_uses_python_ints(self, kernel_sizes):
+    def test_paths_at_n13_match_enumeration(self, kernel_calls):
+        rng = random.Random(89)
+        g = random_graph(rng, 13, 0.3)
+        for x in (0, 6, 12):
+            from_x = count_paths_from(g, x)
+            assert from_x == {y: c for y in range(13) if y != x if (c := brute_count_paths(g, x, y))}
+        assert kernel_calls == [(13, 1)] * 3
+
+    def test_dedup_with_repeated_masks(self):
+        rng = np.random.default_rng(97)
+        slot = np.full(1 << 10, -7, dtype=np.intp)  # stale values must not matter
+        for size in (0, 1, 5, 300):
+            keys = rng.integers(0, 40, size) << rng.integers(0, 5, size)
+            distinct, where = counting._dedup(keys, slot)
+            assert sorted(distinct.tolist()) == np.unique(keys).tolist()
+            assert (distinct[where] == keys).all()
+
+    def test_beyond_int64_bound_uses_python_ints(self, kernel_calls):
         g = cycle_graph(22).with_edge(0, 7)
         assert cycle_spectrum(g) == {8: 1, 16: 1, 22: 1}
         assert count_paths(g, 0, 7) == 3
-        assert max(kernel_sizes, default=0) <= 20
+        # anchor 0 has 21 vertices above it, and no other anchor two neighbours
+        assert kernel_calls == []
 
-    def test_twin_free_graph_runs_the_kernel(self, kernel_sizes):
+    def test_twin_free_graph_runs_the_kernel(self, kernel_calls):
         rng = random.Random(71)
         pairs = [(u, v) for u in range(13) for v in range(u + 1, 13)]
         g = make_graph(13, rng.sample(pairs, 40))
         assert len(twin_classes(g)) == 13
         cycle_spectrum(g)
-        assert kernel_sizes and min(kernel_sizes) >= counting._KERNEL_MIN_M
+        assert len(kernel_calls) == 2 and kernel_calls[0][1] == 1
 
-    def test_twin_rich_graph_skips_the_kernel(self, kernel_sizes):
+    def test_twin_rich_graph_skips_the_kernel(self, kernel_calls):
         assert cycle_spectrum(complete_multipartite((8, 8))) == cycle_spectrum_multipartite((8, 8))
-        assert kernel_sizes == []
+        assert kernel_calls == []
+
+    def test_small_graphs_keep_the_dict_dp(self, kernel_calls):
+        g = turan_graph(10, 10)
+        assert cycle_spectrum(g) == {i: factorial(i) // (2 * i) * comb(10, i) for i in range(3, 11)}
+        assert count_paths_from(g, 0)
+        assert kernel_calls == []
 
 
 def blowup_sizes(rng, n, t):

@@ -14,7 +14,6 @@ from cyclekit.search import (
     SearchResult,
     compositions_exact,
     enumerate_graphs,
-    extremal_number,
     max_cycles_h_free,
     partitions_at_most,
     report_rooted_class_share,
@@ -28,6 +27,7 @@ from _oracles import (
     augmentation_classes,
     brute_force_graph_classes,
     extremal_function_from_search,
+    extremal_number,
     partitions_exact,
     reference_enumerate_graphs,
 )
