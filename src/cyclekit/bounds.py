@@ -23,6 +23,7 @@ from .analytic import (
     hamilton_multipartite,
 )
 from .graphs import falling_factorial, turan_class_sizes, turan_edge_count
+from .search import VerifyReport
 
 WORK_DPS = 60
 PATH_BOUND_CAP = 14
@@ -261,6 +262,24 @@ def path_bound_structured(n: int, m: int, k: int, n0: int) -> StructuredBound:
             f"flat tail should start by n-2 when m <= t_k(n) - 10n (got I={i_pos})"
         )
     return StructuredBound(value, i_pos, False)
+
+
+def verify_path_bound(n: int, n0: int) -> VerifyReport:
+    """The structured sequence against the exhaustive optimum for the T_2
+    edge table, one case per budget m = 0..t_2(n); each asserts
+    structured <= exhaustive."""
+    report = VerifyReport(name="ref3count", params={"n": n})
+    exf = ExtremalFunction.turan_formula(2, n)
+    for m in range(turan_edge_count(n, 2) + 1):
+        structured = path_bound_structured(n, m, 2, n0)
+        exhaustive = path_bound_exhaustive(n, m, exf)
+        ok = structured.value <= exhaustive
+        report.cases.append({"m": m, "structured": str(structured.value),
+                             "exhaustive": str(exhaustive), "truncated": structured.truncated, "ok": ok})
+        if not ok:
+            report.failures += 1
+    report.passed = report.failures == 0
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
 from .counting import cycle_spectrum, spectrum_to_csv
-from .graphs import Graph, chromatic_number, complete_multipartite, has_critical_edge, turan_edge_count, turan_graph
+from .graphs import Graph, chromatic_number, complete_multipartite, has_critical_edge, turan_graph
 from .graph_io import (
     GraphFormatError,
     graph_from_edge_list,
@@ -30,18 +32,57 @@ from .graph_io import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-VERIFY_NAMES = (
-    "turanbest",
-    "major",
-    "stepcount",
-    "close",
-    "turancount",
-    "recursion",
-    "secondcount",
-    "second2count",
-    "kkmain",
-    "ref3count",
-)
+FORMATS = ("table", "json", "csv")
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``verify`` suite.  ``reports(args, k_values, seed)`` yields its
+    reports over the parsed ranges; ``k_min`` is the least k it accepts (and
+    where the default k range starts), ``n_cap`` the largest ``--n-max``, and
+    a failed check of an ``asserted`` suite exits 1.  A sweep's table form
+    prints the ``violation`` line of each failed case, then ``summary`` with
+    the failure total.  The rows call the suite functions through their
+    modules, so a patched module attribute takes effect."""
+
+    k_min: int
+    asserted: bool
+    reports: Callable[[argparse.Namespace, Sequence[int], int], Iterator]
+    n_cap: int | None = None
+    violation: str | None = None
+    summary: str | None = None
+
+
+SUITES: dict[str, Suite] = {
+    "turanbest": Suite(2, True, lambda a, ks, seed: (
+        search.verify_turan_dominance(n, k, a.samples, seed) for k in ks for n in range(max(3, k), a.n_max + 1))),
+    "major": Suite(2, True, lambda a, ks, seed: (
+        search.verify_balanced_code_probability(n, k) for k in ks for n in range(2, a.n_max + 1))),
+    "stepcount": Suite(3, True, lambda a, ks, seed: (
+        search.verify_rooted_move_inequality(n, k) for k in ks for n in range(k, a.n_max + 1))),
+    "close": Suite(3, True, lambda a, ks, seed: (
+        search.verify_rooted_turan_envelope(n, k) for k in ks for n in range(k, a.n_max + 1))),
+    "turancount": Suite(3, False, lambda a, ks, seed: (
+        search.report_rooted_class_share(n, k) for k in ks for n in range(max(3, k), a.n_max + 1))),
+    "recursion": Suite(3, True, lambda a, ks, seed: (
+        bounds.check_recursion(n, k, i)
+        for k in ks for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 3) + 1))),
+    "secondcount": Suite(3, True, lambda a, ks, seed: (
+        bounds.check_total_to_hamilton(n, k) for k in ks for n in range(3, a.n_max + 1))),
+    "second2count": Suite(3, True, lambda a, ks, seed: (
+        bounds.check_bipartite_decay(n, i) for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 4) + 1))),
+    # k = 2 is the bipartite ratio, reported before every k >= 3
+    "kkmain": Suite(3, False, lambda a, ks, seed: (
+        bounds.report_asymptotic_ratio(n, k) for k in (2, *ks) for n in range(4, a.n_max + 1))),
+    "ref3count": Suite(
+        3, True,
+        lambda a, ks, seed: (bounds.verify_path_bound(n, a.n0) for n in range(a.n0 + 1, a.n_max + 1)),
+        n_cap=bounds.PATH_BOUND_CAP,
+        violation="ref3count n={n} m={m}: VIOLATED",
+        summary="ref3count: structured <= exhaustive sweep done, {failures} failures",
+    ),
+}
+VERIFY_NAMES = tuple(SUITES)
 
 
 @dataclass
@@ -74,11 +115,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cache = getattr(args, "cache_dir", None) or file_conf.get("cache_dir") or env_cache
     cfg.cache_dir = Path(cache) if cache else None
     cfg.output_format = getattr(args, "format", None) or file_conf.get("format", "table")
+    if cfg.output_format not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, not {cfg.output_format!r}")
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = int(file_conf.get("seed", 0))
     cfg.seed = seed
-    if getattr(args, "cycle_cap", None):
+    if getattr(args, "cycle_cap", None) is not None:
         cfg.cycle_cap = args.cycle_cap
     return cfg
 
@@ -184,134 +227,51 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_report(report: search.VerifyReport, fmt: str) -> None:
-    if fmt == "table":
-        status = "report" if report.passed is None else ("pass" if report.passed else "FAIL")
-        print(
-            f"{report.name} {report.params}: {len(report.cases)} cases, "
-            f"{report.failures} failures [{status}]"
-        )
-    else:
+def _emit(report: search.VerifyReport | bounds.BoundReport, fmt: str, violation: str | None = None) -> int:
+    """Print ``report`` in ``fmt`` and return its failure count.  Given a
+    ``violation`` line, a case list's table form is its failed cases alone."""
+    if isinstance(report, bounds.BoundReport):
+        if fmt == "table":
+            verdict = "report" if report.holds is None else ("holds" if report.holds else "VIOLATED")
+            print(f"{report.name} {report.params}: {verdict}")
+        else:
+            print(report.to_csv_row() if fmt == "csv" else report.to_json())
+        return int(report.holds is False)
+    if fmt != "table":
         for case in report.cases:
-            line = {"name": report.name, **report.params, **case}
-            print(json.dumps(line, sort_keys=True))
-
-
-def _emit_bound(report: bounds.BoundReport, fmt: str) -> None:
-    if fmt == "csv":
-        print(report.to_csv_row())
-    elif fmt == "table":
-        verdict = "report" if report.holds is None else ("holds" if report.holds else "VIOLATED")
-        print(f"{report.name} {report.params}: {verdict}")
+            print(json.dumps({"name": report.name, **report.params, **case}, sort_keys=True))
+    elif violation:
+        for case in report.cases:
+            if not case["ok"]:
+                print(violation.format(**report.params, **case))
     else:
-        print(report.to_json())
+        status = "report" if report.passed is None else ("pass" if report.passed else "FAIL")
+        print(f"{report.name} {report.params}: {len(report.cases)} cases, {report.failures} failures [{status}]")
+    return report.failures
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    name = args.lemma
-    if name not in VERIFY_NAMES:
+    name, fmt = args.lemma, cfg.output_format
+    suite = SUITES.get(name)
+    if suite is None:
         print(f"unknown lemma identifier {name!r}; choose from {', '.join(VERIFY_NAMES)}", file=sys.stderr)
         return USAGE_ERROR
-    fmt = cfg.output_format
-    n_max = args.n_max
-    k_values = [args.k] if args.k else list(range(2 if name in ("turanbest", "major") else 3, args.k_max + 1))
-    failures = 0
-    asserted = True
-    if fmt == "csv" and name in ("recursion", "secondcount", "second2count", "kkmain"):
+    if args.k is not None and args.k < suite.k_min:
+        raise ValueError(f"verify {name} needs --k >= {suite.k_min}, got {args.k}")
+    if suite.n_cap is not None and args.n_max > suite.n_cap:
+        raise ValueError(f"verify {name} is capped at --n-max {suite.n_cap}, got {args.n_max}")
+    k_values = [args.k] if args.k is not None else range(suite.k_min, args.k_max + 1)
+    reports = suite.reports(args, k_values, cfg.seed)
+    first = next(reports, None)
+    if first is None:
+        raise ValueError(f"verify {name}: the given ranges hold no case")
+    if fmt == "csv" and isinstance(first, bounds.BoundReport):
         print(bounds.BoundReport.CSV_HEADER)
-
-    if name == "turanbest":
-        for k in k_values:
-            for n in range(3, n_max + 1):
-                if k > n:
-                    continue
-                rep = search.verify_turan_dominance(n, k, args.samples, cfg.seed)
-                failures += rep.failures
-                _emit_report(rep, fmt)
-    elif name == "major":
-        for k in k_values:
-            for n in range(2, n_max + 1):
-                rep = search.verify_balanced_code_probability(n, k)
-                failures += rep.failures
-                _emit_report(rep, fmt)
-    elif name == "stepcount":
-        for k in k_values:
-            for n in range(k, n_max + 1):
-                rep = search.verify_rooted_move_inequality(n, k)
-                failures += rep.failures
-                _emit_report(rep, fmt)
-    elif name == "close":
-        for k in k_values:
-            for n in range(k, n_max + 1):
-                rep = search.verify_rooted_turan_envelope(n, k)
-                failures += rep.failures
-                _emit_report(rep, fmt)
-    elif name == "turancount":
-        asserted = False
-        for k in k_values:
-            for n in range(max(3, k), n_max + 1):
-                rep = search.report_rooted_class_share(n, k)
-                failures += rep.failures
-                _emit_report(rep, fmt)
-    elif name == "recursion":
-        for k in k_values:
-            for n in range(4, n_max + 1):
-                for i in range(0, args.i_max + 1):
-                    if n - i < 3:
-                        continue
-                    rep = bounds.check_recursion(n, k, i)
-                    failures += 0 if rep.holds else 1
-                    _emit_bound(rep, fmt)
-    elif name == "secondcount":
-        for k in k_values:
-            for n in range(3, n_max + 1):
-                rep = bounds.check_total_to_hamilton(n, k)
-                failures += 0 if rep.holds else 1
-                _emit_bound(rep, fmt)
-    elif name == "second2count":
-        for n in range(4, n_max + 1):
-            for i in range(0, args.i_max + 1):
-                if n - i < 4:
-                    continue
-                rep = bounds.check_bipartite_decay(n, i)
-                failures += 0 if rep.holds else 1
-                _emit_bound(rep, fmt)
-    elif name == "kkmain":
-        asserted = False
-        for n in range(4, n_max + 1):
-            _emit_bound(bounds.report_asymptotic_ratio(n, 2), fmt)
-        for k in [kv for kv in k_values if kv >= 3]:
-            for n in range(4, n_max + 1):
-                _emit_bound(bounds.report_asymptotic_ratio(n, k), fmt)
-    elif name == "ref3count":
-        exf_max = min(args.n_max, bounds.PATH_BOUND_CAP)
-        n0 = args.n0
-        for n in range(n0 + 1, exf_max + 1):
-            exf = bounds.ExtremalFunction.turan_formula(2, n)
-            for m in range(0, turan_edge_count(n, 2) + 1):
-                structured = bounds.path_bound_structured(n, m, 2, n0)
-                exhaustive = bounds.path_bound_exhaustive(n, m, exf)
-                ok = structured.value <= exhaustive
-                failures += 0 if ok else 1
-                line = {
-                    "name": "ref3count",
-                    "n": n,
-                    "m": m,
-                    "structured": str(structured.value),
-                    "exhaustive": str(exhaustive),
-                    "truncated": structured.truncated,
-                    "ok": ok,
-                }
-                if fmt == "table":
-                    if not ok:
-                        print(f"ref3count n={n} m={m}: VIOLATED")
-                else:
-                    print(json.dumps(line, sort_keys=True))
-        if fmt == "table":
-            print(f"ref3count: structured <= exhaustive sweep done, {failures} failures")
-
-    if asserted and failures:
+    failures = sum(_emit(rep, fmt, suite.violation) for rep in itertools.chain([first], reports))
+    if fmt == "table" and suite.summary:
+        print(suite.summary.format(failures=failures))
+    if suite.asserted and failures:
         print(f"verify {name}: {failures} failed checks", file=sys.stderr)
         return CHECK_FAILED
     return 0
@@ -388,7 +348,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None)

@@ -311,18 +311,6 @@ class VerifyReport:
     failures: int = 0
     passed: bool | None = None  # None: findings only, nothing asserted
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "cases": self.cases,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def verify_turan_dominance(
     n: int, k: int, sample_subgraphs: int = 0, seed: int = 0
@@ -331,6 +319,8 @@ def verify_turan_dominance(
     pointwise maximal over all complete multipartite graphs with at most k
     classes, strictly in total for unbalanced ones once n >= 5; sampled proper
     spanning subgraphs stay strictly below as well."""
+    if sample_subgraphs < 0:
+        raise ValueError(f"sample_subgraphs must be >= 0, got {sample_subgraphs}")
     report = VerifyReport(
         name="turanbest",
         params={"n": n, "k": k, "sample_subgraphs": sample_subgraphs, "seed": seed},

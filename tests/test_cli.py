@@ -20,7 +20,7 @@ from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_grap
 from cyclekit.graphs import make_graph, turan_class_sizes, turan_graph
 from cyclekit.morphisms import is_isomorphic
 
-from _oracles import graph_texts
+from _oracles import graph_texts, reference_cmd_verify
 
 
 def run(capsys, *argv):
@@ -105,6 +105,11 @@ class TestCount:
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "count", "--turan", "4", "2", "--parts", "2,2")
         assert code == 2
+
+    def test_cycle_cap_zero_is_applied(self, capsys):
+        code, out, err = run(capsys, "count", "--turan", "5", "2", "--cycle-cap", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: cycle counting capped at 0 vertices (n=5)\n"
 
 
 class TestAnalytic:
@@ -211,6 +216,22 @@ class TestVerify:
         assert code == 1
         assert "failed checks" in err
 
+    def test_failed_bound_check_exit_1(self, capsys, monkeypatch):
+        from cyclekit.bounds import BoundReport
+
+        def fake(n, k):
+            return BoundReport(name="secondcount", params={"n": n, "k": k}, lhs=2, rhs=1, holds=n != 4)
+
+        monkeypatch.setattr(cli.bounds, "check_total_to_hamilton", fake)
+        code, out, err = run(capsys, "verify", "secondcount", "--n-max", "5", "--k", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "secondcount {'n': 3, 'k': 3}: holds",
+            "secondcount {'n': 4, 'k': 3}: VIOLATED",
+            "secondcount {'n': 5, 'k': 3}: holds",
+        ]
+        assert err == "verify secondcount: 1 failed checks\n"
+
     def test_stepcount_and_close(self, capsys):
         for name in ("stepcount", "close"):
             code, _, _ = run(
@@ -233,6 +254,87 @@ class TestVerify:
         )
         assert code == 0
         assert all(json.loads(line)["holds"] for line in out.splitlines())
+
+    @pytest.mark.parametrize("argv", [
+        ("major", "--k", "0"),
+        ("turanbest", "--k", "1"),
+        ("stepcount", "--k", "2"),
+        ("kkmain", "--k", "2"),
+    ])
+    def test_k_below_the_suite_minimum_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[0] in err
+
+    def test_negative_samples_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "turanbest", "--n-max", "5", "--k", "2", "--samples", "-3"
+        )
+        assert (code, out) == (2, "")
+        assert "sample_subgraphs" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ("secondcount", "--n-max", "2"),
+        ("recursion", "--i-max", "-1"),
+        ("kkmain", "--n-max", "3"),
+        ("turanbest", "--n-max", "5", "--k", "6"),
+        ("ref3count", "--n0", "8", "--n-max", "8"),
+    ])
+    def test_empty_range_exit_2(self, capsys, argv, fmt):
+        code, out, err = run(capsys, "verify", *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {argv[0]}: the given ranges hold no case\n"
+
+    def test_ref3count_over_the_path_bound_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "ref3count", "--n-max", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "14" in err
+
+
+def run_reference(capsys, *argv):
+    """The verify command before the suite registry, with main's error handling."""
+    args = cli.build_parser().parse_args(list(argv))
+    try:
+        code = reference_cmd_verify(args)
+    except (GraphFormatError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# small valid ranges of every suite; kkmain --k 3 still reports k = 2 first,
+# and ref3count --n0 9 fails its check (exit 1)
+REFERENCE_RUNS = [
+    ("turanbest", "--n-max", "6"),
+    ("turanbest", "--n-max", "6", "--k", "2", "--samples", "4", "--seed", "5"),
+    ("major", "--n-max", "6"),
+    ("stepcount", "--n-max", "6"),
+    ("close", "--n-max", "6"),
+    ("turancount", "--n-max", "6", "--k-max", "4"),
+    ("recursion", "--n-max", "7", "--i-max", "2"),
+    ("secondcount", "--n-max", "7"),
+    ("second2count", "--n-max", "8", "--i-max", "2"),
+    ("kkmain", "--n-max", "6"),
+    ("kkmain", "--n-max", "6", "--k", "3"),
+    ("ref3count", "--n-max", "8"),
+    ("ref3count", "--n0", "9"),
+]
+
+
+class TestVerifyMatchesReference:
+    def test_every_suite_is_covered(self):
+        assert {argv[0] for argv in REFERENCE_RUNS} == set(cli.VERIFY_NAMES) == set(cli.SUITES)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("argv", REFERENCE_RUNS, ids=" ".join)
+    def test_byte_identical(self, capsys, argv, fmt):
+        full = ("verify", *argv, "--format", fmt)
+        got = run(capsys, *full)
+        assert got == run_reference(capsys, *full)
+        assert got[0] == (1 if argv == ("ref3count", "--n0", "9") else 0)
 
 
 class TestSearch:
@@ -399,6 +501,14 @@ class TestConfigFile:
             capsys, "count", "--turan", "4", "2", "--config", str(conf)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("count", "--turan", "4", "2"), ("verify", "major", "--n-max", "3")])
+    def test_unknown_format_value_exit_2(self, capsys, tmp_path, argv):
+        conf = tmp_path / "ck.conf"
+        conf.write_text("format=xml\n")
+        code, out, err = run(capsys, *argv, "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert "'xml'" in err
 
 
 def run_fresh(*argv):

@@ -196,7 +196,11 @@ class TestVerifySuites:
     def test_turan_dominance_deterministic(self):
         a = verify_turan_dominance(6, 2, sample_subgraphs=30, seed=9)
         b = verify_turan_dominance(6, 2, sample_subgraphs=30, seed=9)
-        assert a.to_json() == b.to_json()
+        assert a == b
+
+    def test_turan_dominance_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="sample_subgraphs"):
+            verify_turan_dominance(5, 2, sample_subgraphs=-3)
 
     def test_major_frozen_case(self):
         rep = verify_balanced_code_probability(4, 2)
