@@ -3,7 +3,8 @@ and extremal search with a persistent cache.
 
 Exit codes: 0 on success (and when every asserted check holds), 1 when an
 asserted inequality is violated (an implementation-bug signal, since those
-are theorems), 2 on usage or parse errors.
+are theorems) or stdout was closed before all output was written, 2 on
+usage or parse errors.
 """
 
 from __future__ import annotations
@@ -419,7 +420,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); as in the SIGPIPE note of
+        # the Python docs, point stdout at devnull so that the flush at
+        # exit cannot raise again, and say nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_FAILED
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -133,14 +133,18 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return (np.array(g.adj, dtype=np.int64)[:, None] >> cols) & 1
 
 
-def _path_layers(adj: np.ndarray, anchors: list[int]) -> tuple[list[int], np.ndarray]:
+def _path_layers(
+    adj: np.ndarray, anchors: list[int], *, end_sums: bool = True
+) -> tuple[list[int], np.ndarray | None]:
     """Count the simple paths that start at one of the ``anchors`` and then
     visit only vertices above their anchor, in one layered pass.
 
     ``adj`` is the 0/1 int64 adjacency of the graph.  Returns
     ``(closed, sums)``: ``closed[p]`` is the number of paths through p
     vertices whose end vertex is adjacent to their anchor, and ``sums[p, v]``
-    the number of paths through p vertices that end at v.
+    the number of paths through p vertices that end at v.  The cycle
+    spectrum needs only ``closed``; with ``end_sums`` false ``sums`` is None
+    and the per-layer column sums are skipped.
     """
     n = len(adj)
     if not _fits_int64(n - 1):
@@ -148,13 +152,14 @@ def _path_layers(adj: np.ndarray, anchors: list[int]) -> tuple[list[int], np.nda
     bits = 1 << np.arange(n)
     slot = np.empty(1 << n, dtype=np.intp)  # scratch for _dedup, indexed by vertex set
     closed = [0] * (n + 1)
-    sums = np.zeros((n + 1, n), dtype=np.int64)
+    sums = np.zeros((n + 1, n), dtype=np.int64) if end_sums else None
     masks = bits[anchors]
     rows = np.zeros((len(anchors), n), dtype=np.int64)
     rows[np.arange(len(anchors)), anchors] = 1
     p = 1
     while len(masks):
-        sums[p] = rows.sum(axis=0)
+        if end_sums:
+            sums[p] = rows.sum(axis=0)
         ext = rows @ adj
         del rows  # each large array goes once used, to lower the peak memory
         low = masks & -masks  # the anchor of each set
@@ -227,7 +232,7 @@ def _vertex_spectrum(g: Graph) -> dict[int, int]:
         for part in (kernel[:1], kernel[1:]):
             if part:
                 a = part[0]
-                closed, _ = _path_layers(full[a:, a:], [s - a for s in part])
+                closed, _ = _path_layers(full[a:, a:], [s - a for s in part], end_sums=False)
                 for p in range(3, len(closed)):
                     doubled[p] += closed[p]
     for s in anchors:

@@ -18,15 +18,8 @@ meant for n <= ~10.  Cached search results, extremal graph6 strings and
 recorded digests depend on the exact labeling, which the tests compare bit
 for bit with the unpruned search.
 
-The same search returns the orbits of Aut(g).  Two orderings with equal rows
-differ by an automorphism, so every leaf that ties the best is united with
-it vertex by vertex; and every twin class is united, because twin swaps
-cover what the twin pruning skips.  For an automorphism a, replacing the
-vertex at each position of a(best), left to right, by the lowest unused
-vertex of its twin class is a product of twin swaps and gives an ordering
-the search visits, with the best rows.  So a lies in the group generated by
-the tying leaves and the twin swaps, and the united sets are exactly the
-orbits.
+The same search returns generators of Aut(g) and its orbits; see
+:func:`canonical_orbits`.
 """
 
 from __future__ import annotations
@@ -106,14 +99,31 @@ def refinement_colors(g: Graph) -> tuple[int, ...]:
         colors, count = new, len(ranking)
 
 
-def canonical_orbits(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+def canonical_orbits(
+    g: Graph,
+) -> tuple[Graph, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonically relabeled copy of ``g``, the relabeling permutation
-    (``perm[old] = new``) and the orbits of Aut(g) (``orbits[v]`` is the
-    lowest vertex of v's orbit); see the module docstring for the search."""
+    (``perm[old] = new``), the orbits of Aut(g) (``orbits[v]`` is the lowest
+    vertex of v's orbit) and automorphisms of ``g`` (``a[v]`` is the image
+    of v) that generate Aut(g) together with the twin swaps.
+
+    Two orderings with equal rows differ by an automorphism, so every leaf
+    of the search that ties the best one so far gives an automorphism, and
+    those are the ones returned.  They generate Aut(g) with the twin swaps,
+    which cover what the twin pruning skips.  For an automorphism a,
+    replace the vertex at each position of a(best), left to right, by the
+    lowest unused vertex of its twin class.  That is a product of twin swaps
+    and gives an ordering the search visits after the best one, with the
+    best rows, so a is a tying leaf's automorphism times twin swaps.  The
+    orbits unite each twin class and each automorphism's cycles, and are
+    therefore exactly the orbits of Aut(g).  An empty or complete graph is
+    its own canonical form and returns no automorphism: its one twin class
+    generates Aut(g).
+    """
     n = g.n
     e = g.edge_count
     if e == 0 or e == n * (n - 1) // 2:
-        return g, tuple(range(n)), (0,) * n
+        return g, tuple(range(n)), (0,) * n, ()
     adj = g.adj
     colors = refinement_colors(g)
     class_of: dict[int, list[int]] = {}
@@ -150,6 +160,7 @@ def canonical_orbits(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]
     best_order: list[int] | None = None
     order: list[int] = []
     rows: list[int] = []
+    autos: list[tuple[int, ...]] = []
 
     def visit(cls_idx: int, used: int) -> None:
         nonlocal best_rows, best_order
@@ -159,8 +170,11 @@ def canonical_orbits(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]
                 best_order = order.copy()
             elif rows == best_rows:
                 # equal rows: mapping one ordering onto the other is an automorphism
+                a = [0] * n
                 for u, v in zip(best_order, order):
+                    a[u] = v
                     union(u, v)
+                autos.append(tuple(a))
             return
         pos = len(order)
         nxt = cls_idx + (1 if pos + 1 == boundaries[cls_idx] else 0)
@@ -188,13 +202,14 @@ def canonical_orbits(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]
     perm = [0] * n
     for new, old in enumerate(best_order):
         perm[old] = new
-    return g.relabel(perm), tuple(perm), tuple(find(v) for v in range(n))
+    return g.relabel(perm), tuple(perm), tuple(find(v) for v in range(n)), tuple(autos)
 
 
 def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Canonically relabeled copy of ``g`` plus the relabeling permutation
-    (``perm[old] = new``): :func:`canonical_orbits` without the orbits."""
-    canon, perm, _ = canonical_orbits(g)
+    (``perm[old] = new``): :func:`canonical_orbits` without the orbits and
+    automorphisms."""
+    canon, perm, _, _ = canonical_orbits(g)
     return canon, perm
 
 

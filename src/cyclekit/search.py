@@ -18,11 +18,40 @@ position, and the new vertex passes when it lies in that vertex's orbit under
 Aut(child), which the labelling returns.  The rule depends on the child's
 isomorphism class only, so an accepted child determines the class of its
 parent: accepted children of different parents are never isomorphic, and
-each class is accepted from the class of its canonical deletion.  Two
-accepted children of one parent can still be isomorphic through an
-automorphism of the parent that is not a twin swap, so one set of canonical
-forms per parent drops those; no set spans a level, and the enumeration
-streams depth first.
+each class is accepted from the class of its canonical deletion.
+
+Two accepted children of one parent are isomorphic exactly when an
+automorphism of the parent maps one neighbourhood onto the other: an
+isomorphism can be taken to fix the new vertex, since it lies in the
+canonical deletion's orbit in both.  The labelling of the parent returns
+automorphisms that generate Aut(parent) together with the twin swaps, so
+the children are taken up to Aut(parent) by keeping, of each orbit of the
+twin-count vectors under the permutations those automorphisms induce on the
+twin classes, the least vector, before any containment test.  Accepted
+children of one parent are then pairwise non-isomorphic, and no set of
+graphs is kept at all; the enumeration streams depth first.
+
+Graphs above the last level are labelled, to get the next level's
+automorphisms.  At the last level a child is labelled only when its
+deletion is in doubt.  When the new vertex m is the only least-key vertex,
+it is the canonical deletion; when it is a twin of every tied vertex, a
+twin swap maps it onto the canonical deletion.  Either way m passes without
+a labelling, and only the remaining tied children are labelled.  At K3-free
+n = 6 that leaves 12 last-level labellings where every one of 43
+candidates was labelled before, and 1809 where 8442 were at K4-free n = 8.
+``enumerate_graphs`` labels what the last level yields, so it returns
+canonical forms; ``max_cycles_h_free`` labels only its extremal classes.
+
+The maximum-cycle search counts a last-level child from its parent: a cycle
+through the new vertex m is m, a u-w path of the parent and m again, so
+c(child) = c(parent) + sum over u < w in N(m) of p_parent(u, w).  The
+parent's path counts come from ``count_paths_from``, once per vertex that
+some child needs.  Against recounting every child, timed on a 2-core x86 VM
+over the last levels alone: K4-free n = 8 (6431 children of 685 parents)
+1.00 s -> 0.11 s, all graphs n = 8 (12346 of 1044) 2.79 s -> 0.31 s, K3-free
+n = 9 0.20 s -> 0.034 s, and K3-free n = 6 0.87 ms -> 0.21 ms.  Path counts
+from every vertex of each parent instead took 0.21, 0.51, 0.094 s and
+0.52 ms.
 
 The verify_* suites check the counting inequalities exactly, in integer or
 rational arithmetic, across every composition in range.
@@ -48,7 +77,7 @@ from .analytic import (
     prob_Q_given_P,
     rooted_hamilton_permutations_general,
 )
-from .counting import count_cycles
+from .counting import count_cycles, count_paths_from
 from .graphs import Graph, _bits, complete_multipartite, turan_class_sizes, twin_classes
 from .morphisms import canonical_label, canonical_orbits, contains_subgraph
 from .graph_io import graph_to_graph6
@@ -110,14 +139,30 @@ def _deletion_ties(adj: list[int], deg: list[int]) -> list[int] | None:
     return ties
 
 
-def _children(parent: Graph, forbid: Graph | None) -> Iterator[Graph]:
-    """Canonical forms of the forbid-free children of ``parent`` whose new
-    vertex is a canonical deletion, each once."""
+def _class_maps(classes: list[list[int]], auts: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
+    """The non-identity permutations that the automorphisms ``auts`` induce
+    on the twin ``classes``: class i goes to ``s[i]``."""
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    maps = {tuple(class_of[a[cls[0]]] for cls in classes) for a in auts}
+    maps.discard(tuple(range(len(classes))))
+    return maps
+
+
+def _candidates(
+    parent: Graph, auts: tuple[tuple[int, ...], ...], forbid: Graph | None
+) -> Iterator[tuple[Graph, list[int]]]:
+    """The forbid-free children of ``parent`` whose new vertex m has the least
+    key, one per orbit of Aut(parent), with the vertices tied with m for the
+    least key (m first).  ``auts`` and the twin swaps generate Aut(parent).
+    A child keeps the parent's labels and is adjacent to the lowest vertices
+    of each twin class; of each orbit the least vector of counts per class
+    comes, the first in product order."""
     m = parent.n
-    seen: set[tuple[int, ...]] = set()
+    classes = twin_classes(parent)
+    maps = _class_maps(classes, auts)
+    marked: set[tuple[int, ...]] = set()
     # per twin class T: the masks of its lowest 0, 1, ..., |T| vertices
-    prefixes = [[sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)]
-                for cls in twin_classes(parent)]
+    prefixes = [[sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)] for cls in classes]
     deg = [row.bit_count() for row in parent.adj]
     # below[t]: the parent's vertices of degree < t
     below = [sum(1 << v for v in range(m) if deg[v] < t) for t in range(m + 1)]
@@ -128,6 +173,21 @@ def _children(parent: Graph, forbid: Graph | None) -> Iterator[Graph]:
         # nb gains one (for d = 0, nb is empty, so below[-1] & nb is 0)
         if below[d] & ~nb or below[d - 1] & nb:
             continue
+        if maps:
+            # the degree test holds on the whole orbit, so its first vector
+            # in product order reaches this point first
+            counts = tuple(p.bit_count() for p in picks)
+            if counts in marked:
+                continue
+            marked.add(counts)
+            stack = [counts]
+            while stack:
+                c = stack.pop()
+                for s in maps:
+                    image = tuple(c[i] for i in s)
+                    if image not in marked:
+                        marked.add(image)
+                        stack.append(image)
         adj = [row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)]
         adj.append(nb)
         ties = _deletion_ties(adj, [x + (nb >> v & 1) for v, x in enumerate(deg)] + [d])
@@ -136,30 +196,81 @@ def _children(parent: Graph, forbid: Graph | None) -> Iterator[Graph]:
         child = Graph(m + 1, tuple(adj))
         if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
             continue
-        canon, perm, orbits = canonical_orbits(child)
-        if len(ties) > 1 and orbits[max(ties, key=perm.__getitem__)] != orbits[m]:
-            continue
-        if canon.adj not in seen:
-            seen.add(canon.adj)
-            yield canon
+        yield child, ties
 
 
-def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
-    """The canonical form of each isomorphism class of forbid-free graphs on
-    n vertices, once, depth first."""
+def _evident_deletion(child: Graph, ties: list[int]) -> bool:
+    """Whether the new vertex m = ties[0] is a canonical deletion without
+    labelling: it is the only least-key vertex, or a twin of every tied
+    vertex, so every tied vertex lies in its orbit."""
+    adj = child.adj
+    m = ties[0]
+    return all(adj[v] & ~(1 << m) == adj[m] & ~(1 << v) for v in ties[1:])
+
+
+def _canonical_child(
+    child: Graph, ties: list[int]
+) -> tuple[Graph, tuple[tuple[int, ...], ...]] | None:
+    """The canonical form of ``child`` and generators of its automorphism
+    group in that labelling, or None when the new vertex is not a canonical
+    deletion: among the tied vertices, the one with the highest canonical
+    position, and the new vertex must lie in its orbit."""
+    canon, perm, orbits, auts = canonical_orbits(child)
+    if len(ties) > 1 and orbits[max(ties, key=perm.__getitem__)] != orbits[ties[0]]:
+        return None
+    relabeled = []
+    for a in auts:
+        b = [0] * child.n
+        for v, w in enumerate(a):
+            b[perm[v]] = perm[w]
+        relabeled.append(tuple(b))
+    return canon, tuple(relabeled)
+
+
+def _last_level(n: int, forbid: Graph | None) -> Iterator[tuple[Graph, list[int]]]:
+    """Each graph on n - 1 >= 1 vertices of the search tree with the
+    neighbourhoods of its accepted children, the new vertex being n - 1.
+
+    Graphs above the last level are canonical forms.  A last-level child is
+    labelled only when its deletion is not evident, and the children of one
+    parent are pairwise non-isomorphic."""
+
+    def grow(g: Graph, auts: tuple[tuple[int, ...], ...]) -> Iterator[tuple[Graph, list[int]]]:
+        if g.n == n - 1:
+            yield g, [child.adj[-1] for child, ties in _candidates(g, auts, forbid)
+                      if _evident_deletion(child, ties) or _canonical_child(child, ties) is not None]
+            return
+        for child, ties in _candidates(g, auts, forbid):
+            labelled = _canonical_child(child, ties)
+            if labelled is not None:
+                yield from grow(*labelled)
+
+    yield from grow(Graph(1, (0,)), ())
+
+
+def _check_enumeration(n: int, forbid: Graph | None) -> None:
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration needs 1..{ENUM_CAP} vertices (n={n})")
     if forbid is not None and forbid.n <= 1:
         raise ValueError("forbidden graph needs at least 2 vertices")
 
-    def grow(g: Graph) -> Iterator[Graph]:
-        if g.n == n:
-            yield g
-            return
-        for child in _children(g, forbid):
-            yield from grow(child)
 
-    yield from grow(Graph(1, (0,)))
+def _attach(parent: Graph, nb: int) -> Graph:
+    """``parent`` with a new vertex adjacent to the vertices of ``nb``."""
+    m = parent.n
+    return Graph(m + 1, tuple(row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)) + (nb,))
+
+
+def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
+    """The canonical form of each isomorphism class of forbid-free graphs on
+    n vertices, once, depth first."""
+    _check_enumeration(n, forbid)
+    if n == 1:
+        yield Graph(1, (0,))
+        return
+    for parent, nbs in _last_level(n, forbid):
+        for nb in nbs:
+            yield canonical_label(_attach(parent, nb))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +358,47 @@ def _write_cache(path: Path, result: SearchResult) -> None:
         raise
 
 
+def _child_cycle_counts(parent: Graph, nbs: list[int]) -> list[int]:
+    """The cycle count of ``parent`` plus a new vertex adjacent to the
+    vertices of nb, for each nb in ``nbs``.  A cycle through the new vertex
+    m is m, a u-w path of the parent and m again, for u < w in N(m), so
+    c(child) = c(parent) + sum over u < w in N(m) of p_parent(u, w).  The
+    parent's path counts from u are computed once, and only for the u that
+    some N(m) needs, which is every vertex of N(m) but the highest."""
+    if not nbs:
+        return []
+    base = count_cycles(parent)
+    paths: dict[int, dict[int, int]] = {}
+    counts = []
+    for nb in nbs:
+        ends = list(_bits(nb))
+        total = base
+        for i, u in enumerate(ends[:-1]):
+            if u not in paths:
+                paths[u] = count_paths_from(parent, u)
+            from_u = paths[u]
+            total += sum(from_u.get(w, 0) for w in ends[i + 1:])
+        counts.append(total)
+    return counts
+
+
+def _most_cycles(n: int, forbid: Graph | None) -> tuple[int, list[Graph], int]:
+    """(maximum cycle count, one graph per extremal class, classes examined)
+    over the forbid-free graphs on n >= 2 vertices."""
+    best = 0
+    extremal: list[tuple[Graph, int]] = []
+    examined = 0
+    for parent, nbs in _last_level(n, forbid):
+        examined += len(nbs)
+        for nb, c in zip(nbs, _child_cycle_counts(parent, nbs)):
+            if c > best or not extremal:
+                best = c
+                extremal = [(parent, nb)]
+            elif c == best:
+                extremal.append((parent, nb))
+    return best, [_attach(parent, nb) for parent, nb in extremal], examined
+
+
 def max_cycles_h_free(
     n: int,
     forbid: Graph,
@@ -270,19 +422,13 @@ def max_cycles_h_free(
         cached = _read_cache(path)
         if cached is not None:
             return cached
+    _check_enumeration(n, forbid)
     t0 = time.perf_counter()
-    best = 0
-    extremal: list[Graph] = []
-    examined = 0
-    for g in enumerate_graphs(n, forbid):
-        examined += 1
-        c = count_cycles(g)
-        if c > best or not extremal:
-            best = c
-            extremal = [g]
-        elif c == best:
-            extremal.append(g)
-    g6s = tuple(sorted(graph_to_graph6(g) for g in extremal))
+    if n == 1:
+        best, extremal, examined = 0, [Graph(1, (0,))], 1
+    else:
+        best, extremal, examined = _most_cycles(n, forbid)
+    g6s = tuple(sorted(graph_to_graph6(canonical_label(g)[0]) for g in extremal))
     result = SearchResult(
         n=n,
         forbidden=label,

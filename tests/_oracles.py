@@ -138,15 +138,37 @@ def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     return any(tuple(g.relabel(p).adj) == h.adj for p in permutations(range(g.n)))
 
 
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation p (v goes to p[v]) that preserves the adjacency."""
+    return [
+        p for p in permutations(range(g.n))
+        if all(sum(1 << p[u] for u in _bits(g.adj[v])) == g.adj[p[v]] for v in range(g.n))
+    ]
+
+
 def brute_automorphism_orbits(g: Graph) -> tuple[int, ...]:
     """Lowest vertex of each vertex's orbit, from every permutation that
     preserves the adjacency."""
     orbit = list(range(g.n))
-    for p in permutations(range(g.n)):
-        if all(sum(1 << p[u] for u in _bits(g.adj[v])) == g.adj[p[v]] for v in range(g.n)):
-            for v in range(g.n):
-                orbit[p[v]] = min(orbit[p[v]], v)
+    for p in brute_automorphisms(g):
+        for v in range(g.n):
+            orbit[p[v]] = min(orbit[p[v]], v)
     return tuple(orbit)
+
+
+def generated_group(n: int, generators: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The permutation group on range(n) that ``generators`` generate, by
+    closing the identity under composition with each generator."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for a in generators:
+            q = tuple(a[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
 
 
 def brute_chromatic(g: Graph) -> int:

@@ -521,6 +521,20 @@ def run_fresh(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_reader_closing_stdout_early_exits_1_quietly():
+    # about 470 kB of JSON lines, far more than a pipe buffers, so the
+    # command is still writing when the reader closes after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["verify", "stepcount", "--n-max", "20", "--format", "json"]
+    with subprocess.Popen([sys.executable, "-m", "cyclekit.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["name"] == "stepcount"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert cli._parser() is cli._parser()

@@ -188,9 +188,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = counting._path_layers
 
-    def recording(adj, anchors):
+    def recording(adj, anchors, **options):
         calls.append((len(adj), len(anchors)))
-        return kernel(adj, anchors)
+        return kernel(adj, anchors, **options)
 
     monkeypatch.setattr(counting, "_path_layers", recording)
     return calls

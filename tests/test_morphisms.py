@@ -17,8 +17,10 @@ from cyclekit.search import enumerate_graphs
 
 from _oracles import (
     brute_automorphism_orbits,
+    brute_automorphisms,
     brute_contains,
     brute_is_isomorphic,
+    generated_group,
     random_graph,
     reference_canonical_label,
 )
@@ -169,9 +171,29 @@ class TestOrbits:
         for _ in range(600):
             n = rng.randint(1, 7)
             g = random_graph(rng, n, rng.random())
-            canon, perm, orbits = canonical_orbits(g)
+            canon, perm, orbits, _ = canonical_orbits(g)
             assert (canon, perm) == canonical_label(g)
             assert orbits == brute_automorphism_orbits(g)
+
+    def test_automorphisms_and_twin_swaps_generate_the_group(self):
+        # same orbits and the same group order as a scan of all permutations
+        rng = random.Random(59)
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+        graphs += [random_graph(rng, n, rng.random()) for n in (rng.randint(1, 7) for _ in range(300))]
+        for g in graphs:
+            auts = canonical_orbits(g)[3]
+            swaps = []
+            for cls in twin_classes(g):
+                for u, v in zip(cls, cls[1:]):
+                    s = list(range(g.n))
+                    s[u], s[v] = v, u
+                    swaps.append(tuple(s))
+            brute = brute_automorphisms(g)
+            assert set(auts) <= set(brute)
+            group = generated_group(g.n, list(auts) + swaps)
+            assert len(group) == len(brute)
+            orbits = [min(p.index(v) for p in group) for v in range(g.n)]
+            assert tuple(orbits) == brute_automorphism_orbits(g)
 
     def test_every_small_class(self):
         # canonical forms of small classes are rich in automorphisms

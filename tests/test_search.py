@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from cyclekit import search
 from cyclekit.counting import count_cycles
 from cyclekit.graphs import complete_multipartite, make_graph, turan_graph
-from cyclekit.graph_io import graph_from_graph6, named_graph
+from cyclekit.graph_io import graph_from_graph6, graph_to_graph6, named_graph
 from cyclekit.morphisms import contains_subgraph, is_isomorphic
 from cyclekit.search import (
     SearchResult,
@@ -29,6 +31,7 @@ from _oracles import (
     extremal_function_from_search,
     extremal_number,
     partitions_exact,
+    random_graph,
     reference_enumerate_graphs,
 )
 
@@ -109,6 +112,55 @@ class TestEnumeration:
     def test_zero_vertices_names_the_range(self):
         with pytest.raises(ValueError, match=r"needs 1\.\.10 vertices \(n=0\)"):
             list(enumerate_graphs(0))
+
+
+class TestLastLevel:
+    """The search's last level: children labelled only when their deletion
+    is tied, and cycle counts from the parent's path counts."""
+
+    @pytest.mark.parametrize("forbid", ["K3", "C4", "C5", "K4", None])
+    def test_labels_only_tied_deletions(self, monkeypatch, forbid):
+        # a last-level child is labelled only when another least-key vertex
+        # (degree, sum of neighbour degrees) is not a twin of the new vertex
+        n = 7
+        labelled = []
+        label = search.canonical_orbits
+
+        def recording(g):
+            labelled.append(g)
+            return label(g)
+
+        monkeypatch.setattr(search, "canonical_orbits", recording)
+        enumerated = list(enumerate_graphs(n, _forbidden(forbid)))
+        last = [g for g in labelled if g.n == n]
+        assert 0 < len(last) < len(enumerated)
+        for g in last:
+            key = [(g.degree(v), sum(g.degree(u) for u in g.neighbors(v))) for v in range(n)]
+            m = n - 1
+            ties = [v for v in range(n) if key[v] == key[m]]
+            assert key[m] == min(key)
+            twin = [g.adj[v] & ~(1 << m) == g.adj[m] & ~(1 << v) for v in ties]
+            assert not all(twin)
+
+    def test_incremental_identity(self):
+        # c(child) = c(parent) + sum over u < w in N(m) of p_parent(u, w)
+        rng = random.Random(61)
+        for _ in range(100):
+            parent = random_graph(rng, rng.randint(1, 8), rng.random())
+            nbs = [rng.randrange(1 << parent.n) for _ in range(3)]
+            children = [search._attach(parent, nb) for nb in nbs]
+            assert search._child_cycle_counts(parent, nbs) == [count_cycles(g) for g in children]
+
+    @pytest.mark.parametrize("forbid", ["K3", "C4", "C5", "P4", "P5", "C6", "K4", "K1,3"])
+    def test_max_cycles_matches_reference_enumeration(self, forbid):
+        h = _forbidden(forbid)
+        for n in range(1, 8):
+            counts = {graph_to_graph6(g): count_cycles(g) for g in reference_enumerate_graphs(n, h)}
+            best = max(counts.values())
+            result = max_cycles_h_free(n, h)
+            assert result.max_cycles == best
+            assert result.extremal_graphs == tuple(sorted(s for s, c in counts.items() if c == best))
+            assert result.graphs_examined == len(counts)
 
 
 class TestExtremalNumbers:
