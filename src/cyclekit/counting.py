@@ -4,46 +4,55 @@ Cycles are counted up to rotation and reflection.  Each cycle is charged to
 its lowest-indexed vertex s, its anchor: a DP over (vertex set, end vertex)
 counts the simple paths that start at s and visit only vertices above s, a
 path closes to a cycle through the edge back to s, and the two traversal
-directions are merged by halving.  Path counts from x run the same DP with x
-as the only anchor and every other vertex above it.
+directions are merged by halving.  Path counts from x swap x with vertex 0
+and run the same DP with 0 as the only anchor.
 
-The DP runs in one of two forms:
+The DP has two interchangeable forms.  Both take the graph's rows as bit
+masks and a list of anchors, and return ``(closed, ends)``: ``closed[p]``
+counts the paths through p vertices whose end is adjacent to their anchor,
+and ``ends[v]`` the paths with at least one edge that end at v.
 
-- a ``dict[(mask, v)] -> int`` frontier of Python ints, one anchor at a
-  time, for graphs on fewer than ``_KERNEL_MIN_M`` = 11 vertices and for
-  anchors with more than ``_KERNEL_MAX_M`` = 20 vertices above them (n >= 22;
-  for path counts, every x of such a graph).  Its cost follows the reachable
-  states exactly and it has no per-layer fixed cost, which is what the many
-  calls on graphs of ten or fewer vertices (the extremal searches) need;
-- a numpy kernel (``_path_layers``) for every other anchor.  Layer p holds
-  the paths through p vertices as their vertex sets and an int64 matrix of
-  counts per (set, end vertex); the anchor of a set is its lowest vertex.
-  One matrix product with the adjacency extends every path by one vertex.
-  The product's entry in the anchor's column is the closing count, read
-  before the set and the vertices below the anchor (``set | (low - 1)``)
-  are masked out.  Only reachable sets are stored, so sparse graphs stay
-  cheap.
+- ``_dict_layers``: a ``dict[(mask, v)] -> int`` frontier of Python ints,
+  one anchor at a time.  Its cost follows the reachable states exactly and
+  it has no per-layer fixed cost, which is what the many calls on graphs of
+  ten or fewer vertices (the extremal searches) need.
+- ``_path_layers``: a numpy kernel.  Layer p holds the paths through p
+  vertices as their vertex sets and a matrix of counts per (set, end
+  vertex); the anchor of a set is its lowest vertex.  One matrix product
+  with the adjacency extends every path by one vertex.  The product's entry
+  in the anchor's column is the closing count, read before the set and the
+  vertices below the anchor (``set | (low - 1)``) are masked out.  Only
+  reachable sets are stored, so sparse graphs stay cheap.
 
-The kernel runs twice per graph: once for the lowest anchor it takes, alone,
-then once for all higher anchors together, so a graph pays the kernel's
-fixed cost per layer twice instead of once per anchor.  The lowest anchor
-has about as many reachable sets as all higher anchors together, and
-running the two apart halves the peak memory of one pass over all anchors.
-Each layer's new sets are deduplicated by direct addressing (``_dedup``):
-every set is scattered into a 2^n slot table, one writer per set wins, and
+One rule routes both the cycle spectrum and the path counts (``_layers``):
+the kernel runs when ``_KERNEL_MIN_M`` = 11 <= n <= ``DEFAULT_CYCLE_CAP`` =
+24, the dict DP otherwise.  Above the cap the kernel's slot table (2^n
+entries, 128 MB at n = 24) would dominate, so a raised ``max_n`` on a sparse
+graph still runs on the dict DP.
+
+The kernel runs twice per graph: once for the lowest anchor alone, then
+once for all higher anchors together, so a graph pays the kernel's fixed
+cost per layer twice instead of once per anchor.  The lowest anchor has
+about as many reachable sets as all higher anchors together, and running
+the two apart halves the peak memory of one pass over all anchors.  Each
+layer's new sets are deduplicated by direct addressing (``_dedup``): every
+set is scattered into a 2^n slot table, one writer per set wins, and
 reading the table back gives each path its row.  That replaces a sort
 (``np.unique``); exact counts do not depend on the order of the rows.
 
-A row belongs to one anchor, and every count in it (a matrix entry or a
-product entry) is at most m! for an anchor with m vertices above it
-(ordered paths through at most m vertices).  A column or closing sum adds
-the rows of several anchors.  A kernel call is given the n' vertices from
-its lowest anchor up, so its anchors have distinct m <= n' - 1 and such a
-sum is at most sum_{m < n'} m! <= 2 (n' - 1)!.  So int64 is exact while
-2 m! < 2^63 for m = n' - 1, that is for m <= 20; the kernel checks this and
-raises ``OverflowError`` past it, and the dict DP takes every larger m.
-Per-layer sums leave the kernel as Python ints, so all reported counts are
-Python ints, exact at any size; the caps below only bound runtime.
+The kernel is exact at any n, by a bound per layer.  A row at layer p counts
+the paths through p vertices with one vertex set and one end, at most
+(p - 2)! (the orders of the inner vertices), and an entry of the product at
+most (p - 1)!.  Rows are int64 while (p - 1)! < 2^63, that is up to p = 21,
+and switch to object dtype (Python ints) from layer 22 on; at n = 24 those
+layers hold at most C(23, 21) + C(23, 22) + 1 = 277 vertex sets per pass.
+A closing or end sum adds one layer's rows over every anchor of a pass.  The
+anchors have distinct numbers m <= n - 1 of vertices above them, so such a
+sum is at most sum_{m < n} m! <= 2 (n - 1)!, which fits int64 for n <= 21;
+larger passes take each sum as its high and low 32-bit halves, summed in
+int64 and joined as Python ints.  A pass with n <= 21 therefore runs int64
+numpy operations only.  All reported counts are Python ints; the caps below
+bound runtime and memory, not exactness.
 
 The kernel pays a fixed cost of about fifteen numpy calls per layer, while
 the dict DP costs in proportion to the reachable states.  Timed per graph on
@@ -55,12 +64,11 @@ p = 0.5 and 0.21x at p = 0.8, but 17x at p = 0.25 (0.18 ms against
 graphs on ten or fewer vertices, which is every graph the extremal searches
 count, keep the dict DP.
 
-Timed on the same VM against the previous design, which made one kernel
-call per anchor with 11 to 20 vertices above it, deduplicated with
-``np.unique`` and ran the dict DP for the other anchors.  Seeded twin-free
-G(n, p), two processes per side; time is the best of 3 calls in either
-process, peak RSS the higher of the two (about 28 MB of it the interpreter
-and numpy):
+Timed on the same VM against an earlier design, which made one kernel call
+per anchor with 11 to 20 vertices above it, deduplicated with ``np.unique``
+and ran the dict DP for the other anchors.  Seeded twin-free G(n, p), two
+processes per side; time is the best of 3 calls in either process, peak RSS
+the higher of the two (about 28 MB of it the interpreter and numpy):
 
 ===  ================================  ================================
 n    p = 0.5: ms      peak RSS MB      p = 0.75: ms     peak RSS MB
@@ -76,6 +84,11 @@ n    p = 0.5: ms      peak RSS MB      p = 0.75: ms     peak RSS MB
 19   209 -> 181       79 -> 74         245 -> 202       79 -> 73
 20   429 -> 366       128 -> 111       536 -> 430       123 -> 115
 ===  ================================  ================================
+
+Near the cap the kernel is the only practical form.  On the same VM a dense
+twin-free G(22, 0.75) takes 5.7 s and 390 MB peak RSS, where the dict DP
+taking the anchor with 21 vertices above it took 171 to 201 s and 1.3 GB;
+K_24 over single vertices takes 29 s and 1.1 GB (``BENCH_exact_kernel.json``).
 
 The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
 anchored dict DP over twin classes instead of vertices (twins have equal
@@ -104,14 +117,13 @@ vertices, and twin-free graphs such as G(n, m), never compute the quotient.
 from __future__ import annotations
 
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph, PartitionInfo, twin_classes
 
 DEFAULT_CYCLE_CAP = 24
-DEFAULT_PATH_CAP = 22
-DEFAULT_SPLIT_CAP = 20
 
 # Graphs with fewer vertices run the dict DP, and graphs with at least this
 # many vertices but fewer twin classes the quotient DP (see the module
@@ -119,51 +131,91 @@ DEFAULT_SPLIT_CAP = 20
 _KERNEL_MIN_M = 11
 
 
-def _fits_int64(m: int) -> bool:
-    """Whether the kernel's counts fit int64 when its lowest anchor has m
-    vertices above it: they are at most 2 m! (see the module docstring)."""
-    return 2 * factorial(m) < 1 << 63
+def _layers(
+    adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
+) -> tuple[list[int], list[int] | None]:
+    """``(closed, ends)`` for the ``anchors`` of the graph with bit rows
+    ``adj``: the kernel when 11 <= n <= ``DEFAULT_CYCLE_CAP``, the lowest
+    anchor alone and then the rest in one pass, and the dict DP otherwise
+    (also for no anchor).  ``end_sums`` is passed on to the kernel."""
+    if not anchors or not _KERNEL_MIN_M <= len(adj) <= DEFAULT_CYCLE_CAP:
+        return _dict_layers(adj, anchors)
+    closed, ends = _path_layers(adj, anchors[:1], end_sums=end_sums)
+    if len(anchors) > 1:
+        more_closed, more_ends = _path_layers(adj, anchors[1:], end_sums=end_sums)
+        closed = [a + b for a, b in zip(closed, more_closed)]
+        if end_sums:
+            ends = [a + b for a, b in zip(ends, more_ends)]
+    return closed, ends
 
 
-_KERNEL_MAX_M = max(m for m in range(64) if _fits_int64(m))
+def _dict_layers(adj: Sequence[int], anchors: list[int]) -> tuple[list[int], list[int]]:
+    """Count the simple paths that start at one of the ``anchors`` and then
+    visit only vertices above their anchor, one anchor at a time.
 
-
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    cols = np.arange(g.n, dtype=np.int64)
-    return (np.array(g.adj, dtype=np.int64)[:, None] >> cols) & 1
+    ``adj`` holds the graph's rows as bit masks.  Returns ``(closed, ends)``:
+    ``closed[p]`` is the number of paths through p vertices whose end vertex
+    is adjacent to their anchor, and ``ends[v]`` the number of paths with at
+    least one edge that end at v.
+    """
+    n = len(adj)
+    closed = [0] * (n + 1)
+    ends = [0] * n
+    for s in anchors:
+        above = ((1 << n) - 1) >> s << s  # s and the vertices above it
+        frontier = {(1 << s, s): 1}
+        ends[s] -= 1  # the one-vertex path, counted with the states below
+        size = 1
+        while frontier:
+            nxt: dict[tuple[int, int], int] = {}
+            for (mask, v), cnt in frontier.items():
+                ends[v] += cnt
+                if adj[v] >> s & 1:
+                    closed[size] += cnt
+                ext = adj[v] & above & ~mask
+                while ext:
+                    b = ext & -ext
+                    ext ^= b
+                    key = (mask | b, b.bit_length() - 1)
+                    nxt[key] = nxt.get(key, 0) + cnt
+            frontier = nxt
+            size += 1
+    return closed, ends
 
 
 def _path_layers(
-    adj: np.ndarray, anchors: list[int], *, end_sums: bool = True
-) -> tuple[list[int], np.ndarray | None]:
-    """Count the simple paths that start at one of the ``anchors`` and then
-    visit only vertices above their anchor, in one layered pass.
-
-    ``adj`` is the 0/1 int64 adjacency of the graph.  Returns
-    ``(closed, sums)``: ``closed[p]`` is the number of paths through p
-    vertices whose end vertex is adjacent to their anchor, and ``sums[p, v]``
-    the number of paths through p vertices that end at v.  The cycle
-    spectrum needs only ``closed``; with ``end_sums`` false ``sums`` is None
-    and the per-layer column sums are skipped.
-    """
-    n = len(adj)
-    if not _fits_int64(n - 1):
-        raise OverflowError(f"int64 path counts are exact only up to m = {_KERNEL_MAX_M} (m={n - 1})")
-    bits = 1 << np.arange(n)
+    adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
+) -> tuple[list[int], list[int] | None]:
+    """``_dict_layers`` in one layered pass of the numpy kernel over every
+    anchor, of which there must be one at least (see the module docstring).
+    The cycle spectrum needs only ``closed``; with ``end_sums`` false
+    ``ends`` is None and the per-layer column sums, about 7% of the
+    kernel's time, are skipped."""
+    size = len(adj)
+    closed = [0] * (size + 1)
+    ends = [0] * size if end_sums else None
+    # only the vertices from the lowest anchor up take part
+    first = min(anchors)
+    n = size - first
+    split = 2 * factorial(n - 1) >= 1 << 63  # a sum may pass int64
+    cols = np.arange(n)
+    matrix = (np.array([row >> first for row in adj[first:]], dtype=np.int64)[:, None] >> cols) & 1
+    bits = 1 << cols
     slot = np.empty(1 << n, dtype=np.intp)  # scratch for _dedup, indexed by vertex set
-    closed = [0] * (n + 1)
-    sums = np.zeros((n + 1, n), dtype=np.int64) if end_sums else None
-    masks = bits[anchors]
-    rows = np.zeros((len(anchors), n), dtype=np.int64)
-    rows[np.arange(len(anchors)), anchors] = 1
+    starts = [s - first for s in anchors]
+    masks = bits[starts]
+    rows = np.eye(n, dtype=np.int64)[starts]
     p = 1
     while len(masks):
-        if end_sums:
-            sums[p] = rows.sum(axis=0)
-        ext = rows @ adj
+        if end_sums and p > 1:  # one-vertex paths have no edge
+            layer = _exact_sum(rows, split, axis=0).tolist()
+            ends[first:] = [a + b for a, b in zip(ends[first:], layer)]
+        if factorial(p - 1) >= 1 << 63:
+            rows = rows.astype(object, copy=False)  # the product's entries pass int64
+        ext = rows @ matrix
         del rows  # each large array goes once used, to lower the peak memory
         low = masks & -masks  # the anchor of each set
-        closed[p] = int(ext[np.arange(len(ext)), np.searchsorted(bits, low)].sum())
+        closed[p] = int(_exact_sum(ext[np.arange(len(ext)), np.searchsorted(bits, low)], split))
         # a path may not revisit its set or step below its anchor
         free = _bit_rows(~(masks | (low - 1)), n)
         free &= ext.astype(bool)
@@ -174,12 +226,23 @@ def _path_layers(
         w = flat % n
         masks, where = _dedup(masks[flat // n] | bits[w], slot)
         del flat
-        rows = np.zeros(len(masks) * n, dtype=np.int64)
+        rows = np.zeros(len(masks) * n, dtype=counts.dtype)
         # (mask | w, w) has the single predecessor mask, so assignment suffices
         rows[where * n + w] = counts
         rows = rows.reshape(-1, n)
         p += 1
-    return closed, sums
+    return closed, ends
+
+
+def _exact_sum(values: np.ndarray, split: bool, axis: int | None = None) -> int | np.ndarray:
+    """``values.sum(axis)`` for nonnegative counts.  With ``split`` an int64
+    sum is taken as its high and low 32-bit halves, whose sums fit int64,
+    joined as Python ints; object arrays sum as Python ints already."""
+    if not split or values.dtype == object:
+        return values.sum(axis=axis)
+    high = (values >> 32).sum(axis=axis).astype(object)
+    low = (values & 0xFFFFFFFF).sum(axis=axis).astype(object)
+    return (high << 32) + low
 
 
 def _bit_rows(values: np.ndarray, n: int) -> np.ndarray:
@@ -219,40 +282,10 @@ def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int
 def _vertex_spectrum(g: Graph) -> dict[int, int]:
     """The cycle spectrum from the anchored DP over single vertices."""
     n = g.n
-    doubled = [0] * (n + 1)
     # anchors with at least two neighbours above them
     anchors = [s for s in range(n - 2) if (g.adj[s] >> (s + 1)).bit_count() >= 2]
-    if n >= _KERNEL_MIN_M:
-        # the kernel takes every anchor with at most _KERNEL_MAX_M vertices
-        # above it: the lowest on its own, then the rest in one pass
-        first = n - 1 - _KERNEL_MAX_M
-        kernel = [s for s in anchors if s >= first]
-        anchors = [s for s in anchors if s < first]
-        full = _adjacency_matrix(g)
-        for part in (kernel[:1], kernel[1:]):
-            if part:
-                a = part[0]
-                closed, _ = _path_layers(full[a:, a:], [s - a for s in part], end_sums=False)
-                for p in range(3, len(closed)):
-                    doubled[p] += closed[p]
-    for s in anchors:
-        above = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
-        frontier = {(0, s): 1}
-        size = 1
-        while frontier:
-            nxt: dict[tuple[int, int], int] = {}
-            for (mask, v), cnt in frontier.items():
-                if size >= 3 and g.adj[v] >> s & 1:
-                    doubled[size] += cnt
-                ext = g.adj[v] & above & ~mask
-                while ext:
-                    b = ext & -ext
-                    ext ^= b
-                    key = (mask | b, b.bit_length() - 1)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            frontier = nxt
-            size += 1
-    if any(c % 2 for c in doubled):
+    doubled, _ = _layers(g.adj, anchors, end_sums=False)
+    if any(c % 2 for c in doubled[3:]):
         raise ArithmeticError("directed cycle counts are not all even: implementation bug")
     return {r: doubled[r] // 2 for r in range(3, n + 1) if doubled[r]}
 
@@ -339,37 +372,23 @@ def count_hamilton(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
     return cycle_spectrum(g, max_n=max_n).get(g.n, 0)
 
 
-def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_PATH_CAP) -> dict[int, int]:
+def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int]:
     """Map y -> number of simple x-y paths with at least one edge, for y != x."""
     n = g.n
     if n > max_n:
         raise ValueError(f"path counting capped at {max_n} vertices (n={n})")
     if not 0 <= x < n:
         raise ValueError(f"vertex {x} out of range")
-    if _KERNEL_MIN_M <= n <= _KERNEL_MAX_M + 1:
-        # x first, so that every other vertex lies above the one anchor
-        order = [x] + [v for v in range(n) if v != x]
-        _, sums = _path_layers(_adjacency_matrix(g)[np.ix_(order, order)], [0])
-        totals = [sum(col) for col in sums[2:].T.tolist()]
-        return {v: t for v, t in zip(order[1:], totals[1:]) if t}
-    result: dict[int, int] = {}
-    frontier = {(1 << x, x): 1}
-    while frontier:
-        nxt: dict[tuple[int, int], int] = {}
-        for (mask, v), cnt in frontier.items():
-            ext = g.adj[v] & ~mask
-            while ext:
-                b = ext & -ext
-                ext ^= b
-                w = b.bit_length() - 1
-                result[w] = result.get(w, 0) + cnt
-                key = (mask | b, w)
-                nxt[key] = nxt.get(key, 0) + cnt
-        frontier = nxt
-    return result
+    # swap x with vertex 0, so that every other vertex lies above the one
+    # anchor: flip bits 0 and x of each row where they differ, then swap rows
+    adj = [row ^ ((row ^ row >> x) & 1) * (1 | 1 << x) for row in g.adj]
+    adj[0], adj[x] = adj[x], adj[0]
+    _, ends = _layers(adj, [0])
+    ends[0], ends[x] = ends[x], ends[0]
+    return {y: c for y, c in enumerate(ends) if c}
 
 
-def count_paths(g: Graph, x: int, y: int, *, max_n: int = DEFAULT_PATH_CAP) -> int:
+def count_paths(g: Graph, x: int, y: int, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
     """Number of simple paths between distinct vertices x and y."""
     if x == y:
         raise ValueError("path endpoints must differ")
@@ -377,7 +396,7 @@ def count_paths(g: Graph, x: int, y: int, *, max_n: int = DEFAULT_PATH_CAP) -> i
 
 
 def count_regular_and_irregular_cycles(
-    g: Graph, part: PartitionInfo, *, max_n: int = DEFAULT_SPLIT_CAP
+    g: Graph, part: PartitionInfo, *, max_n: int = DEFAULT_CYCLE_CAP
 ) -> tuple[int, int]:
     """(cycles using only between-class edges, cycles using a within-class edge).
 

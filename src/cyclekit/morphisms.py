@@ -24,11 +24,16 @@ The same search returns generators of Aut(g) and its orbits; see
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import Graph, _bits, twin_classes
 
 
-def _h_vertex_order(h: Graph) -> list[int]:
-    """Order H's vertices so each one touches the already-ordered prefix."""
+@lru_cache(maxsize=64)
+def _h_plan(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """H's vertices ordered so each one touches the already-ordered prefix,
+    and H's degrees.  A search tests one H against every candidate, so they
+    are computed once per H (``Graph`` is frozen and hashable)."""
     order: list[int] = []
     placed = 0
     remaining = set(range(h.n))
@@ -41,7 +46,7 @@ def _h_vertex_order(h: Graph) -> list[int]:
         order.append(best)
         placed |= 1 << best
         remaining.discard(best)
-    return order
+    return tuple(order), tuple(h.degree(v) for v in range(h.n))
 
 
 def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) -> bool:
@@ -52,9 +57,8 @@ def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) 
     """
     if h.n > g.n or h.edge_count > g.edge_count:
         return False
-    order = _h_vertex_order(h)
+    order, h_deg = _h_plan(h)
     g_deg = [g.degree(v) for v in range(g.n)]
-    h_deg = [h.degree(v) for v in range(h.n)]
     image = [-1] * h.n
     g_all = (1 << g.n) - 1
 

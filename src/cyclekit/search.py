@@ -210,21 +210,29 @@ def _evident_deletion(child: Graph, ties: list[int]) -> bool:
 
 def _canonical_child(
     child: Graph, ties: list[int]
-) -> tuple[Graph, tuple[tuple[int, ...], ...]] | None:
-    """The canonical form of ``child`` and generators of its automorphism
-    group in that labelling, or None when the new vertex is not a canonical
-    deletion: among the tied vertices, the one with the highest canonical
-    position, and the new vertex must lie in its orbit."""
-    canon, perm, orbits, auts = canonical_orbits(child)
+) -> tuple[Graph, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """``canonical_orbits(child)``, or None when the new vertex is not a
+    canonical deletion: among the tied vertices, the one with the highest
+    canonical position, and the new vertex must lie in its orbit."""
+    labelled = canonical_orbits(child)
+    _, perm, orbits, _ = labelled
     if len(ties) > 1 and orbits[max(ties, key=perm.__getitem__)] != orbits[ties[0]]:
         return None
+    return labelled
+
+
+def _canonical_auts(
+    perm: tuple[int, ...], auts: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms ``auts`` rewritten in the labelling ``perm``
+    (``perm[old] = new``)."""
     relabeled = []
     for a in auts:
-        b = [0] * child.n
+        b = [0] * len(a)
         for v, w in enumerate(a):
             b[perm[v]] = perm[w]
         relabeled.append(tuple(b))
-    return canon, tuple(relabeled)
+    return tuple(relabeled)
 
 
 def _last_level(n: int, forbid: Graph | None) -> Iterator[tuple[Graph, list[int]]]:
@@ -243,7 +251,8 @@ def _last_level(n: int, forbid: Graph | None) -> Iterator[tuple[Graph, list[int]
         for child, ties in _candidates(g, auts, forbid):
             labelled = _canonical_child(child, ties)
             if labelled is not None:
-                yield from grow(*labelled)
+                canon, perm, _, child_auts = labelled
+                yield from grow(canon, _canonical_auts(perm, child_auts))
 
     yield from grow(Graph(1, (0,)), ())
 

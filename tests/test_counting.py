@@ -184,41 +184,87 @@ def codegree(g, u, v):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record (vertices, anchors) of every call of the numpy kernel."""
+    """Record (vertices from the lowest anchor up, anchors) of every call of
+    the numpy kernel."""
     calls = []
     kernel = counting._path_layers
 
     def recording(adj, anchors, **options):
-        calls.append((len(adj), len(anchors)))
+        calls.append((len(adj) - min(anchors), len(anchors)))
         return kernel(adj, anchors, **options)
 
     monkeypatch.setattr(counting, "_path_layers", recording)
     return calls
 
 
-def dict_spectrum(monkeypatch, g):
-    """The vertex spectrum with the kernel switched off: the dict DP runs
-    every anchor."""
-    with monkeypatch.context() as m:
-        m.setattr(counting, "_KERNEL_MIN_M", 65)
-        return counting._vertex_spectrum(g)
+def dict_spectrum(g):
+    """The vertex spectrum from the dict DP alone, every vertex an anchor (a
+    vertex with fewer than two neighbours above it closes no cycle)."""
+    closed, _ = counting._dict_layers(g.adj, list(range(g.n)))
+    return {r: closed[r] // 2 for r in range(3, g.n + 1) if closed[r]}
+
+
+def paths_through(n, k):
+    """Paths between two fixed vertices of K_n through k inner vertices."""
+    return factorial(n - 2) // factorial(n - 2 - k)
+
+
+class TestTwoForms:
+    """The dict DP and the numpy kernel answer the same question,
+    ``(closed, ends)`` for the same rows and anchors."""
+
+    def test_kernel_matches_dict_dp(self):
+        rng = random.Random(101)
+        for i in range(60):
+            n = 2 + i % 13
+            g = random_graph(rng, n, rng.random())
+            anchors = sorted(rng.sample(range(n), rng.randint(1, n)))
+            closed, ends = counting._dict_layers(g.adj, anchors)
+            assert counting._path_layers(g.adj, anchors) == (closed, ends), (n, anchors)
+            assert counting._path_layers(g.adj, anchors, end_sums=False) == (closed, None)
+
+    def test_edgeless_graphs(self):
+        for n in (21, 22):
+            assert counting._path_layers((0,) * n, [0, n - 1]) == ([0] * (n + 1), [0] * n)
+
+    def test_split_sum_is_exact(self):
+        values = np.array([(1 << 62) + 2 ** 40 + 7, (1 << 62) - 1, 1 << 62, 5], dtype=np.int64)
+        exact = sum(values.tolist())
+        assert exact >= 1 << 63
+        assert counting._exact_sum(values, True) == exact
+        matrix = values.reshape(2, 2)
+        assert counting._exact_sum(matrix, True, axis=0).tolist() == [sum(col) for col in zip(*matrix.tolist())]
+        assert counting._exact_sum(values[2:], False) == sum(values[2:].tolist())
+
+    def test_complete_graph_past_int64(self, kernel_calls):
+        # the doubled count of 22-cycles is 21! > 2^63
+        assert factorial(21) >= 1 << 63
+        expected = {r: comb(22, r) * factorial(r - 1) // 2 for r in range(3, 23)}
+        assert counting._vertex_spectrum(turan_graph(22, 22)) == expected
+        assert kernel_calls == [(22, 1), (21, 19)]
+
+    def test_paths_in_complete_graph_past_int64(self, kernel_calls):
+        # the products of layer 22 (up to 21!) and the number of paths pass 2^63
+        n = 22
+        each = sum(paths_through(n, k) for k in range(n - 1))
+        assert (n - 1) * each >= 1 << 63
+        assert count_paths_from(turan_graph(n, n), 5) == {y: each for y in range(n) if y != 5}
+        assert kernel_calls == [(22, 1)]
+
+    def test_path_cap(self):
+        rng = random.Random(103)
+        pairs = [(u, v) for u in range(25) for v in range(u + 1, 25)]
+        g = make_graph(25, rng.sample(pairs, 30))
+        with pytest.raises(ValueError):
+            count_paths_from(g, 0)
+        from_0 = count_paths_from(g, 0, max_n=25)
+        assert from_0 == {y: c for y in range(1, 25) if (c := brute_count_paths(g, 0, y))}
 
 
 class TestKernelSelection:
-    """On graphs with n >= _KERNEL_MIN_M the numpy kernel runs in two passes,
-    the lowest anchor with at most 20 vertices above it alone and every
-    higher anchor together; anchors with more vertices above them, and every
-    anchor of a smaller graph, run the dict DP.  All forms must agree."""
-
-    def test_int64_bound(self):
-        assert counting._fits_int64(20)
-        assert not counting._fits_int64(21)
-        assert counting._KERNEL_MAX_M == 20
-        with pytest.raises(OverflowError):
-            counting._path_layers(np.zeros((22, 22), dtype=np.int64), [0])
-        closed, sums = counting._path_layers(np.zeros((21, 21), dtype=np.int64), [0, 20])
-        assert closed == [0] * 22
-        assert sums.tolist() == [[0] * 21, [1] + [0] * 19 + [1]] + [[0] * 21] * 20
+    """Graphs with 11 <= n <= 24 run the numpy kernel in two passes, the
+    lowest anchor alone and every higher anchor together; smaller and larger
+    graphs run the dict DP.  All forms must agree."""
 
     def test_both_forms_in_one_call_match_walk_oracle(self, kernel_calls):
         # "both forms": the lone pass and the pass over the higher anchors
@@ -230,25 +276,24 @@ class TestKernelSelection:
                 assert counting._vertex_spectrum(g) == walk_cycle_spectrum(g), (n, p)
                 assert kernel_calls[0][1] == 1 and len(kernel_calls) <= 2
 
-    def test_dict_anchors_and_kernel_passes_at_n22_23(self, kernel_calls, monkeypatch):
+    def test_kernel_takes_every_anchor_at_n22_23(self, kernel_calls):
         rng = random.Random(79)
         for n in (22, 23):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             g = make_graph(n, rng.sample(pairs, 2 * n))
             del kernel_calls[:]
             spec = cycle_spectrum(g)
-            # anchors 0..n-22 have more than 20 vertices above them
-            assert kernel_calls[0] == (21, 1) and len(kernel_calls) == 2
-            assert spec == dict_spectrum(monkeypatch, g)
+            assert kernel_calls[0][1] == 1 and len(kernel_calls) == 2
+            assert spec == dict_spectrum(g)
             assert 3 * spec.get(3, 0) == sum(codegree(g, u, v) for u, v in g.edges())
             assert 2 * spec.get(4, 0) == sum(comb(codegree(g, u, v), 2) for u, v in pairs)
 
-    def test_matches_dict_dp_on_random_graphs(self, monkeypatch):
+    def test_matches_dict_dp_on_random_graphs(self):
         rng = random.Random(83)
         for _ in range(40):
             n = rng.randint(11, 15)
             g = random_graph(rng, n, rng.random())
-            assert counting._vertex_spectrum(g) == dict_spectrum(monkeypatch, g)
+            assert counting._vertex_spectrum(g) == dict_spectrum(g)
 
     def test_cycle_18(self, kernel_calls):
         assert cycle_spectrum(cycle_graph(18)) == {18: 1}
@@ -292,12 +337,12 @@ class TestKernelSelection:
             assert sorted(distinct.tolist()) == np.unique(keys).tolist()
             assert (distinct[where] == keys).all()
 
-    def test_beyond_int64_bound_uses_python_ints(self, kernel_calls):
+    def test_cycle_22_with_chord(self, kernel_calls):
         g = cycle_graph(22).with_edge(0, 7)
         assert cycle_spectrum(g) == {8: 1, 16: 1, 22: 1}
         assert count_paths(g, 0, 7) == 3
-        # anchor 0 has 21 vertices above it, and no other anchor two neighbours
-        assert kernel_calls == []
+        # anchor 0 alone has two neighbours above it, and x = 0 is the path anchor
+        assert kernel_calls == [(22, 1), (22, 1)]
 
     def test_twin_free_graph_runs_the_kernel(self, kernel_calls):
         rng = random.Random(71)
