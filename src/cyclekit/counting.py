@@ -24,6 +24,17 @@ and ``ends[v]`` the paths with at least one edge that end at v.
   vertices below the anchor (``set | (low - 1)``) are masked out.  Only
   reachable sets are stored, so sparse graphs stay cheap.
 
+Path counts need ``ends``, cycles only ``closed``.  With ``end_sums`` false
+both forms skip the ``ends`` bookkeeping and return None for it: the kernel
+leaves out its per-layer column sums, and the dict DP its per-state end sum,
+and it also stops extending a path once the path has visited every
+neighbour of its anchor, since no extension of such a path closes.  The
+cycle spectrum and the cycle totals always run with ``end_sums`` false.  For
+graphs with fewer than ``_KERNEL_MIN_M`` vertices, ``count_cycles`` sums the
+closing counts directly instead of building the spectrum dict, with the same
+check that every doubled count is even; the searches and ``verify
+turanbest`` make tens of thousands of such calls.
+
 One rule routes both the cycle spectrum and the path counts (``_layers``):
 the kernel runs when ``_KERNEL_MIN_M`` = 11 <= n <= ``DEFAULT_CYCLE_CAP`` =
 24, the dict DP otherwise.  Above the cap the kernel's slot table (2^n
@@ -137,9 +148,9 @@ def _layers(
     """``(closed, ends)`` for the ``anchors`` of the graph with bit rows
     ``adj``: the kernel when 11 <= n <= ``DEFAULT_CYCLE_CAP``, the lowest
     anchor alone and then the rest in one pass, and the dict DP otherwise
-    (also for no anchor).  ``end_sums`` is passed on to the kernel."""
+    (also for no anchor).  With ``end_sums`` false ``ends`` is None."""
     if not anchors or not _KERNEL_MIN_M <= len(adj) <= DEFAULT_CYCLE_CAP:
-        return _dict_layers(adj, anchors)
+        return _dict_layers(adj, anchors, end_sums=end_sums)
     closed, ends = _path_layers(adj, anchors[:1], end_sums=end_sums)
     if len(anchors) > 1:
         more_closed, more_ends = _path_layers(adj, anchors[1:], end_sums=end_sums)
@@ -149,35 +160,48 @@ def _layers(
     return closed, ends
 
 
-def _dict_layers(adj: Sequence[int], anchors: list[int]) -> tuple[list[int], list[int]]:
+def _dict_layers(
+    adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
+) -> tuple[list[int], list[int] | None]:
     """Count the simple paths that start at one of the ``anchors`` and then
     visit only vertices above their anchor, one anchor at a time.
 
     ``adj`` holds the graph's rows as bit masks.  Returns ``(closed, ends)``:
     ``closed[p]`` is the number of paths through p vertices whose end vertex
     is adjacent to their anchor, and ``ends[v]`` the number of paths with at
-    least one edge that end at v.
+    least one edge that end at v.  With ``end_sums`` false ``ends`` is None,
+    and a path that has visited every neighbour of its anchor is not
+    extended, since no extension of it can close.
     """
     n = len(adj)
     closed = [0] * (n + 1)
-    ends = [0] * n
+    ends = [0] * n if end_sums else None
     for s in anchors:
         above = ((1 << n) - 1) >> s << s  # s and the vertices above it
+        sees = adj[s] & above  # the ends that close a path
+        # a path with no vertex of ``live`` left unvisited is dropped; -1 keeps all
+        live = -1 if end_sums else sees
         frontier = {(1 << s, s): 1}
-        ends[s] -= 1  # the one-vertex path, counted with the states below
+        if end_sums:
+            ends[s] -= 1  # the one-vertex path, counted with the states below
         size = 1
         while frontier:
             nxt: dict[tuple[int, int], int] = {}
+            shut = 0
             for (mask, v), cnt in frontier.items():
-                ends[v] += cnt
-                if adj[v] >> s & 1:
-                    closed[size] += cnt
+                if end_sums:
+                    ends[v] += cnt
+                if sees >> v & 1:
+                    shut += cnt
+                if not live & ~mask:
+                    continue
                 ext = adj[v] & above & ~mask
                 while ext:
                     b = ext & -ext
                     ext ^= b
                     key = (mask | b, b.bit_length() - 1)
                     nxt[key] = nxt.get(key, 0) + cnt
+            closed[size] += shut
             frontier = nxt
             size += 1
     return closed, ends
@@ -281,13 +305,22 @@ def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int
 
 def _vertex_spectrum(g: Graph) -> dict[int, int]:
     """The cycle spectrum from the anchored DP over single vertices."""
-    n = g.n
+    doubled = _doubled_cycles(g.adj)
+    return {r: c // 2 for r, c in enumerate(doubled) if c}
+
+
+def _doubled_cycles(adj: Sequence[int]) -> list[int]:
+    """Twice the number of cycles of each length r (entry r; entries 0 to 2
+    are 0) of the graph with bit rows ``adj``, from the anchored DP over
+    single vertices.  Raises ``ArithmeticError`` when a count is odd."""
+    n = len(adj)
     # anchors with at least two neighbours above them
-    anchors = [s for s in range(n - 2) if (g.adj[s] >> (s + 1)).bit_count() >= 2]
-    doubled, _ = _layers(g.adj, anchors, end_sums=False)
-    if any(c % 2 for c in doubled[3:]):
+    anchors = [s for s in range(n - 2) if (adj[s] >> (s + 1)).bit_count() >= 2]
+    closed, _ = _layers(adj, anchors, end_sums=False)
+    doubled = [0, 0, 0] + closed[3:]  # closed[2] counts edges, not cycles
+    if any(c % 2 for c in doubled):
         raise ArithmeticError("directed cycle counts are not all even: implementation bug")
-    return {r: doubled[r] // 2 for r in range(3, n + 1) if doubled[r]}
+    return doubled
 
 
 def _quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
@@ -364,6 +397,9 @@ def _divide_rootings(rooted: dict[tuple[int, int], int]) -> dict[int, int]:
 
 def count_cycles(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
     """Total number of cycles in g."""
+    if g.n < _KERNEL_MIN_M and g.n <= max_n:
+        # cycle_spectrum takes the vertex DP too; skip building the dict
+        return sum(_doubled_cycles(g.adj)) // 2
     return sum(cycle_spectrum(g, max_n=max_n).values())
 
 

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _bits, twin_classes
+from .graphs import Graph, _bits, _relabeled_rows, _unchecked_graph, twin_classes
 
 
 @lru_cache(maxsize=64)
-def _h_plan(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _h_plan(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """H's vertices ordered so each one touches the already-ordered prefix,
-    and H's degrees.  A search tests one H against every candidate, so they
-    are computed once per H (``Graph`` is frozen and hashable)."""
+    H's degrees and its edge count.  A search tests one H against every
+    candidate, so they are computed once per H (``Graph`` is frozen and
+    hashable)."""
     order: list[int] = []
     placed = 0
     remaining = set(range(h.n))
@@ -46,7 +47,7 @@ def _h_plan(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         order.append(best)
         placed |= 1 << best
         remaining.discard(best)
-    return tuple(order), tuple(h.degree(v) for v in range(h.n))
+    return tuple(order), tuple(h.degree(v) for v in range(h.n)), h.edge_count
 
 
 def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) -> bool:
@@ -55,10 +56,12 @@ def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) 
     With ``require_vertex`` set, only embeddings whose image contains that
     g-vertex count (used to test augmented graphs incrementally).
     """
-    if h.n > g.n or h.edge_count > g.edge_count:
+    if h.n > g.n:
         return False
-    order, h_deg = _h_plan(h)
-    g_deg = [g.degree(v) for v in range(g.n)]
+    order, h_deg, h_edges = _h_plan(h)
+    g_deg = [row.bit_count() for row in g.adj]
+    if h_edges > sum(g_deg) // 2:
+        return False
     image = [-1] * h.n
     g_all = (1 << g.n) - 1
 
@@ -206,7 +209,9 @@ def canonical_orbits(
     perm = [0] * n
     for new, old in enumerate(best_order):
         perm[old] = new
-    return g.relabel(perm), tuple(perm), tuple(find(v) for v in range(n)), tuple(autos)
+    # perm is a permutation, so the relabeled rows need no check
+    canon = _unchecked_graph(n, _relabeled_rows(adj, perm))
+    return canon, tuple(perm), tuple(find(v) for v in range(n)), tuple(autos)
 
 
 def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:

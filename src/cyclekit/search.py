@@ -78,7 +78,7 @@ from .analytic import (
     rooted_hamilton_permutations_general,
 )
 from .counting import count_cycles, count_paths_from
-from .graphs import Graph, _bits, complete_multipartite, turan_class_sizes, twin_classes
+from .graphs import Graph, _bits, _unchecked_graph, complete_multipartite, turan_class_sizes, twin_classes
 from .morphisms import canonical_label, canonical_orbits, contains_subgraph
 from .graph_io import graph_to_graph6
 
@@ -193,7 +193,8 @@ def _candidates(
         ties = _deletion_ties(adj, [x + (nb >> v & 1) for v, x in enumerate(deg)] + [d])
         if ties is None:
             continue
-        child = Graph(m + 1, tuple(adj))
+        # nb is a set of the parent's vertices, so the rows stay valid
+        child = _unchecked_graph(m + 1, tuple(adj))
         if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
             continue
         yield child, ties
@@ -265,9 +266,10 @@ def _check_enumeration(n: int, forbid: Graph | None) -> None:
 
 
 def _attach(parent: Graph, nb: int) -> Graph:
-    """``parent`` with a new vertex adjacent to the vertices of ``nb``."""
+    """``parent`` with a new vertex adjacent to the vertices of ``nb``, a
+    subset of the parent's vertices."""
     m = parent.n
-    return Graph(m + 1, tuple(row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)) + (nb,))
+    return _unchecked_graph(m + 1, tuple(row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)) + (nb,))
 
 
 def enumerate_graphs(n: int, forbid: Graph | None = None) -> Iterator[Graph]:
@@ -506,7 +508,7 @@ def verify_turan_dominance(
         if sample_subgraphs and edges:
             for _ in range(sample_subgraphs):
                 mask = rng.randrange(1, 1 << len(edges))
-                drop = [e for i, e in enumerate(edges) if mask >> i & 1]
+                drop = [edges[i] for i in _bits(mask)]
                 sub_total = count_cycles(kg.without_edges(drop))
                 good = sub_total < t_total if n >= 5 else sub_total <= t_total
                 if not good:

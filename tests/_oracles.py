@@ -10,9 +10,12 @@ the twin augmentation with one dedup set per level, and the memoized
 cyclic-word DP with its sub-vector walk (``reference_*_word_count`` and
 :func:`reference_cycle_spectrum_multipartite`), the one-shot Monte Carlo
 draw :func:`reference_estimate_hits`, the whole-array walk estimator
-:func:`reference_second_letter_share`, and :func:`reference_cmd_verify`, the
-``verify`` command with one branch per suite.  :func:`graph_texts` is the
-hypothesis strategy of parser input that the fuzz tests share, and
+:func:`reference_second_letter_share`, :func:`reference_cmd_verify`, the
+``verify`` command with one branch per suite, and
+:func:`reference_turan_dominance`, the ``turanbest`` suite with every
+sampled subgraph built from its edge list and counted through its
+spectrum.  :func:`graph_texts` is the hypothesis strategy of parser input
+that the fuzz tests share, and
 :func:`partitions_exact`, :func:`extremal_number` and
 :func:`extremal_function_from_search` are helpers that only the tests use.
 """
@@ -32,9 +35,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cyclekit import bounds, search
+from cyclekit.analytic import cycle_spectrum_multipartite
 from cyclekit.cli import CHECK_FAILED, USAGE_ERROR, VERIFY_NAMES, _build_config
 from cyclekit.graph_io import graph_to_graph6
-from cyclekit.graphs import Graph, _bits, make_graph, turan_edge_count
+from cyclekit.counting import cycle_spectrum
+from cyclekit.graphs import Graph, _bits, make_graph, turan_class_sizes, turan_edge_count
 
 
 def brute_cycle_spectrum(g: Graph) -> dict[int, int]:
@@ -585,6 +590,66 @@ def reference_second_letter_share(n: int, k: int, samples: int, seed: int):
     stderr = sqrt(p * (1 - p) / accepted)
     z = None if stderr == 0 else (p - float(exact)) / stderr
     return WalkShareEstimate(p, stderr, accepted, samples, exact, z)
+
+
+# ---------------------------------------------------------------------------
+# The turanbest suite with every sampled subgraph built from its kept edges by
+# the validating make_graph and counted through its full spectrum; the
+# suite's reports must equal it.
+# ---------------------------------------------------------------------------
+
+
+def reference_turan_dominance(
+    n: int, k: int, sample_subgraphs: int = 0, seed: int = 0
+) -> search.VerifyReport:
+    if sample_subgraphs < 0:
+        raise ValueError(f"sample_subgraphs must be >= 0, got {sample_subgraphs}")
+    report = search.VerifyReport(
+        name="turanbest",
+        params={"n": n, "k": k, "sample_subgraphs": sample_subgraphs, "seed": seed},
+    )
+    balanced = turan_class_sizes(n, k)
+    t_spec = cycle_spectrum_multipartite(balanced)
+    t_total = sum(t_spec.values())
+    rng = random.Random(seed)
+    for comp in search.partitions_at_most(n, k):
+        spec = cycle_spectrum_multipartite(comp)
+        dominated = all(
+            t_spec.get(r, 0) >= spec.get(r, 0) for r in set(spec) | set(t_spec)
+        )
+        case = {
+            "composition": list(comp),
+            "total": str(sum(spec.values())),
+            "dominated": dominated,
+        }
+        ok = dominated
+        is_balanced = comp == tuple(sorted(balanced, reverse=True))
+        if n >= 5 and not is_balanced:
+            strict = t_total > sum(spec.values())
+            case["strict"] = strict
+            ok = ok and strict
+        sampled_failures = 0
+        # vertex v lies in the last class whose first vertex is <= v
+        starts = [sum(comp[:i]) for i in range(len(comp))]
+        cls = [max(i for i, s in enumerate(starts) if s <= v) for v in range(n)]
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if cls[u] != cls[v]]
+        if sample_subgraphs and edges:
+            for _ in range(sample_subgraphs):
+                mask = rng.randrange(1, 1 << len(edges))
+                kept = [e for i, e in enumerate(edges) if not mask >> i & 1]
+                sub_total = sum(cycle_spectrum(make_graph(n, kept)).values())
+                good = sub_total < t_total if n >= 5 else sub_total <= t_total
+                if not good:
+                    sampled_failures += 1
+            case["sampled"] = sample_subgraphs
+            case["sampled_failures"] = sampled_failures
+        ok = ok and sampled_failures == 0
+        case["ok"] = ok
+        if not ok:
+            report.failures += 1
+        report.cases.append(case)
+    report.passed = report.failures == 0
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,39 @@ class TestCycleSpectrum:
         with pytest.raises(ValueError):
             cycle_spectrum(make_graph(25, []))
         assert cycle_spectrum(make_graph(25, []), max_n=25) == {}
+        with pytest.raises(ValueError, match="capped at 4"):
+            count_cycles(K5, max_n=4)
+
+    def test_total_matches_spectrum(self):
+        # below 11 vertices count_cycles sums the DP's closing counts directly
+        rng = random.Random(19)
+        for n in range(1, 13):
+            for _ in range(8):
+                g = random_graph(rng, n, rng.random())
+                assert count_cycles(g) == sum(cycle_spectrum(g).values()), n
+
+    def test_odd_directed_count_raises(self, monkeypatch):
+        # closed[3] = 3 would be one and a half triangles
+        monkeypatch.setattr(counting, "_layers", lambda adj, anchors, **options: ([0, 0, 2, 3, 0], None))
+        with pytest.raises(ArithmeticError):
+            count_cycles(K4)
+        with pytest.raises(ArithmeticError):
+            cycle_spectrum(K4)
+
+    def test_odd_directed_count_raises_with_asserts_stripped(self):
+        code = (
+            "from cyclekit import counting\n"
+            "from cyclekit.graphs import turan_graph\n"
+            "counting._layers = lambda adj, anchors, **options: ([0, 0, 2, 3, 0], None)\n"
+            "try:\n"
+            "    counting.count_cycles(turan_graph(4, 4))\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(counting.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=7), st.randoms(use_true_random=False))
@@ -222,6 +255,7 @@ class TestTwoForms:
             closed, ends = counting._dict_layers(g.adj, anchors)
             assert counting._path_layers(g.adj, anchors) == (closed, ends), (n, anchors)
             assert counting._path_layers(g.adj, anchors, end_sums=False) == (closed, None)
+            assert counting._dict_layers(g.adj, anchors, end_sums=False) == (closed, None)
 
     def test_edgeless_graphs(self):
         for n in (21, 22):

@@ -19,6 +19,7 @@ from cyclekit.graphs import (
     turan_graph,
 )
 from cyclekit.morphisms import is_isomorphic
+from cyclekit.search import compositions_exact
 
 from _oracles import brute_chromatic, brute_min_irregular, random_graph
 
@@ -237,6 +238,34 @@ class TestGraphBasics:
         assert g.edge_count == 4
         assert not g.has_edge(0, 1)
         assert not g.has_edge(3, 2)
+
+    def test_without_edges_keeps_a_valid_graph(self):
+        # without_edges skips Graph's checks; its result must pass them
+        rng = random.Random(23)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 12), rng.random())
+            edges = list(g.edges())
+            mask = rng.getrandbits(len(edges))
+            h = g.without_edges([e for i, e in enumerate(edges) if mask >> i & 1])
+            assert type(h.adj) is tuple
+            assert Graph(h.n, h.adj) == h
+            assert h.edge_count == len(edges) - mask.bit_count()
+
+    def test_complete_multipartite_is_a_valid_graph(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                for parts in compositions_exact(n, k):
+                    g = complete_multipartite(parts)
+                    assert type(g.adj) is tuple
+                    assert Graph(g.n, g.adj) == g
+
+    def test_public_constructors_still_validate(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="self-loop"):
+            g.with_edge(1, 1)
+        with pytest.raises(ValueError):
+            g.relabel([0, 0, 1])  # not a permutation
+        assert g.relabel([2, 1, 0]).adj == (0b010, 0b101, 0b010)
 
     def test_edges_iteration(self):
         g = make_graph(4, [(0, 2), (1, 3)])

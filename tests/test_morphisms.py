@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from cyclekit.graphs import complete_multipartite, make_graph, turan_graph, twin_classes
+from cyclekit.graphs import Graph, complete_multipartite, make_graph, turan_graph, twin_classes
 from cyclekit.morphisms import (
     canonical_key,
     canonical_label,
@@ -140,6 +140,15 @@ class TestCanonicalLabel:
         cg, perm = canonical_label(g)
         assert sorted(perm) == list(range(g.n))
         assert is_isomorphic(g, cg)
+
+    def test_canonical_copy_is_a_valid_graph(self):
+        # canonical_orbits relabels without Graph's checks; its copy must pass them
+        rng = random.Random(53)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 9), rng.random())
+            canon = canonical_orbits(g)[0]
+            assert type(canon.adj) is tuple
+            assert Graph(canon.n, canon.adj) == canon
 
     def test_matches_unpruned_labeling_on_every_small_class(self):
         rng = random.Random(41)

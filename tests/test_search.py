@@ -9,7 +9,7 @@ import pytest
 
 from cyclekit import search
 from cyclekit.counting import count_cycles
-from cyclekit.graphs import complete_multipartite, make_graph, turan_graph
+from cyclekit.graphs import Graph, complete_multipartite, make_graph, turan_graph
 from cyclekit.graph_io import graph_from_graph6, graph_to_graph6, named_graph
 from cyclekit.morphisms import contains_subgraph, is_isomorphic
 from cyclekit.search import (
@@ -33,6 +33,7 @@ from _oracles import (
     partitions_exact,
     random_graph,
     reference_enumerate_graphs,
+    reference_turan_dominance,
 )
 
 K3 = named_graph("K3")
@@ -151,6 +152,31 @@ class TestLastLevel:
             children = [search._attach(parent, nb) for nb in nbs]
             assert search._child_cycle_counts(parent, nbs) == [count_cycles(g) for g in children]
 
+    @pytest.mark.parametrize("forbid", ["K3", "C4", "C5", "P4", "P5", "C6", "K4", "K1,3", "K6", "K7"])
+    def test_unchecked_children_are_valid(self, monkeypatch, forbid):
+        # candidates and attached children skip Graph's checks; each must
+        # pass them, and keep its rows as a tuple so that it hashes
+        built = []
+        candidates, attach = search._candidates, search._attach
+
+        def recording_candidates(*args):
+            out = list(candidates(*args))
+            built.extend(child for child, _ in out)
+            return iter(out)
+
+        def recording_attach(*args):
+            built.append(attach(*args))
+            return built[-1]
+
+        monkeypatch.setattr(search, "_candidates", recording_candidates)
+        monkeypatch.setattr(search, "_attach", recording_attach)
+        for n in range(2, 8):
+            max_cycles_h_free(n, _forbidden(forbid))
+        assert built
+        for g in built:
+            assert type(g.adj) is tuple
+            assert Graph(g.n, g.adj) == g
+
     @pytest.mark.parametrize("forbid", ["K3", "C4", "C5", "P4", "P5", "C6", "K4", "K1,3"])
     def test_max_cycles_matches_reference_enumeration(self, forbid):
         h = _forbidden(forbid)
@@ -249,6 +275,15 @@ class TestVerifySuites:
         a = verify_turan_dominance(6, 2, sample_subgraphs=30, seed=9)
         b = verify_turan_dominance(6, 2, sample_subgraphs=30, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 17, 2024])
+    def test_turan_dominance_matches_reference(self, seed):
+        # n = 11 counts its samples with the numpy kernel, n <= 10 with the dict DP
+        for n in range(1, 12):
+            for k in range(1, min(n, 4) + 1):
+                for samples in (0, 1, 50):
+                    expected = reference_turan_dominance(n, k, samples, seed)
+                    assert verify_turan_dominance(n, k, samples, seed) == expected, (n, k, samples)
 
     def test_turan_dominance_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="sample_subgraphs"):
