@@ -14,34 +14,59 @@ Smirnov/Carlitz-word technique of Flajolet & Sedgewick, *Analytic
 Combinatorics*, Ex. III.24: cutting a word into J monochrome blocks with sign
 (-1)^(n-J) leaves exactly the words with no equal neighbours.  The c copies of
 one letter form j blocks in C(c-1, j-1) ways, so a letter class has the
-exponential generating function (EGF) with integer coefficients
-``e_j = C(c-1, j-1)``, j = 1..c, and the block sequences of a content are the
-exponential convolution ``(a*b)_J = sum_i C(J, i) a_i b_(J-i)`` of its
-classes' EGFs.  Every value is a Python int; nothing is rational or a float.
+exponential generating function (EGF) ``sum_j C(c-1, j-1) t^j / j!``, and
+the block sequences of a content are the product of its classes' EGFs.
+Scaled by c!, a class's EGF is an ordinary polynomial with integer
+coefficients ``C(c-1, j-1) c!/j!``, j = 1..c.  So with p the ordinary
+product of the scaled class polynomials and S the product of the scales,
+the EGF coefficient of J blocks is ``e_J = J! p_J / S``.  Every value is a
+Python int; nothing is rational or a float.
 
 - **Cyclic word count.**  A cycle of n positions cut into J blocks in a given
-  cyclic order admits n / J placements, so with e the product EGF,
-  ``W = n * sum_J (-1)^(n-J) e_J / J``, evaluated as an integer sum scaled by
-  n!.  A one-letter content has no such word and gives 0.
+  cyclic order admits n / J placements, so
+  ``W = n * sum_J (-1)^(n-J) e_J / J = n * sum_J (-1)^(n-J) (J-1)! p_J / S``.
+  A one-letter content has no such word and gives 0.
 - **Rooted count** (w_1 = letter i, w_2 = letter j).  Dropping one i and one
   j leaves a linear word on m letters whose first letter is not j and whose
   last is not i.  With B the EGF product of the other classes and E' the EGF
   shifted left by one (its derivative, which marks the first or last block),
   ``R = sum_J (-1)^(m-J) ((B E_i E_j)_J - (B E_i E_j')_(J-1)
   - (B E_i' E_j)_(J-1) + (B E_i' E_j')_(J-2))``.  Shifting the index folds
-  the four terms into one product with ``E + E'``, whose coefficients for a
-  class of d copies are ``C(d, t)``, t = 0..d.  No division is involved; m = 0
-  gives 1.
+  the four terms into one product with ``E + E'``, whose EGF coefficients for
+  a class of d copies are ``C(d, t)``, t = 0..d; scaled by d! they are the
+  integers ``C(d, t) d!/t!``.  So ``R = sum_J (-1)^(m-J) J! p_J / S``, with
+  the two rooted scales d! in S; m = 0 gives 1.
 - **Spectrum.**  A length-r cycle picks a_i vertices of each class and a
   Hamilton cycle on them, so one bivariate product
   ``prod_i sum_a C(c_i, a) a! E_a(t) u^a`` holds, at u^r, the summed EGFs of
-  every sub-content of size r with its vertex choices and orderings.  The
-  cyclic closure of that coefficient counts them all, except that each
-  one-class sub-content contributes the closure ``W_1(r)`` of the lone EGF
-  E_r, which is not 0; those C(c_i, r) r! W_1(r) terms are subtracted and the
-  rest divided by 2r.
+  every sub-content of size r with its vertex choices and orderings.  Its
+  a! is the scale of E_a, so in ordinary form the factor is already integer,
+  ``C(c_i, a)`` times the scaled block polynomial of a copies, and the
+  closure ``r * sum_J (-1)^(r-J) (J-1)! p_J`` of the u^r row needs no
+  division.  It counts every sub-content, except that a one-class
+  sub-content closes to ``(-1)^(r+1)`` words, not 0; those
+  ``C(c_i, r) r! (-1)^(r+1)`` terms are subtracted and the rest divided by
+  2r.
 
-Every exact division (by n!, by 2r, by 2n) is checked and raises
+**Packed products.**  Every product is a product of big integers, by
+Kronecker substitution (D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009): a
+polynomial's coefficients go into byte slots of one fixed width in one int,
+lowest degree lowest, multiplying two such ints multiplies the polynomials,
+and the coefficients are read back slot by slot.  That is exact while no
+slot carries into the next.  Every coefficient is nonnegative and every
+factor F_i has a coefficient sum F_i(1) >= 1, so every coefficient of every
+partial product, and of every sum of them, is at most the coefficient sum
+``prod_i F_i(1)`` of the whole product; slots wide enough to hold that
+bound never carry.  A word count packs its class polynomials (equal ones
+once, raised to their number), multiplies them, unpacks once and applies
+the closure.  The spectrum fixes one slot width for the bivariate product up
+front and keeps one packed int per power of u; each class adds its factor
+by ``grown[r + a] += rows[r] * block[a]``, and each row is unpacked once at
+the end.  Packing the powers of u into the same int instead would pad every
+row to n + 1 slots.
+
+Every exact division (by S, by 2r, by 2n) is checked and raises
 ``ArithmeticError`` on a remainder.  Word counts are memoized on the
 canonical content (sorted counts, and the sorted counts of the two rooted
 letters after the drop) in one bounded cache.  The work is polynomial in n,
@@ -55,7 +80,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import groupby
+from math import comb, factorial, prod
+from operator import mul
 from typing import Sequence
 
 from .graphs import ClassVector, as_class_vector, falling_factorial
@@ -90,32 +117,67 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-def _class_egf(c: int) -> list[int]:
-    """Blocks of c copies of one letter: e_j = C(c-1, j-1); the empty class is 1."""
+# class sizes are at most the 64 vertices of a ClassVector, so the unbounded
+# caches below hold at most 65 entries each
+@lru_cache(maxsize=None)
+def _block_poly(c: int) -> tuple[int, ...]:
+    """Blocks of c copies of one letter as an ordinary polynomial scaled by
+    c!: ``C(c-1, j-1) c!/j!`` at t^j; the empty class is 1."""
     if c == 0:
-        return [1]
-    return [0] + [comb(c - 1, j - 1) for j in range(1, c + 1)]
+        return (1,)
+    scale = factorial(c)
+    return (0,) + tuple(comb(c - 1, j - 1) * (scale // factorial(j)) for j in range(1, c + 1))
 
 
-def _add_product(out: list[int], a: list[int], b: list[int]) -> None:
-    """out += the exponential convolution of a and b."""
-    for i, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b, i):
-                out[t] += comb(t, i) * x * y
+@lru_cache(maxsize=None)
+def _rooted_poly(d: int) -> tuple[int, ...]:
+    """The rooted factor ``E + E'`` of a letter with d copies left, scaled by
+    d!: ``C(d, j) d!/j!`` at t^j."""
+    scale = factorial(d)
+    return tuple(comb(d, j) * (scale // factorial(j)) for j in range(d + 1))
 
 
-def _egf_product(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    _add_product(out, a, b)
-    return out
+def _slot_width(bound: int) -> int:
+    """Bytes per packed slot that hold every integer from 0 to ``bound``."""
+    return (bound.bit_length() + 7) // 8
 
 
-def _cyclic_closure(e: list[int], n: int) -> int:
-    """n * sum_J (-1)^(n-J) e_J / J, for the block EGF e of an n-letter content."""
-    scale = factorial(n)
-    scaled = sum((-1) ** (n - j) * x * (scale // j) for j, x in enumerate(e) if j)
-    return _exact_div(n * scaled, scale, f"cyclic closure at n={n}")
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The nonnegative ``coeffs`` as one integer, ``width`` bytes per slot,
+    lowest degree in the lowest bytes."""
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in coeffs]), "little")
+
+
+def _unpack(packed: int, width: int, length: int) -> list[int]:
+    """The ``length`` slots of ``packed``, inverting :func:`_pack`."""
+    data = packed.to_bytes(width * length, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * length, width)]
+
+
+def _poly_product(polys: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of the product of polynomials with nonnegative integer
+    coefficients, none of them 0, multiplied as packed integers; a run of
+    equal polynomials is packed once and raised to its length.  Each factor's
+    coefficient sum is at least 1, so no coefficient of a partial product
+    exceeds the coefficient sum of the whole product, and slots that hold it
+    never carry into each other."""
+    width = _slot_width(prod(sum(p) for p in polys))
+    packed = 1
+    for p, run in groupby(polys):
+        packed *= _pack(p, width) ** len(list(run))
+    return _unpack(packed, width, sum(len(p) - 1 for p in polys) + 1)
+
+
+@lru_cache(maxsize=None)
+def _signed_factorials(n: int) -> tuple[int, ...]:
+    """(-1)^(n-j) j! for j = 0..n."""
+    return tuple((-1) ** (n - j) * factorial(j) for j in range(n + 1))
+
+
+def _cyclic_sum(p: Sequence[int], n: int) -> int:
+    """n * sum_J (-1)^(n-J) (J-1)! p_J: the cyclic closure of the scaled
+    block polynomial p of an n-letter content, times the scale."""
+    return n * sum(map(mul, _signed_factorials(n - 1), p[1:]))
 
 
 @lru_cache(maxsize=4096)
@@ -123,15 +185,20 @@ def _word_count(content: tuple[int, ...], rooted: tuple[int, int] | None) -> int
     """Cyclic word count of the sorted ``content``; with ``rooted=(d, d')``, the
     rooted count whose two prefix letters have d and d' copies left after the
     drop and the other letters have ``content``."""
-    e = [1]
-    for c in content:
-        e = _egf_product(e, _class_egf(c))
+    if rooted is None and len(content) == 1:
+        return 0
+    polys = [_block_poly(c) for c in content]
+    scale = prod(factorial(c) for c in content)
     if rooted is None:
-        return 0 if len(content) == 1 else _cyclic_closure(e, sum(content))
+        closed = _cyclic_sum(_poly_product(polys), sum(content))
+        return _exact_div(closed, scale, f"cyclic closure of {content}")
     for d in rooted:
-        e = _egf_product(e, [comb(d, t) for t in range(d + 1)])
-    m = len(e) - 1
-    return sum((-1) ** (m - j) * x for j, x in enumerate(e))
+        polys.append(_rooted_poly(d))
+        scale *= factorial(d)
+    p = _poly_product(polys)
+    m = len(p) - 1
+    closed = sum(map(mul, _signed_factorials(m), p))
+    return _exact_div(closed, scale, f"rooted closure of {content} with {rooted}")
 
 
 def _cyclic_word_count(parts: Sequence[int]) -> int:
@@ -212,26 +279,36 @@ def rooted_hamilton_permutations_general(
     return out * count
 
 
+@lru_cache(maxsize=None)
+def _spectrum_blocks(size: int) -> tuple[tuple[int, ...], ...]:
+    """A class of ``size`` vertices in the spectrum product: at u^a, the
+    a-vertex choices times the scaled block polynomial of a copies."""
+    return tuple(tuple(comb(size, a) * x for x in _block_poly(a)) for a in range(size + 1))
+
+
 def cycle_spectrum_multipartite(c: ClassVector | Sequence[int]) -> dict[int, int]:
     """Per-length cycle counts of the complete multipartite graph on classes c.
 
     ``rows[r]`` is the u^r coefficient of prod_i sum_a C(c_i, a) a! E_a(t) u^a,
-    a block EGF in t; its cyclic closure, less the one-class terms, is 2r
-    times the number of r-cycles.
+    a block polynomial in t packed into one integer; its cyclic closure, less
+    the one-class terms, is 2r times the number of r-cycles.
     """
     cv = as_class_vector(c)
-    rows = [[1]]
-    for size in cv.parts:
-        factor = [[comb(size, a) * factorial(a) * x for x in _class_egf(a)] for a in range(size + 1)]
-        grown = [[0] * (r + 1) for r in range(len(rows) + size)]
+    classes = [_spectrum_blocks(size) for size in cv.parts]
+    width = _slot_width(prod(sum(map(sum, blocks)) for blocks in classes))
+    rows = [1]
+    for blocks in classes:
+        packed = [_pack(block, width) for block in blocks]
+        grown = [0] * (len(rows) + len(packed) - 1)
         for r, row in enumerate(rows):
-            for a, block in enumerate(factor):
-                _add_product(grown[r + a], row, block)
+            for a, block in enumerate(packed):
+                grown[r + a] += row * block
         rows = grown
     spectrum: dict[int, int] = {}
     for r in range(3, cv.n + 1):
+        # a one-class sub-content of r vertices closes to (-1)^(r+1) words
         one_class = sum(comb(size, r) for size in cv.parts) * factorial(r)
-        closed = _cyclic_closure(rows[r], r) - one_class * _cyclic_closure(_class_egf(r), r)
+        closed = _cyclic_sum(_unpack(rows[r], width, r + 1), r) - (-1) ** (r + 1) * one_class
         count = _exact_div(closed, 2 * r, f"length-{r} closure for c={cv.parts}")
         if count:
             spectrum[r] = count

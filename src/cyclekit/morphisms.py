@@ -70,16 +70,23 @@ def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) 
             return hit
         hv = order[pos]
         candidates = g_all & ~used
-        for u in _bits(h.adj[hv]):
-            if image[u] >= 0:
-                candidates &= g.adj[image[u]]
+        placed = h.adj[hv]
+        while placed:
+            low = placed & -placed
+            placed ^= low
+            gu = image[low.bit_length() - 1]
+            if gu >= 0:
+                candidates &= g.adj[gu]
         if not hit and pos == h.n - 1:
             candidates &= 1 << require_vertex  # last slot must cover it
-        for gv in _bits(candidates):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            gv = low.bit_length() - 1
             if g_deg[gv] < h_deg[hv]:
                 continue
             image[hv] = gv
-            if extend(pos + 1, used | (1 << gv), hit or gv == require_vertex):
+            if extend(pos + 1, used | low, hit or gv == require_vertex):
                 return True
             image[hv] = -1
         return False
@@ -128,10 +135,10 @@ def canonical_orbits(
     generates Aut(g).
     """
     n = g.n
-    e = g.edge_count
-    if e == 0 or e == n * (n - 1) // 2:
-        return g, tuple(range(n)), (0,) * n, ()
     adj = g.adj
+    full = (1 << n) - 1
+    if not any(adj) or all(row | 1 << v == full for v, row in enumerate(adj)):
+        return g, tuple(range(n)), (0,) * n, ()
     colors = refinement_colors(g)
     class_of: dict[int, list[int]] = {}
     for v, c in enumerate(colors):

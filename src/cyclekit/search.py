@@ -122,16 +122,26 @@ def compositions_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _degree_sum(row: int, deg: list[int]) -> int:
+    """The sum of ``deg`` over the set bits of ``row``."""
+    total = 0
+    while row:
+        low = row & -row
+        row ^= low
+        total += deg[low.bit_length() - 1]
+    return total
+
+
 def _deletion_ties(adj: list[int], deg: list[int]) -> list[int] | None:
     """The vertices of minimum degree whose sum of neighbour degrees equals
     the last vertex's, when that sum is the least among them; else None.
     The last vertex must have the minimum degree."""
     m = len(adj) - 1
-    key = sum(deg[u] for u in _bits(adj[m]))
+    key = _degree_sum(adj[m], deg)
     ties = [m]
     for v in range(m):
         if deg[v] == deg[m]:
-            other = sum(deg[u] for u in _bits(adj[v]))
+            other = _degree_sum(adj[v], deg)
             if other < key:
                 return None
             if other == key:
@@ -508,7 +518,11 @@ def verify_turan_dominance(
         if sample_subgraphs and edges:
             for _ in range(sample_subgraphs):
                 mask = rng.randrange(1, 1 << len(edges))
-                drop = [edges[i] for i in _bits(mask)]
+                drop = []
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    drop.append(edges[low.bit_length() - 1])
                 sub_total = count_cycles(kg.without_edges(drop))
                 good = sub_total < t_total if n >= 5 else sub_total <= t_total
                 if not good:
@@ -569,16 +583,21 @@ def verify_rooted_move_inequality(n: int, k: int) -> VerifyReport:
     if k < 3:
         raise ValueError("k must be >= 3")
     report = VerifyReport(name="stepcount", params={"n": n, "k": k})
+    # every composition is a base once and the moved one of many others
+    rooted: dict[tuple[int, ...], int] = {}
+
+    def rooted_count(c: tuple[int, ...]) -> int:
+        if c not in rooted:
+            rooted[c] = rooted_hamilton_permutations_general(c, 1, 2)
+        return rooted[c]
+
     for comp in compositions_exact(n, k):
-        base: int | None = None
         for i in range(1, k + 1):
             for j in range(1, k + 1):
                 if i == j or comp[i - 1] > comp[j - 1] - 2:
                     continue
-                if base is None:
-                    base = rooted_hamilton_permutations_general(comp, 1, 2)
-                moved = _move(comp, i, j)
-                other = rooted_hamilton_permutations_general(moved, 1, 2)
+                base = rooted_count(comp)
+                other = rooted_count(_move(comp, i, j))
                 ci, cj = comp[i - 1], comp[j - 1]
                 ok = base * ci * (cj - 1) <= (ci + 1) * cj * other
                 report.cases.append(

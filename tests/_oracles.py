@@ -7,8 +7,10 @@ exceptions are reference implementations that the package once used and that
 its replacements must match bit for bit: :func:`reference_canonical_label`,
 the canonical labelling without twin pruning, :func:`reference_enumerate_graphs`,
 the twin augmentation with one dedup set per level, and the memoized
-cyclic-word DP with its sub-vector walk (``reference_*_word_count`` and
-:func:`reference_cycle_spectrum_multipartite`), the one-shot Monte Carlo
+cyclic-word DP with its sub-vector walk (``reference_*_word_count``,
+:func:`reference_cycle_spectrum_multipartite` and, for equal classes,
+:func:`reference_spectrum_equal_classes`), the ``stepcount`` suite without
+its memo (:func:`reference_rooted_move_inequality`), the one-shot Monte Carlo
 draw :func:`reference_estimate_hits`, the whole-array walk estimator
 :func:`reference_second_letter_share`, :func:`reference_cmd_verify`, the
 ``verify`` command with one branch per suite, and
@@ -35,7 +37,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cyclekit import bounds, search
-from cyclekit.analytic import cycle_spectrum_multipartite
+from cyclekit.analytic import cycle_spectrum_multipartite, rooted_hamilton_permutations_general
 from cyclekit.cli import CHECK_FAILED, USAGE_ERROR, VERIFY_NAMES, _build_config
 from cyclekit.graph_io import graph_to_graph6
 from cyclekit.counting import cycle_spectrum
@@ -536,6 +538,60 @@ def reference_cycle_spectrum_multipartite(parts: Sequence[int]) -> dict[int, int
 
     descend(0, 0, 1)
     return dict(sorted(spectrum.items()))
+
+
+def reference_spectrum_equal_classes(size: int, count: int) -> dict[int, int]:
+    """:func:`reference_cycle_spectrum_multipartite` for ``count`` classes of
+    ``size`` vertices, walking how many classes give a vertices each (a
+    product of binomials over the classes left) instead of all
+    (size + 1)^count sub-vectors, so K_64 and (2,) * 32 stay in reach."""
+    spectrum: dict[int, int] = {}
+
+    def descend(a: int, left: int, coeff: int, sub: tuple[int, ...]) -> None:
+        if a == 0:
+            chosen = sum(sub)
+            if chosen >= 3:
+                h = _reference_hamilton_sorted(tuple(sorted(sub)))
+                if h:
+                    spectrum[chosen] = spectrum.get(chosen, 0) + coeff * h
+            return
+        for taken in range(left + 1):
+            weight = comb(left, taken) * comb(size, a) ** taken
+            descend(a - 1, left - taken, coeff * weight, sub + (a,) * taken)
+
+    descend(size, count, 1, ())
+    return dict(sorted(spectrum.items()))
+
+
+def reference_rooted_move_inequality(n: int, k: int) -> search.VerifyReport:
+    """The ``stepcount`` suite recounting both rooted Hamilton counts of
+    every move, with no memo across moves."""
+    report = search.VerifyReport(name="stepcount", params={"n": n, "k": k})
+    for comp in search.compositions_exact(n, k):
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                if i == j or comp[i - 1] > comp[j - 1] - 2:
+                    continue
+                base = rooted_hamilton_permutations_general(comp, 1, 2)
+                moved = list(comp)
+                moved[i - 1] += 1
+                moved[j - 1] -= 1
+                other = rooted_hamilton_permutations_general(moved, 1, 2)
+                ci, cj = comp[i - 1], comp[j - 1]
+                ok = base * ci * (cj - 1) <= (ci + 1) * cj * other
+                report.cases.append(
+                    {
+                        "composition": list(comp),
+                        "move": [i, j],
+                        "lhs": str(base),
+                        "rhs_count": str(other),
+                        "ok": ok,
+                    }
+                )
+                if not ok:
+                    report.failures += 1
+    report.passed = report.failures == 0
+    return report
 
 
 def reference_estimate_hits(

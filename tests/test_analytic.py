@@ -1,9 +1,11 @@
 """Cyclic-word counting against enumeration, the subset DP, the former
-memoized word DP and closed forms."""
+memoized word DP and closed forms, and the packed polynomial product under
+it against a naive convolution."""
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,6 +38,7 @@ from _oracles import (
     reference_cycle_spectrum_multipartite,
     reference_cyclic_word_count,
     reference_rooted_word_count,
+    reference_spectrum_equal_classes,
 )
 
 
@@ -259,7 +262,108 @@ class TestClosedForms:
     def test_one_letter_closure_is_not_zero(self):
         # the spectrum subtracts these one-class terms; they alternate in sign
         for r in range(1, 12):
-            assert analytic._cyclic_closure(analytic._class_egf(r), r) == (-1) ** (r + 1)
+            closed = analytic._cyclic_sum(analytic._block_poly(r), r)
+            assert closed == (-1) ** (r + 1) * factorial(r)
+
+
+def _naive_product(polys):
+    out = [1]
+    for p in polys:
+        grown = [0] * (len(out) + len(p) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(p):
+                grown[i + j] += x * y
+        out = grown
+    return out
+
+
+class TestPackedProduct:
+    """Big-integer products of packed polynomials against a naive convolution."""
+
+    def test_seeded_products(self):
+        rng = random.Random(2009)
+        for _ in range(400):
+            polys = []
+            for _ in range(rng.randint(1, 6)):
+                bits = rng.choice((1, 8, 64, 300))
+                length = rng.randint(1, 9)  # length 1 is a constant
+                coeffs = [rng.getrandbits(bits) if rng.random() < 0.7 else 0 for _ in range(length)]
+                coeffs[rng.randrange(length)] |= 1  # no factor may be 0
+                polys.append(tuple(coeffs))
+            assert analytic._poly_product(polys) == _naive_product(polys), polys
+
+    @pytest.mark.parametrize(
+        "polys",
+        [
+            [(0, 255)],  # the one coefficient fills its byte
+            [(0, 15), (0, 17)],  # 255 from a product
+            [(2**64 - 1, 0, 0), (1,)],  # eight full bytes
+            [(1, 1)] * 8,  # coefficient sum 256: one bit past a byte
+            [(255, 1), (1, 0, 1)],  # sum 512 with a full-byte coefficient
+            [(7,)],
+        ],
+    )
+    def test_slot_width_boundaries(self, polys):
+        assert analytic._poly_product(polys) == _naive_product(polys)
+
+    def test_slot_width_is_the_bound_in_bytes(self):
+        assert analytic._slot_width(255) == 1
+        assert analytic._slot_width(256) == 2
+        assert analytic._slot_width(2**64 - 1) == 8
+        for width in (1, 3, 8):
+            top = 2 ** (8 * width) - 1
+            coeffs = [top, 0, 1, top]
+            assert analytic._unpack(analytic._pack(coeffs, width), width, 4) == coeffs
+
+
+# n = 64 with few large classes, whose slots are the widest; seeded contents
+# keep to four classes so that the sub-vector walk stays small, and equal
+# classes go through the walk over how many classes give a vertices
+SHAPES_AT_64 = [(60, 4), (32, 32), (22, 21, 21)]
+EQUAL_CLASSES_AT_64 = [(1, 64), (2, 32)]
+
+
+def _seeded_contents():
+    rng = random.Random(64)
+    out = []
+    for _ in range(5):
+        k = rng.randint(2, 4)
+        n = rng.randint(40, 64)
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        out.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+    return out
+
+
+class TestAgainstReferenceUpTo64:
+    """Word counts, rooted counts and spectra up to n = 64 against the
+    memoized word DP and its sub-vector walk."""
+
+    @pytest.mark.parametrize(
+        "parts",
+        SHAPES_AT_64 + _seeded_contents() + [(size,) * count for size, count in EQUAL_CLASSES_AT_64],
+    )
+    def test_word_and_rooted_counts(self, parts):
+        assert code_cycle_count(parts) == reference_cyclic_word_count(parts)
+        k = len(parts)
+        pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+        for i, j in pairs[:6]:
+            spec = CodeClassSpec(content=parts, rooted=(i, j))
+            assert code_cycle_count(spec) == reference_rooted_word_count(parts, i, j), (i, j)
+
+    @pytest.mark.parametrize("parts", SHAPES_AT_64 + _seeded_contents())
+    def test_spectra(self, parts):
+        assert cycle_spectrum_multipartite(parts) == reference_cycle_spectrum_multipartite(parts)
+
+    @pytest.mark.parametrize("size, count", EQUAL_CLASSES_AT_64)
+    def test_spectra_of_equal_classes(self, size, count):
+        want = reference_spectrum_equal_classes(size, count)
+        assert cycle_spectrum_multipartite((size,) * count) == want
+
+    @pytest.mark.parametrize("size, count", [(1, 8), (2, 5), (3, 3), (5, 2)])
+    def test_equal_class_oracle_matches_the_sub_vector_walk(self, size, count):
+        parts = (size,) * count
+        want = reference_cycle_spectrum_multipartite(parts)
+        assert reference_spectrum_equal_classes(size, count) == want
 
 
 class TestDivisionChecks:
@@ -274,6 +378,32 @@ class TestDivisionChecks:
         monkeypatch.setattr(analytic, "_cyclic_word_count", lambda parts: 23)
         with pytest.raises(ArithmeticError):
             hamilton_multipartite((2, 2, 2))
+
+    def test_inexact_closure_raises(self, monkeypatch):
+        # one block too many at t^1 for the class of three copies leaves a
+        # remainder modulo the scale 3!^2 of the contents (3, 3)
+        block = analytic._block_poly(3)
+        bumped = (0, block[1] + 1) + block[2:]
+        monkeypatch.setattr(analytic, "_block_poly", lambda c: bumped)
+        for rooted in (None, (0, 1)):
+            with pytest.raises(ArithmeticError):
+                analytic._word_count.__wrapped__((3, 3), rooted)
+
+    def test_inexact_closure_raises_with_asserts_stripped(self):
+        code = (
+            "from cyclekit import analytic\n"
+            "block = analytic._block_poly(3)\n"
+            "analytic._block_poly = lambda c: (0, block[1] + 1) + block[2:]\n"
+            "for rooted in (None, (0, 1)):\n"
+            "    try:\n"
+            "        analytic._word_count.__wrapped__((3, 3), rooted)\n"
+            "    except ArithmeticError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(analytic.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
 
     def test_remainder_raises_with_asserts_stripped(self):
         code = (

@@ -33,6 +33,7 @@ from _oracles import (
     partitions_exact,
     random_graph,
     reference_enumerate_graphs,
+    reference_rooted_move_inequality,
     reference_turan_dominance,
 )
 
@@ -314,6 +315,11 @@ class TestVerifySuites:
     def test_move_inequality_sweep(self):
         for n in range(3, 13):
             assert verify_rooted_move_inequality(n, 3).passed, n
+
+    def test_move_inequality_memo_changes_no_report(self):
+        for k in (3, 4, 5):
+            for n in range(k, 17):
+                assert verify_rooted_move_inequality(n, k) == reference_rooted_move_inequality(n, k)
 
     def test_move_inequality_balanced_vacuous(self):
         rep = verify_rooted_move_inequality(3, 3)
