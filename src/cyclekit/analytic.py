@@ -69,7 +69,10 @@ row to n + 1 slots.
 Every exact division (by S, by 2r, by 2n) is checked and raises
 ``ArithmeticError`` on a remainder.  Word counts are memoized on the
 canonical content (sorted counts, and the sorted counts of the two rooted
-letters after the drop) in one bounded cache.  The work is polynomial in n,
+letters after the drop) in one bounded cache, sized so that no suite run
+evicts (``verify major --n-max 30 --k-max 5`` asks for 5,324 distinct
+contents, and every suite and ``analytic`` job of one benchmark ``sweep``
+pass together for about 7,400).  The work is polynomial in n,
 so the only size cap is the 64 vertices of a ``ClassVector``.
 
 Class indices are 1-based throughout this module, matching the alphabet.
@@ -180,7 +183,7 @@ def _cyclic_sum(p: Sequence[int], n: int) -> int:
     return n * sum(map(mul, _signed_factorials(n - 1), p[1:]))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=8192)
 def _word_count(content: tuple[int, ...], rooted: tuple[int, int] | None) -> int:
     """Cyclic word count of the sorted ``content``; with ``rooted=(d, d')``, the
     rooted count whose two prefix letters have d and d' copies left after the

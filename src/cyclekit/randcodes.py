@@ -9,6 +9,14 @@ how calls are interleaved.
 letters and keeps only the running hit count, so its memory is bounded
 independently of the sample count.  A generator's draws are sequential in C
 order, so the chunked words are exactly those of one ``samples x n`` draw.
+A chunk is drawn as int32 (4 MB) when ``k + 1 < 2**31``: below a range of
+2^32 numpy fills int32 and int64 arrays from the same buffered 32-bit
+Lemire draws, so the words equal those of an int64 draw.  Each chunk is
+then narrowed to the least dtype that holds k and transposed, one
+contiguous row per position, and the events are tested by reductions over
+the positions, which numpy takes one contiguous row at a time: Q ANDs the
+n cyclic neighbour comparisons, P counts each letter of the content in a
+dtype that holds n, and QP tests the content only of the words in Q.
 :func:`estimate_second_letter_share` keeps O(k) numbers per walk instead of
 the walk itself.
 """
@@ -26,11 +34,15 @@ from .analytic import code_cycle_count, rooted_hamilton_permutations_general
 from .graphs import turan_class_sizes
 
 EVENTS = ("Q", "P", "QP")
-# Letters per chunk of draws in estimate_prob: 8 MB of int64 whatever n is.
+# Letters per chunk of draws in estimate_prob: 4 MB of int32 whatever n is.
 _CHUNK_LETTERS = 2**20
+# Largest k drawn as int32; words over larger alphabets are drawn as int64.
+_INT32_K_MAX = 2**31 - 2
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"the seed must be a nonnegative integer, got seed={seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
@@ -46,26 +58,38 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_LETTERS // n)
 
 
-def _in_q(words: np.ndarray) -> np.ndarray:
-    return np.all(words[:, 1:] != words[:, :-1], axis=1) & (words[:, 0] != words[:, -1])
+def _draw(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """The next ``rows`` words of the stream, as an ``n x rows`` array: one
+    contiguous row per position, in the least dtype that holds k."""
+    dtype = np.int32 if k <= _INT32_K_MAX else np.int64
+    words = rng.integers(1, k + 1, size=(rows, n), dtype=dtype)
+    return words.astype(np.min_scalar_type(k)).T.copy()
 
 
-def _has_content(words: np.ndarray, content: Sequence[int], k: int) -> np.ndarray:
-    ok = np.ones(words.shape[0], dtype=bool)
-    for letter in range(1, k + 1):
-        want = content[letter - 1] if letter <= len(content) else 0
-        ok &= (words == letter).sum(axis=1) == want
+def _in_q(w: np.ndarray) -> np.ndarray:
+    """Which columns of the position rows ``w`` are cyclically
+    adjacent-distinct words."""
+    return np.all(w[1:] != w[:-1], axis=0) & (w[0] != w[-1])
+
+
+def _has_content(w: np.ndarray, content: Sequence[int]) -> np.ndarray:
+    """Which columns of the position rows ``w`` have letter content
+    ``content`` (zero-padded).  The parts sum to n, so a word in which every
+    letter with a positive part has its count has no other letter."""
+    ok = np.ones(w.shape[1], dtype=bool)
+    dtype = np.min_scalar_type(len(w))
+    for letter, want in enumerate(content, start=1):
+        if want:
+            ok &= (w == letter).sum(axis=0, dtype=dtype) == want
     return ok
 
 
-def _hits(words: np.ndarray, event: str, content: Sequence[int] | None, k: int) -> int:
+def _hits(w: np.ndarray, event: str, content: Sequence[int] | None) -> int:
     if event == "Q":
-        mask = _in_q(words)
-    elif event == "P":
-        mask = _has_content(words, content, k)
-    else:
-        mask = _in_q(words) & _has_content(words, content, k)
-    return int(mask.sum())
+        return int(np.count_nonzero(_in_q(w)))
+    if event == "QP":
+        w = w[:, _in_q(w)]
+    return int(np.count_nonzero(_has_content(w, content)))
 
 
 def _check_event(n: int, k: int, event: str, content: Sequence[int] | None) -> None:
@@ -107,7 +131,7 @@ def estimate_prob(
     hits = 0
     for start in range(0, samples, rows):
         # passed straight in, so a chunk is freed before the next is drawn
-        hits += _hits(rng.integers(1, k + 1, size=(min(rows, samples - start), n)), event, content, k)
+        hits += _hits(_draw(rng, min(rows, samples - start), n, k), event, content)
     p = hits / samples
     return ProbEstimate(
         estimate=p, stderr=sqrt(p * (1 - p) / samples), hits=hits, samples=samples

@@ -473,6 +473,12 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert "at least one letter" in err
 
+    def test_negative_seed_names_the_seed(self, capsys):
+        # used to exit 2 with numpy's bare "expected non-negative integer"
+        code, out, err = run(capsys, "estimate", "--n", "4", "--k", "2", "--event", "Q", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: the seed must be a nonnegative integer, got seed=-1\n"
+
     def test_deterministic_output(self, capsys):
         args = (
             "estimate", "--n", "5", "--k", "3", "--event", "Q",

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cyclekit.analytic import code_cycle_count, prob_Q_given_P
 from cyclekit.graphs import turan_class_sizes
 from cyclekit.randcodes import (
+    _INT32_K_MAX,
+    EVENTS,
     _chunk_rows,
+    _draw,
+    _rng,
     estimate_prob,
     estimate_second_letter_share,
     exact_prob,
@@ -80,10 +86,39 @@ class TestEstimates:
             with pytest.raises(ValueError, match="at least one letter"):
                 call()
 
+    def test_negative_seed_is_named(self):
+        for call in (lambda: estimate_prob(4, 2, "Q", 10, -1), lambda: estimate_second_letter_share(6, 3, 10, -1)):
+            with pytest.raises(ValueError, match="seed=-1"):
+                call()
+
     def test_one_letter_alphabet(self):
         assert estimate_prob(1, 1, "Q", 10, 0).hits == 0 == exact_prob(1, 1, "Q")
         assert estimate_prob(3, 1, "P", 10, 0, content=(3,)).hits == 10
         assert exact_prob(3, 1, "P", (3,)) == 1
+
+
+def _content(n: int, k: int) -> tuple[int, ...]:
+    """A content of n letters over at most k of them, balanced over
+    min(n, k) letters; it leaves letters without copies when n < k."""
+    return turan_class_sizes(n, min(n, k))
+
+
+def _counter_hits(n, k, event, samples, seed, content):
+    """Hits counted word by word from one int64 draw, for alphabets too
+    large for the oracle, which pads the content to k parts."""
+    words = _rng(seed).integers(1, k + 1, size=(samples, n)).tolist()
+    want = Counter({letter: c for letter, c in enumerate(content, start=1) if c})
+    hits = 0
+    for w in words:
+        in_q = all(w[j] != w[j - 1] for j in range(n))
+        has = Counter(w) == want
+        hits += {"Q": in_q, "P": has, "QP": in_q and has}[event]
+    return hits
+
+
+# the edges of the letter dtypes (uint8 up to 255, uint16, the int32 draw)
+SMALL_K = [1, 2, 127, 128, 255, 256, 300]
+HUGE_K = [_INT32_K_MAX, _INT32_K_MAX + 1, 2**31, 2**40]
 
 
 class TestChunkedDraws:
@@ -94,14 +129,63 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
     def test_hits_equal_one_draw(self, k, samples):
         content = turan_class_sizes(self.N, k)
-        for event in ("Q", "P", "QP"):
+        for event in EVENTS:
             est = estimate_prob(self.N, k, event, samples, k, content=content)
             assert est.hits == reference_estimate_hits(self.N, k, event, samples, k, content)
 
+    # n = 256 is the first length whose letter counts pass a uint8
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 130, 256])
+    @pytest.mark.parametrize("k", SMALL_K)
+    def test_every_event_and_dtype_equal_one_draw(self, n, k):
+        content = _content(n, k)
+        for event in EVENTS:
+            est = estimate_prob(n, k, event, 500, n + k, content=content)
+            assert est.hits == reference_estimate_hits(n, k, event, 500, n + k, content), event
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 3), (130, 300), (256, 2)])
+    def test_chunk_boundaries_across_lengths(self, n, k):
+        rows = _chunk_rows(n)
+        content = _content(n, k)
+        for samples in (rows, rows + 1):
+            for event in EVENTS:
+                est = estimate_prob(n, k, event, samples, 5, content=content)
+                assert est.hits == reference_estimate_hits(n, k, event, samples, 5, content), (event, samples)
+
+    @pytest.mark.parametrize("n, k, content", [(1, 1, (1,)), (2, 2, (1, 1)), (130, 2, (65, 65)), (256, 2, (128, 128))])
+    def test_content_hits_are_counted(self, n, k, content):
+        # contents likely enough that the P hits are not 0
+        est = estimate_prob(n, k, "P", 2_000, 3, content=content)
+        assert est.hits == reference_estimate_hits(n, k, "P", 2_000, 3, content) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("k", HUGE_K)
+    def test_huge_alphabets(self, n, k):
+        # the oracle pads the content to k parts, so it cannot take these
+        content = _content(n, k)
+        for event in EVENTS:
+            est = estimate_prob(n, k, event, 2_000, 8, content=content)
+            assert est.hits == _counter_hits(n, k, event, 2_000, 8, content), event
+
+    def test_int32_draws_equal_int64_draws(self):
+        # the int32 fill takes the same 32-bit draws as the int64 fill
+        powers = [2**j + d for j in range(6, 31) for d in (-1, 0, 1)]
+        for k in [*range(1, 40), *powers, _INT32_K_MAX - 1, _INT32_K_MAX]:
+            words = _rng(k).integers(1, k + 1, size=(300, 7), dtype=np.int32)
+            assert np.array_equal(words, _rng(k).integers(1, k + 1, size=(300, 7))), k
+
+    @pytest.mark.parametrize("k", [1, 3, 255, 256, *HUGE_K])
+    def test_draw_is_the_transposed_stream(self, k):
+        rng = _rng(4)
+        first, second = _draw(rng, 50, 6, k), _draw(rng, 30, 6, k)
+        whole = _rng(4).integers(1, k + 1, size=(80, 6))
+        assert first.flags.c_contiguous and first.shape == (6, 50)
+        assert np.array_equal(np.concatenate([first, second], axis=1), whole.T)
+
     def test_memory_does_not_grow_with_samples(self):
         # one draw of 2*10^6 words of 12 letters held 2 x 192 MB; one 8 MB
-        # chunk and its masks take 9.8 MiB, and 16.8 MiB when the previous
-        # chunk was still alive during the next draw
+        # int64 chunk and its masks took 9.8 MiB, and 16.8 MiB when the
+        # previous chunk was still alive during the next draw; one 4 MB
+        # int32 chunk, its narrowed copies and the masks take 6.7 MiB
         tracemalloc.start()
         try:
             estimate_prob(12, 3, "Q", 2_000_000, 0)
