@@ -15,21 +15,14 @@ from .graphs import (
     turan_edge_count,
     turan_graph,
 )
-from .counting import (
-    count_cycles,
-    count_hamilton,
-    count_paths,
-    count_regular_and_irregular_cycles,
-    cycle_spectrum,
-)
+from .counting import count_cycles, count_paths_from, cycle_spectrum
 from .analytic import (
-    CodeClassSpec,
     bipartite_cycle_counts,
     code_cycle_count,
     cycle_spectrum_multipartite,
     hamilton_multipartite,
     prob_Q_given_P,
-    rooted_hamilton_permutations,
+    rooted_hamilton_permutations_general,
 )
 from .morphisms import canonical_label, contains_subgraph, is_isomorphic
 
@@ -37,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassVector",
-    "CodeClassSpec",
     "Graph",
     "PartitionInfo",
     "best_k_partition",
@@ -48,9 +40,7 @@ __all__ = [
     "complete_multipartite",
     "contains_subgraph",
     "count_cycles",
-    "count_hamilton",
-    "count_paths",
-    "count_regular_and_irregular_cycles",
+    "count_paths_from",
     "cycle_spectrum",
     "cycle_spectrum_multipartite",
     "hamilton_multipartite",
@@ -58,7 +48,7 @@ __all__ = [
     "is_isomorphic",
     "make_graph",
     "prob_Q_given_P",
-    "rooted_hamilton_permutations",
+    "rooted_hamilton_permutations_general",
     "turan_class_sizes",
     "turan_edge_count",
     "turan_graph",

@@ -80,37 +80,14 @@ Class indices are 1-based throughout this module, matching the alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from operator import mul
 from typing import Sequence
 
-from .graphs import ClassVector, as_class_vector, falling_factorial
-
-
-@dataclass(frozen=True)
-class CodeClassSpec:
-    """Letter content (class sizes) plus an optional rooted prefix.
-
-    ``rooted=(i, j)`` restricts to words starting with letter i followed by
-    letter j; both 1-based, i != j, and both letters must occur.
-    """
-
-    content: tuple[int, ...]
-    rooted: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        as_class_vector(self.content)
-        if self.rooted is not None:
-            i, j = self.rooted
-            k = len(self.content)
-            if not (1 <= i <= k and 1 <= j <= k):
-                raise ValueError("rooted letters out of range")
-            if i == j:
-                raise ValueError("rooted letters must differ")
+from .graphs import ClassVector, as_class_vector
 
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -211,6 +188,8 @@ def _cyclic_word_count(parts: Sequence[int]) -> int:
 
 def _rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
     """Cyclic words as above with first letter i and second letter j (1-based)."""
+    if not (1 <= i <= len(parts) and 1 <= j <= len(parts)):
+        raise ValueError("rooted letters out of range")
     if i == j:
         raise ValueError("rooted letters must differ")
     ci, cj = parts[i - 1], parts[j - 1]
@@ -222,14 +201,16 @@ def _rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
     return _word_count(rest, tuple(sorted((ci - 1, cj - 1))))
 
 
-def code_cycle_count(spec: CodeClassSpec | ClassVector | Sequence[int]) -> int:
-    """Exact number of cyclically adjacent-distinct words with given content,
-    honoring the rooted prefix when present."""
-    if isinstance(spec, CodeClassSpec):
-        if spec.rooted is None:
-            return _cyclic_word_count(spec.content)
-        return _rooted_word_count(spec.content, *spec.rooted)
-    return _cyclic_word_count(as_class_vector(spec).parts)
+def code_cycle_count(
+    parts: ClassVector | Sequence[int], rooted: tuple[int, int] | None = None
+) -> int:
+    """Exact number of cyclically adjacent-distinct words with letter content
+    ``parts``; with ``rooted=(i, j)`` (1-based, i != j), only the words whose
+    first letter is i and second letter is j."""
+    cv = as_class_vector(parts)
+    if rooted is None:
+        return _cyclic_word_count(cv.parts)
+    return _rooted_word_count(cv.parts, *rooted)
 
 
 def prob_Q_given_P(c: ClassVector | Sequence[int]) -> Fraction:
@@ -254,26 +235,17 @@ def hamilton_multipartite(c: ClassVector | Sequence[int]) -> int:
     return _exact_div(numerator, 2 * n, f"word count times class orderings for c={cv.parts}")
 
 
-def rooted_hamilton_permutations(c: ClassVector | Sequence[int], j: int) -> int:
+def rooted_hamilton_permutations_general(
+    c: ClassVector | Sequence[int], i: int, j: int
+) -> int:
     """Orderings v_1..v_n forming a Hamilton cycle with v_1 a fixed vertex of
-    class 1 and v_2 in class j (1-based, j != 1).
+    class i and v_2 in class j (1-based, i != j).
 
     These are orderings, not cycles: the two traversal directions of one cycle
     are both counted when their second vertex lies in class j, so summing over
     j gives twice the rooted cycle count.
     """
-    if j == 1:
-        raise ValueError("second class must differ from the root class 1")
-    return rooted_hamilton_permutations_general(c, 1, j)
-
-
-def rooted_hamilton_permutations_general(
-    c: ClassVector | Sequence[int], i: int, j: int
-) -> int:
-    """Same as :func:`rooted_hamilton_permutations` with the root in class i."""
     cv = as_class_vector(c)
-    if not (1 <= i <= cv.k and 1 <= j <= cv.k):
-        raise ValueError("class index out of range")
     count = _rooted_word_count(cv.parts, i, j)
     out = factorial(cv.parts[i - 1] - 1)
     for idx, ci in enumerate(cv.parts):
@@ -323,7 +295,7 @@ def bipartite_cycle_counts(n: int) -> tuple[dict[int, int], int]:
     vertices, plus its total.
 
     A cycle of length 2r picks and orders r vertices on each side:
-    falling(t, r) * falling(t', r) / (2r) cycles with t = floor(n/2),
+    perm(t, r) * perm(t', r) / (2r) cycles with t = floor(n/2),
     t' = ceil(n/2).
     """
     if n < 4:
@@ -331,6 +303,6 @@ def bipartite_cycle_counts(n: int) -> tuple[dict[int, int], int]:
     t, t_up = n // 2, (n + 1) // 2
     spectrum: dict[int, int] = {}
     for r in range(2, t + 1):
-        num = falling_factorial(t, r) * falling_factorial(t_up, r)
+        num = perm(t, r) * perm(t_up, r)
         spectrum[2 * r] = _exact_div(num, 2 * r, f"falling-factorial product at n={n}, r={r}")
     return spectrum, sum(spectrum.values())

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 import mpmath as mp
 
@@ -22,7 +22,7 @@ from .analytic import (
     cycle_spectrum_multipartite,
     hamilton_multipartite,
 )
-from .graphs import falling_factorial, turan_class_sizes, turan_edge_count
+from .graphs import turan_class_sizes, turan_edge_count
 from .search import VerifyReport
 
 WORK_DPS = 60
@@ -48,19 +48,13 @@ def _bipartite_top_and_total(n: int) -> tuple[int, int]:
     return spectrum[2 * (n // 2)], total
 
 
-def _ln(value) -> float | None:
-    """Natural log as a float, exact-input safe for huge ints and Fractions."""
+def _ln(value: int | Fraction) -> float | None:
+    """Natural log as a float, exact-input safe for huge ints and Fractions
+    (an int is its own numerator over 1, and ln 1 is exactly 0)."""
+    if value <= 0:
+        return None
     with mp.workdps(WORK_DPS):
-        if isinstance(value, Fraction):
-            if value <= 0:
-                return None
-            return float(mp.log(mp.mpf(value.numerator)) - mp.log(mp.mpf(value.denominator)))
-        if isinstance(value, int):
-            if value <= 0:
-                return None
-            return float(mp.log(mp.mpf(value)))
-        v = mp.mpf(value)
-        return float(mp.log(v)) if v > 0 else None
+        return float(mp.log(mp.mpf(value.numerator)) - mp.log(mp.mpf(value.denominator)))
 
 
 @lru_cache(maxsize=64)
@@ -295,7 +289,7 @@ def check_recursion(n: int, k: int, i: int) -> BoundReport:
         raise ValueError("need i >= 0 and n - i >= 3")
     lhs = _balanced_hamilton(n, k)
     rhs = Fraction(
-        falling_factorial(n - 1, i) * (k - 2) ** i * _balanced_hamilton(n - i, k),
+        perm(n - 1, i) * (k - 2) ** i * _balanced_hamilton(n - i, k),
         k**i,
     )
     return BoundReport(

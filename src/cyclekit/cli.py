@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
-from .counting import cycle_spectrum, spectrum_to_csv
+from .counting import DEFAULT_CYCLE_CAP, cycle_spectrum, spectrum_to_csv
 from .graphs import Graph, chromatic_number, complete_multipartite, has_critical_edge, turan_graph
 from .graph_io import (
     GraphFormatError,
@@ -38,7 +38,7 @@ FORMATS = ("table", "json", "csv")
 
 @dataclass(frozen=True)
 class Suite:
-    """One ``verify`` suite.  ``reports(args, k_values, seed)`` yields its
+    """One ``verify`` suite.  ``reports(args, k_values)`` yields its
     reports over the parsed ranges; ``k_min`` is the least k it accepts (and
     where the default k range starts), ``n_cap`` the largest ``--n-max``, and
     a failed check of an ``asserted`` suite exits 1.  A sweep's table form
@@ -48,50 +48,42 @@ class Suite:
 
     k_min: int
     asserted: bool
-    reports: Callable[[argparse.Namespace, Sequence[int], int], Iterator]
+    reports: Callable[[argparse.Namespace, Sequence[int]], Iterator]
     n_cap: int | None = None
     violation: str | None = None
     summary: str | None = None
 
 
 SUITES: dict[str, Suite] = {
-    "turanbest": Suite(2, True, lambda a, ks, seed: (
-        search.verify_turan_dominance(n, k, a.samples, seed) for k in ks for n in range(max(3, k), a.n_max + 1))),
-    "major": Suite(2, True, lambda a, ks, seed: (
+    "turanbest": Suite(2, True, lambda a, ks: (
+        search.verify_turan_dominance(n, k, a.samples, a.seed) for k in ks for n in range(max(3, k), a.n_max + 1))),
+    "major": Suite(2, True, lambda a, ks: (
         search.verify_balanced_code_probability(n, k) for k in ks for n in range(2, a.n_max + 1))),
-    "stepcount": Suite(3, True, lambda a, ks, seed: (
+    "stepcount": Suite(3, True, lambda a, ks: (
         search.verify_rooted_move_inequality(n, k) for k in ks for n in range(k, a.n_max + 1))),
-    "close": Suite(3, True, lambda a, ks, seed: (
+    "close": Suite(3, True, lambda a, ks: (
         search.verify_rooted_turan_envelope(n, k) for k in ks for n in range(k, a.n_max + 1))),
-    "turancount": Suite(3, False, lambda a, ks, seed: (
+    "turancount": Suite(3, False, lambda a, ks: (
         search.report_rooted_class_share(n, k) for k in ks for n in range(max(3, k), a.n_max + 1))),
-    "recursion": Suite(3, True, lambda a, ks, seed: (
+    "recursion": Suite(3, True, lambda a, ks: (
         bounds.check_recursion(n, k, i)
         for k in ks for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 3) + 1))),
-    "secondcount": Suite(3, True, lambda a, ks, seed: (
+    "secondcount": Suite(3, True, lambda a, ks: (
         bounds.check_total_to_hamilton(n, k) for k in ks for n in range(3, a.n_max + 1))),
-    "second2count": Suite(3, True, lambda a, ks, seed: (
+    "second2count": Suite(3, True, lambda a, ks: (
         bounds.check_bipartite_decay(n, i) for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 4) + 1))),
     # k = 2 is the bipartite ratio, reported before every k >= 3
-    "kkmain": Suite(3, False, lambda a, ks, seed: (
+    "kkmain": Suite(3, False, lambda a, ks: (
         bounds.report_asymptotic_ratio(n, k) for k in (2, *ks) for n in range(4, a.n_max + 1))),
     "ref3count": Suite(
         3, True,
-        lambda a, ks, seed: (bounds.verify_path_bound(n, a.n0) for n in range(a.n0 + 1, a.n_max + 1)),
+        lambda a, ks: (bounds.verify_path_bound(n, a.n0) for n in range(a.n0 + 1, a.n_max + 1)),
         n_cap=bounds.PATH_BOUND_CAP,
         violation="ref3count n={n} m={m}: VIOLATED",
         summary="ref3count: structured <= exhaustive sweep done, {failures} failures",
     ),
 }
 VERIFY_NAMES = tuple(SUITES)
-
-
-@dataclass
-class RunConfig:
-    output_format: str = "table"
-    cache_dir: Path | None = None
-    seed: int = 0
-    cycle_cap: int = 24
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -103,28 +95,28 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config lines must be key=value: {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("format", "seed", "cache_dir"):
+            raise ValueError(f"unknown config key {key!r}; known keys are format, seed, cache_dir")
+        out[key] = value.strip()
     return out
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_conf: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_conf = _load_config_file(args.config)
-    env_cache = os.environ.get("CYCLEKIT_CACHE_DIR")
-    cache = getattr(args, "cache_dir", None) or file_conf.get("cache_dir") or env_cache
-    cfg.cache_dir = Path(cache) if cache else None
-    cfg.output_format = getattr(args, "format", None) or file_conf.get("format", "table")
-    if cfg.output_format not in FORMATS:
-        raise ValueError(f"format must be one of {', '.join(FORMATS)}, not {cfg.output_format!r}")
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(file_conf.get("seed", 0))
-    cfg.seed = seed
-    if getattr(args, "cycle_cap", None) is not None:
-        cfg.cycle_cap = args.cycle_cap
-    return cfg
+def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill in ``args.format``, and ``args.seed`` and ``args.cache_dir`` where
+    the command takes them, when their flags are unset: from the ``--config``
+    file, then (``cache_dir`` only) from ``CYCLEKIT_CACHE_DIR``, then the
+    default.  A key of the file that the command does not take is ignored."""
+    conf = _load_config_file(args.config) if args.config else {}
+    args.format = args.format or conf.get("format", "table")
+    if args.format not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, not {args.format!r}")
+    if "seed" in args and args.seed is None:
+        args.seed = int(conf.get("seed", 0))
+    if "cache_dir" in args:
+        cache = args.cache_dir or conf.get("cache_dir") or os.environ.get("CYCLEKIT_CACHE_DIR")
+        args.cache_dir = Path(cache) if cache else None
+    return args
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
@@ -165,12 +157,11 @@ def _input_graphs(args: argparse.Namespace) -> list[Graph]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
     for g in _input_graphs(args):
-        spectrum = cycle_spectrum(g, max_n=cfg.cycle_cap)
+        spectrum = cycle_spectrum(g, max_n=args.cycle_cap)
         total = sum(spectrum.values())
         ham = spectrum.get(g.n, 0)
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(
                 json.dumps(
                     {
@@ -184,7 +175,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                     sort_keys=True,
                 )
             )
-        elif cfg.output_format == "csv":
+        elif args.format == "csv":
             sys.stdout.write(spectrum_to_csv(spectrum))
         else:
             print(f"graph: n={g.n}, edges={g.edge_count}, graph6={graph_to_graph6(g)}")
@@ -196,7 +187,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
     parts = _parse_parts(args.parts)
     n = sum(parts)
     prob = analytic.prob_Q_given_P(parts)
@@ -214,13 +204,12 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         }
     if args.rooted:
         i, j = (int(t) for t in args.rooted.split(","))
-        spec = analytic.CodeClassSpec(content=parts, rooted=(i, j))
         out["rooted"] = [i, j]
-        out["rooted_code_count"] = analytic.code_cycle_count(spec)
+        out["rooted_code_count"] = analytic.code_cycle_count(parts, rooted=(i, j))
         out["rooted_permutations"] = analytic.rooted_hamilton_permutations_general(
             parts, i, j
         )
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(out, sort_keys=True))
     else:
         for key in sorted(out):
@@ -252,8 +241,7 @@ def _emit(report: search.VerifyReport | bounds.BoundReport, fmt: str, violation:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    name, fmt = args.lemma, cfg.output_format
+    name, fmt = args.lemma, args.format
     suite = SUITES.get(name)
     if suite is None:
         print(f"unknown lemma identifier {name!r}; choose from {', '.join(VERIFY_NAMES)}", file=sys.stderr)
@@ -263,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if suite.n_cap is not None and args.n_max > suite.n_cap:
         raise ValueError(f"verify {name} is capped at --n-max {suite.n_cap}, got {args.n_max}")
     k_values = [args.k] if args.k is not None else range(suite.k_min, args.k_max + 1)
-    reports = suite.reports(args, k_values, cfg.seed)
+    reports = suite.reports(args, k_values)
     first = next(reports, None)
     if first is None:
         raise ValueError(f"verify {name}: the given ranges hold no case")
@@ -279,7 +267,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
     try:
         forbid = parse_graph_argument(args.forbid)
     except GraphFormatError as exc:
@@ -293,14 +280,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         args.n,
         forbid,
         forbid_label=args.forbid,
-        cache_dir=cfg.cache_dir,
+        cache_dir=args.cache_dir,
     )
     out = result.to_dict()
     out["forbidden_chi"] = chi
     out["forbidden_has_critical_edge"] = critical
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(out, sort_keys=True))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("n,forbidden,max_cycles,unique,graphs_examined,elapsed,from_cache,extremal")
         print(
             f"{result.n},{result.forbidden},{result.max_cycles},{str(result.unique).lower()},"
@@ -318,10 +305,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
     content = _parse_parts(args.content) if args.content else None
     est = randcodes.estimate_prob(
-        args.n, args.k, args.event, args.samples, cfg.seed, content=content
+        args.n, args.k, args.event, args.samples, args.seed, content=content
     )
     exact = randcodes.exact_prob(args.n, args.k, args.event, content)
     out = {
@@ -334,9 +320,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "samples": est.samples,
         "exact": f"{exact.numerator}/{exact.denominator}",
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(out, sort_keys=True))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("event,n,k,estimate,stderr,exact_value_if_known")
         print(
             f"{args.event},{args.n},{args.k},{est.estimate!r},{est.stderr!r},"
@@ -348,37 +334,32 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default=None)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclekit",
         description="Exact cycle counting and Turán-graph verification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes these; --seed and --cache-dir only where they are read
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=FORMATS, default=None)
+    common.add_argument("--config", default=None, help="key=value config file")
 
-    p_count = sub.add_parser("count", help="cycle spectrum of one or more graphs")
+    p_count = sub.add_parser("count", parents=[common], help="cycle spectrum of one or more graphs")
     p_count.add_argument("--graph6", default=None)
     p_count.add_argument("--graph6-file", default=None, help="file with one graph6 string per line")
     p_count.add_argument("--edge-list", default=None, help="file: first line n, then 'u v' lines")
     p_count.add_argument("--turan", nargs=2, type=int, metavar=("N", "K"), default=None)
     p_count.add_argument("--parts", default=None, help="complete multipartite class sizes, e.g. 2,2,2")
-    p_count.add_argument("--cycle-cap", type=int, default=None)
-    _add_common(p_count)
+    p_count.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP)
     p_count.set_defaults(func=cmd_count)
 
-    p_analytic = sub.add_parser("analytic", help="multipartite counts without building the graph")
+    p_analytic = sub.add_parser("analytic", parents=[common], help="multipartite counts without building the graph")
     p_analytic.add_argument("--parts", required=True)
     p_analytic.add_argument("--rooted", default=None, metavar="I,J")
-    _add_common(p_analytic)
     p_analytic.set_defaults(func=cmd_analytic)
 
-    p_verify = sub.add_parser("verify", help="run one verification suite")
+    p_verify = sub.add_parser("verify", parents=[common], help="run one verification suite")
     p_verify.add_argument("lemma")
     p_verify.add_argument("--n-max", type=int, default=10)
     p_verify.add_argument("--k", type=int, default=None)
@@ -386,22 +367,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--i-max", type=int, default=3)
     p_verify.add_argument("--n0", type=int, default=5)
     p_verify.add_argument("--samples", type=int, default=0)
-    _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_search = sub.add_parser("search", help="maximum cycles over H-free graphs")
+    p_search = sub.add_parser("search", parents=[common], help="maximum cycles over H-free graphs")
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--forbid", required=True, help="catalog name (K3, C5, ...) or graph6")
-    _add_common(p_search)
+    p_search.add_argument("--cache-dir", default=None, help="default: $CYCLEKIT_CACHE_DIR")
     p_search.set_defaults(func=cmd_search)
 
-    p_est = sub.add_parser("estimate", help="Monte Carlo word-event probabilities")
+    p_est = sub.add_parser("estimate", parents=[common], help="Monte Carlo word-event probabilities")
     p_est.add_argument("--n", type=int, required=True)
     p_est.add_argument("--k", type=int, required=True)
     p_est.add_argument("--event", choices=randcodes.EVENTS, required=True)
     p_est.add_argument("--samples", type=int, default=100000)
     p_est.add_argument("--content", default=None)
-    _add_common(p_est)
+    p_est.add_argument("--seed", type=int, default=None)
     p_est.set_defaults(func=cmd_estimate)
 
     return parser
@@ -420,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        code = args.func(args)
+        code = args.func(_apply_config(args))
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -132,7 +132,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, PartitionInfo, twin_classes
+from .graphs import Graph, twin_classes
 
 DEFAULT_CYCLE_CAP = 24
 
@@ -403,11 +403,6 @@ def count_cycles(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
     return sum(cycle_spectrum(g, max_n=max_n).values())
 
 
-def count_hamilton(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
-    """Number of Hamilton cycles (spanning cycles) in g."""
-    return cycle_spectrum(g, max_n=max_n).get(g.n, 0)
-
-
 def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int]:
     """Map y -> number of simple x-y paths with at least one edge, for y != x."""
     n = g.n
@@ -422,33 +417,6 @@ def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_CYCLE_CAP) -> dic
     _, ends = _layers(adj, [0])
     ends[0], ends[x] = ends[x], ends[0]
     return {y: c for y, c in enumerate(ends) if c}
-
-
-def count_paths(g: Graph, x: int, y: int, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
-    """Number of simple paths between distinct vertices x and y."""
-    if x == y:
-        raise ValueError("path endpoints must differ")
-    return count_paths_from(g, x, max_n=max_n).get(y, 0)
-
-
-def count_regular_and_irregular_cycles(
-    g: Graph, part: PartitionInfo, *, max_n: int = DEFAULT_CYCLE_CAP
-) -> tuple[int, int]:
-    """(cycles using only between-class edges, cycles using a within-class edge).
-
-    The partition must describe g exactly: every vertex assigned, and its
-    irregular edge list equal to the within-class edges of g.
-    """
-    if len(part.assignment) != g.n:
-        raise ValueError("partition does not assign every vertex")
-    derived = {
-        (u, v) for u, v in g.edges() if part.assignment[u] == part.assignment[v]
-    }
-    if derived != {tuple(sorted(e)) for e in part.irregular_edges}:
-        raise ValueError("partition irregular edges inconsistent with graph")
-    total = count_cycles(g, max_n=max_n)
-    regular_only = count_cycles(g.without_edges(derived), max_n=max_n)
-    return regular_only, total - regular_only
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in _bits(self.adj[u] >> (u + 1)):
@@ -99,9 +96,6 @@ class Graph:
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
         return Graph(self.n, _relabeled_rows(self.adj, perm))
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
 
 
 def _unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
@@ -183,10 +177,6 @@ class ClassVector:
     @property
     def k(self) -> int:
         return len(self.parts)
-
-    @classmethod
-    def balanced(cls, n: int, k: int) -> "ClassVector":
-        return cls(turan_class_sizes(n, k))
 
 
 def as_class_vector(c: "ClassVector | Sequence[int]") -> ClassVector:
@@ -375,10 +365,3 @@ def best_k_partition(g: Graph, k: int, *, exhaustive_cap: int = PARTITION_CAP) -
         raise RuntimeError("exhaustive partition search found no assignment")
     return _partition_info(g, best_assignment, certified=True)
 
-
-def falling_factorial(n: int, i: int) -> int:
-    """(n)_i = n (n-1) ... (n-i+1); equals 1 for i = 0."""
-    out = 1
-    for j in range(i):
-        out *= n - j
-    return out

@@ -229,11 +229,6 @@ def canonical_label(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return canon, perm
 
 
-def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    cg, _ = canonical_label(g)
-    return (cg.n, cg.adj)
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test: equal canonical forms."""
-    return g.n == h.n and g.edge_count == h.edge_count and canonical_key(g) == canonical_key(h)
+    return g.n == h.n and g.edge_count == h.edge_count and canonical_label(g)[0] == canonical_label(h)[0]

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 from cyclekit import bounds, search
 from cyclekit.analytic import cycle_spectrum_multipartite, rooted_hamilton_permutations_general
-from cyclekit.cli import CHECK_FAILED, USAGE_ERROR, VERIFY_NAMES, _build_config
+from cyclekit.cli import CHECK_FAILED, USAGE_ERROR, VERIFY_NAMES, _apply_config
 from cyclekit.graph_io import graph_to_graph6
 from cyclekit.counting import cycle_spectrum
 from cyclekit.graphs import Graph, _bits, make_graph, turan_class_sizes, turan_edge_count
@@ -738,12 +738,12 @@ def _emit_bound(report: bounds.BoundReport, fmt: str) -> None:
 
 
 def reference_cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _apply_config(args)
     name = args.lemma
     if name not in VERIFY_NAMES:
         print(f"unknown lemma identifier {name!r}; choose from {', '.join(VERIFY_NAMES)}", file=sys.stderr)
         return USAGE_ERROR
-    fmt = cfg.output_format
+    fmt = cfg.format
     n_max = args.n_max
     k_values = [args.k] if args.k else list(range(2 if name in ("turanbest", "major") else 3, args.k_max + 1))
     failures = 0

@@ -19,16 +19,14 @@ from hypothesis import strategies as st
 
 from cyclekit import analytic
 from cyclekit.analytic import (
-    CodeClassSpec,
     bipartite_cycle_counts,
     code_cycle_count,
     cycle_spectrum_multipartite,
     hamilton_multipartite,
     prob_Q_given_P,
-    rooted_hamilton_permutations,
     rooted_hamilton_permutations_general,
 )
-from cyclekit.counting import count_hamilton, cycle_spectrum
+from cyclekit.counting import cycle_spectrum
 from cyclekit.graphs import complete_multipartite, turan_class_sizes
 from cyclekit.search import compositions_exact, partitions_at_most
 
@@ -66,8 +64,7 @@ class TestCodeCounts:
                 for j in range(1, k + 1):
                     if i == j:
                         continue
-                    spec = CodeClassSpec(content=comp, rooted=(i, j))
-                    assert code_cycle_count(spec) == brute_code_count(comp, (i, j))
+                    assert code_cycle_count(comp, rooted=(i, j)) == brute_code_count(comp, (i, j))
 
     def test_cyclic_smirnov_total_identity(self):
         # summing over all contents must give (k-1)^n + (-1)^n (k-1)
@@ -94,10 +91,18 @@ class TestCodeCounts:
         assert code_cycle_count(tuple(arranged)) == code_cycle_count(tuple(comp))
 
     def test_rooted_validation(self):
-        with pytest.raises(ValueError):
-            CodeClassSpec(content=(2, 2), rooted=(1, 1))
-        with pytest.raises(ValueError):
-            CodeClassSpec(content=(2, 2), rooted=(0, 1))
+        with pytest.raises(ValueError, match="rooted letters must differ"):
+            code_cycle_count((2, 2), rooted=(1, 1))
+        for rooted in [(0, 1), (1, 3), (-1, 2)]:
+            with pytest.raises(ValueError, match="rooted letters out of range"):
+                code_cycle_count((2, 2), rooted=rooted)
+        with pytest.raises(ValueError, match="class sizes must be positive"):
+            code_cycle_count((2, 0, 2), rooted=(1, 3))
+
+    def test_rooted_letter_zero_is_not_the_last_letter(self):
+        # a 0 must not be read as parts[-1]
+        with pytest.raises(ValueError, match="rooted letters out of range"):
+            analytic._rooted_word_count((2, 2), 0, 1)
 
 
 class TestProbabilities:
@@ -124,7 +129,7 @@ class TestHamilton:
             for k in range(1, 5):
                 for comp in partitions_exact(total, k):
                     analytic = hamilton_multipartite(comp)
-                    direct = count_hamilton(complete_multipartite(comp))
+                    direct = cycle_spectrum(complete_multipartite(comp)).get(total, 0)
                     assert analytic == direct, comp
 
     def test_divisibility_self_check_never_fires(self):
@@ -139,8 +144,8 @@ class TestHamilton:
 
 class TestRootedPermutations:
     def test_single_vertices(self):
-        assert rooted_hamilton_permutations((1, 1, 1), 2) == 1
-        assert rooted_hamilton_permutations((1, 1, 1), 3) == 1
+        assert rooted_hamilton_permutations_general((1, 1, 1), 1, 2) == 1
+        assert rooted_hamilton_permutations_general((1, 1, 1), 1, 3) == 1
 
     def test_double_counting_identity(self):
         # summing over the second class gives twice the Hamilton count
@@ -150,7 +155,7 @@ class TestRootedPermutations:
                     continue
                 for arranged in set(permutations(comp)):
                     total_rooted = sum(
-                        rooted_hamilton_permutations(arranged, j)
+                        rooted_hamilton_permutations_general(arranged, 1, j)
                         for j in range(2, len(arranged) + 1)
                     )
                     assert total_rooted == 2 * hamilton_multipartite(arranged)
@@ -159,7 +164,7 @@ class TestRootedPermutations:
         # count orderings of the vertices of K_{2,2,2} directly
         comp = (2, 2, 2)
         g = complete_multipartite(comp)
-        want = rooted_hamilton_permutations(comp, 2)
+        want = rooted_hamilton_permutations_general(comp, 1, 2)
         count = 0
         # class 1 = vertices {0,1}, class 2 = {2,3}; root fixed at vertex 0
         for perm in permutations(range(1, 6)):
@@ -178,10 +183,12 @@ class TestRootedPermutations:
         ) == rooted_hamilton_permutations_general(moved, 2, 1)
 
     def test_rejects_root_as_target(self):
-        with pytest.raises(ValueError):
-            rooted_hamilton_permutations((2, 2), 1)
-        with pytest.raises(ValueError):
-            rooted_hamilton_permutations((2, 2), 3)
+        with pytest.raises(ValueError, match="rooted letters must differ"):
+            rooted_hamilton_permutations_general((2, 2), 1, 1)
+        with pytest.raises(ValueError, match="rooted letters out of range"):
+            rooted_hamilton_permutations_general((2, 2), 1, 3)
+        with pytest.raises(ValueError, match="rooted letters out of range"):
+            rooted_hamilton_permutations_general((2, 2), 0, 1)
 
 
 class TestSpectra:
@@ -240,9 +247,8 @@ class TestAgainstReferenceDP:
                     for i in range(1, k + 1):
                         for j in range(1, k + 1):
                             if i != j:
-                                spec = CodeClassSpec(content=comp, rooted=(i, j))
                                 want = reference_rooted_word_count(comp, i, j)
-                                assert code_cycle_count(spec) == want, (comp, i, j)
+                                assert code_cycle_count(comp, rooted=(i, j)) == want, (comp, i, j)
 
 
 class TestClosedForms:
@@ -347,8 +353,7 @@ class TestAgainstReferenceUpTo64:
         k = len(parts)
         pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
         for i, j in pairs[:6]:
-            spec = CodeClassSpec(content=parts, rooted=(i, j))
-            assert code_cycle_count(spec) == reference_rooted_word_count(parts, i, j), (i, j)
+            assert code_cycle_count(parts, rooted=(i, j)) == reference_rooted_word_count(parts, i, j), (i, j)
 
     @pytest.mark.parametrize("parts", SHAPES_AT_64 + _seeded_contents())
     def test_spectra(self, parts):

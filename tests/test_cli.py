@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from cyclekit import cli
+from cyclekit import cli, counting
 from cyclekit.cli import main
 from cyclekit.counting import count_cycles
 from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_graph6, parse_graph_argument
@@ -515,6 +515,56 @@ class TestConfigFile:
         code, out, err = run(capsys, *argv, "--config", str(conf))
         assert (code, out) == (2, "")
         assert "'xml'" in err
+
+    def test_unknown_key_exit_2(self, capsys, tmp_path):
+        conf = tmp_path / "ck.conf"
+        conf.write_text("format=json\ncycle_cap=5\n")
+        code, out, err = run(capsys, "count", "--turan", "4", "2", "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert "'cycle_cap'" in err
+
+    def test_count_ignores_seed_and_cache_dir(self, capsys, tmp_path):
+        conf = tmp_path / "ck.conf"
+        conf.write_text(f"seed=not-a-number\ncache_dir={tmp_path / 'unused'}\nformat=json\n")
+        plain = run(capsys, "count", "--turan", "5", "2", "--format", "json")
+        assert run(capsys, "count", "--turan", "5", "2", "--config", str(conf)) == plain
+        assert plain[0] == 0
+
+    def test_seed_from_config_unless_given(self, capsys, tmp_path):
+        conf = tmp_path / "ck.conf"
+        conf.write_text("seed=5\n")
+        argv = ("estimate", "--n", "6", "--k", "3", "--event", "Q", "--samples", "200", "--format", "json")
+        from_file = run(capsys, *argv, "--config", str(conf))
+        assert from_file == run(capsys, *argv, "--seed", "5")
+        assert run(capsys, *argv, "--config", str(conf), "--seed", "6") == run(capsys, *argv, "--seed", "6")
+        assert from_file != run(capsys, *argv)
+
+
+class TestFlagsPerCommand:
+    """A command takes --seed or --cache-dir only if it reads it; any other
+    use of those flags is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--turan", "5", "2", "--seed", "1"),
+            ("count", "--turan", "5", "2", "--cache-dir", "D"),
+            ("analytic", "--parts", "2,2", "--seed", "1"),
+            ("analytic", "--parts", "2,2", "--cache-dir", "D"),
+            ("verify", "major", "--n-max", "3", "--cache-dir", "D"),
+            ("search", "--n", "4", "--forbid", "K3", "--seed", "1"),
+            ("estimate", "--n", "4", "--k", "2", "--event", "Q", "--cache-dir", "D"),
+        ],
+        ids=" ".join,
+    )
+    def test_unread_flag_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+    def test_cycle_cap_defaults_to_the_library_cap(self):
+        args = cli.build_parser().parse_args(["count", "--turan", "5", "2"])
+        assert args.cycle_cap == counting.DEFAULT_CYCLE_CAP
 
 
 def run_fresh(*argv):

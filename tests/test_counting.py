@@ -18,16 +18,11 @@ from cyclekit import counting
 from cyclekit.analytic import cycle_spectrum_multipartite
 from cyclekit.counting import (
     count_cycles,
-    count_hamilton,
-    count_paths,
     count_paths_from,
-    count_regular_and_irregular_cycles,
     cycle_spectrum,
     spectrum_to_csv,
 )
 from cyclekit.graphs import (
-    PartitionInfo,
-    best_k_partition,
     complete_multipartite,
     make_graph,
     turan_class_sizes,
@@ -83,9 +78,8 @@ class TestCycleSpectrum:
             assert cycle_spectrum(kn) == expected
 
     def test_hamilton(self):
-        assert count_hamilton(K5) == 12
-        assert count_hamilton(turan_graph(4, 2)) == 1
-        assert count_hamilton(complete_multipartite((2, 1, 1))) == 1
+        for g, want in [(K5, 12), (turan_graph(4, 2), 1), (complete_multipartite((2, 1, 1)), 1)]:
+            assert cycle_spectrum(g).get(g.n, 0) == want
 
     def test_against_enumeration_oracle(self):
         rng = random.Random(5)
@@ -162,21 +156,21 @@ class TestCycleSpectrum:
 class TestPaths:
     def test_triangle(self):
         k3 = turan_graph(3, 3)
-        assert count_paths(k3, 0, 1) == 2
+        assert count_paths_from(k3, 0) == {1: 2, 2: 2}
 
     def test_path_graph(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert count_paths(g, 0, 2) == 1
+        assert count_paths_from(g, 0) == {1: 1, 2: 1}
 
     def test_k4_pairs(self):
         for x in range(4):
-            for y in range(4):
-                if x != y:
-                    assert count_paths(K4, x, y) == 5
+            assert count_paths_from(K4, x) == {y: 5 for y in range(4) if y != x}
 
-    def test_rejects_equal_endpoints(self):
-        with pytest.raises(ValueError):
-            count_paths(K4, 1, 1)
+    def test_source_is_not_an_endpoint(self):
+        assert 1 not in count_paths_from(K4, 1)
+        for x in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                count_paths_from(K4, x)
 
     def test_against_enumeration_oracle(self):
         rng = random.Random(23)
@@ -184,7 +178,7 @@ class TestPaths:
             n = rng.randint(2, 7)
             g = random_graph(rng, n, rng.random())
             x, y = rng.sample(range(n), 2)
-            assert count_paths(g, x, y) == brute_count_paths(g, x, y)
+            assert count_paths_from(g, x).get(y, 0) == brute_count_paths(g, x, y)
 
     @settings(max_examples=30, deadline=None)
     @given(graphs(max_n=7))
@@ -193,7 +187,7 @@ class TestPaths:
             return
         for x in range(g.n):
             for y in range(x + 1, g.n):
-                assert count_paths(g, x, y) == count_paths(g, y, x)
+                assert count_paths_from(g, x).get(y, 0) == count_paths_from(g, y).get(x, 0)
 
     def test_edge_path_identity(self):
         # every length-r cycle closes once over each of its r edges, and each
@@ -374,7 +368,7 @@ class TestKernelSelection:
     def test_cycle_22_with_chord(self, kernel_calls):
         g = cycle_graph(22).with_edge(0, 7)
         assert cycle_spectrum(g) == {8: 1, 16: 1, 22: 1}
-        assert count_paths(g, 0, 7) == 3
+        assert count_paths_from(g, 0)[7] == 3
         # anchor 0 alone has two neighbours above it, and x = 0 is the path anchor
         assert kernel_calls == [(22, 1), (22, 1)]
 
@@ -464,36 +458,6 @@ class TestVertexPath:
     def test_complete_multipartite(self, n):
         for parts in ((1,) * n, turan_class_sizes(n, 2), turan_class_sizes(n, 3), (n - 4, 3, 1)):
             assert counting._vertex_spectrum(complete_multipartite(parts)) == cycle_spectrum_multipartite(parts)
-
-
-class TestRegularIrregularSplit:
-    def test_balanced_bipartite(self):
-        g = turan_graph(4, 2)
-        info = best_k_partition(g, 2)
-        assert count_regular_and_irregular_cycles(g, info) == (1, 0)
-
-    def test_triangle(self):
-        g = turan_graph(3, 3)
-        info = best_k_partition(g, 2)
-        assert count_regular_and_irregular_cycles(g, info) == (0, 1)
-
-    def test_k4(self):
-        info = best_k_partition(K4, 2)
-        assert count_regular_and_irregular_cycles(K4, info) == (1, 6)
-
-    def test_sums_to_total(self):
-        rng = random.Random(41)
-        for _ in range(20):
-            n = rng.randint(3, 8)
-            g = random_graph(rng, n, rng.random())
-            info = best_k_partition(g, rng.randint(1, 3))
-            reg, irr = count_regular_and_irregular_cycles(g, info)
-            assert reg + irr == count_cycles(g)
-
-    def test_rejects_inconsistent_partition(self):
-        info = PartitionInfo(assignment=(0, 0, 1, 1), irregular_edges=(), regular_edges=6)
-        with pytest.raises(ValueError):
-            count_regular_and_irregular_cycles(K4, info)
 
 
 class TestSerialization:

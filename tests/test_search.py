@@ -137,7 +137,7 @@ class TestLastLevel:
         last = [g for g in labelled if g.n == n]
         assert 0 < len(last) < len(enumerated)
         for g in last:
-            key = [(g.degree(v), sum(g.degree(u) for u in g.neighbors(v))) for v in range(n)]
+            key = [(g.degree(v), sum(g.degree(u) for u in range(n) if g.has_edge(v, u))) for v in range(n)]
             m = n - 1
             ties = [v for v in range(n) if key[v] == key[m]]
             assert key[m] == min(key)
