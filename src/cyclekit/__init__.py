@@ -5,8 +5,6 @@ Turán graphs."""
 from .graphs import (
     ClassVector,
     Graph,
-    PartitionInfo,
-    best_k_partition,
     chromatic_number,
     complete_multipartite,
     has_critical_edge,
@@ -31,8 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassVector",
     "Graph",
-    "PartitionInfo",
-    "best_k_partition",
     "bipartite_cycle_counts",
     "canonical_label",
     "chromatic_number",

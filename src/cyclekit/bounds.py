@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import perm
 
 import mpmath as mp
 
@@ -128,56 +128,19 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremalFunction:
-    """Edge-maximum table t -> ex(t) for t = 2..t_max, with provenance."""
-
-    values: tuple[int, ...]
-    provenance: str = "user-supplied"
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("empty table")
-        prev = 0
-        for off, val in enumerate(self.values):
-            t = off + 2
-            if val < prev:
-                raise ValueError(f"table not nondecreasing at t={t}")
-            if val > comb(t, 2):
-                raise ValueError(f"ex({t}) exceeds C({t},2)")
-            prev = val
-
-    @property
-    def t_max(self) -> int:
-        return len(self.values) + 1
-
-    def value(self, t: int) -> int:
-        if not 2 <= t <= self.t_max:
-            raise ValueError(f"t={t} outside table range 2..{self.t_max}")
-        return self.values[t - 2]
-
-    @classmethod
-    def turan_formula(cls, k: int, t_max: int) -> "ExtremalFunction":
-        """ex(t) = edge count of the k-class Turán graph (exact for complete
-        forbidden graphs on k+1 vertices, by Turán's theorem)."""
-        return cls(tuple(_tk(t, k) for t in range(2, t_max + 1)), provenance="formula")
-
-
-def path_bound_exhaustive(
-    n: int, m: int, exf: ExtremalFunction, *, max_n: int = PATH_BOUND_CAP
-) -> int:
+def path_bound_exhaustive(n: int, m: int, k: int) -> int:
     """Exact maximum of prod_{i=2..n} max(r_i, 1) over nonnegative integer
-    sequences with sum <= m and every prefix sum_{i=2..t} r_i <= ex(t).
+    sequences with sum <= m and every prefix sum_{i=2..t} r_i <= ex(t), where
+    ex(t) = t_k(t), the K_{k+1}-free edge maximum by Turán's theorem.
 
     Memoized on (position, budget used); position caps come from the prefix
     constraints, so the state space is tiny at desk scale.
     """
-    if n > max_n:
-        raise ValueError(f"exhaustive optimizer capped at {max_n}")
+    if n > PATH_BOUND_CAP:
+        raise ValueError(f"exhaustive optimizer capped at {PATH_BOUND_CAP}")
     if n < 2:
         return 1
-    if exf.t_max < n:
-        raise ValueError("extremal table too short for n")
+    ex = [_tk(t, k) for t in range(n + 1)]
     memo: dict[tuple[int, int], int] = {}
 
     def best(i: int, used: int) -> int:
@@ -186,7 +149,7 @@ def path_bound_exhaustive(
         key = (i, used)
         if key in memo:
             return memo[key]
-        cap = min(exf.value(i) - used, m - used)
+        cap = min(ex[i] - used, m - used)
         out = 0
         for r in range(cap + 1):
             out = max(out, max(r, 1) * best(i + 1, used + r))
@@ -263,10 +226,9 @@ def verify_path_bound(n: int, n0: int) -> VerifyReport:
     edge table, one case per budget m = 0..t_2(n); each asserts
     structured <= exhaustive."""
     report = VerifyReport(name="ref3count", params={"n": n})
-    exf = ExtremalFunction.turan_formula(2, n)
     for m in range(turan_edge_count(n, 2) + 1):
         structured = path_bound_structured(n, m, 2, n0)
-        exhaustive = path_bound_exhaustive(n, m, exf)
+        exhaustive = path_bound_exhaustive(n, m, 2)
         ok = structured.value <= exhaustive
         report.cases.append({"m": m, "structured": str(structured.value),
                              "exhaustive": str(exhaustive), "truncated": structured.truncated, "ok": ok})

@@ -203,7 +203,10 @@ def cmd_analytic(args: argparse.Namespace) -> int:
             for r, c in analytic.cycle_spectrum_multipartite(parts).items()
         }
     if args.rooted:
-        i, j = (int(t) for t in args.rooted.split(","))
+        try:
+            i, j = (int(tok) for tok in args.rooted.split(","))
+        except ValueError as exc:
+            raise GraphFormatError(f"--rooted needs two class indices I,J, got {args.rooted!r}") from exc
         out["rooted"] = [i, j]
         out["rooted_code_count"] = analytic.code_cycle_count(parts, rooted=(i, j))
         out["rooted_permutations"] = analytic.rooted_hamilton_permutations_general(

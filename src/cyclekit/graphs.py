@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 CHROMATIC_CAP = 16
-PARTITION_CAP = 16
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -269,99 +268,3 @@ def has_critical_edge(g: Graph) -> bool:
         if chromatic_number(g.without_edges([(u, v)])) == chi - 1:
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Best k-partitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionInfo:
-    """A k-partition of the vertices with its within-class (irregular) edges."""
-
-    assignment: tuple[int, ...]
-    irregular_edges: tuple[tuple[int, int], ...]
-    regular_edges: int
-    certified: bool = True
-
-
-def _partition_info(g: Graph, assignment: Sequence[int], certified: bool) -> PartitionInfo:
-    irregular = tuple(
-        (u, v) for u, v in g.edges() if assignment[u] == assignment[v]
-    )
-    return PartitionInfo(
-        assignment=tuple(assignment),
-        irregular_edges=irregular,
-        regular_edges=g.edge_count - len(irregular),
-        certified=certified,
-    )
-
-
-def _greedy_partition(g: Graph, k: int) -> list[int]:
-    assignment = [0] * g.n
-    for v in range(g.n):
-        best_cls, best_cost = 0, None
-        for c in range(k):
-            cost = sum(1 for u in range(v) if assignment[u] == c and g.has_edge(u, v))
-            if best_cost is None or cost < best_cost:
-                best_cls, best_cost = c, cost
-        assignment[v] = best_cls
-    # 1-opt moves until stable
-    improved = True
-    while improved:
-        improved = False
-        for v in range(g.n):
-            cur = assignment[v]
-            costs = [0] * k
-            for u in _bits(g.adj[v]):
-                costs[assignment[u]] += 1
-            best = min(range(k), key=lambda c: costs[c])
-            if costs[best] < costs[cur]:
-                assignment[v] = best
-                improved = True
-    return assignment
-
-
-def best_k_partition(g: Graph, k: int, *, exhaustive_cap: int = PARTITION_CAP) -> PartitionInfo:
-    """A k-partition of ``g`` minimizing the number of within-class edges.
-
-    Exhaustive branch-and-bound (restricted-growth assignments, so class
-    labels are canonical) up to ``exhaustive_cap`` vertices, with the
-    lexicographically smallest optimal assignment.  Beyond the cap a greedy +
-    local-search heuristic is used and the result is flagged ``certified=False``.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = g.n
-    if n > exhaustive_cap:
-        return _partition_info(g, _greedy_partition(g, k), certified=False)
-
-    greedy = _greedy_partition(g, k)
-    best_cost = sum(1 for u, v in g.edges() if greedy[u] == greedy[v])
-    best_assignment: list[int] | None = None
-    assignment = [0] * n
-
-    def assign(v: int, cost: int, used: int) -> None:
-        nonlocal best_cost, best_assignment
-        if cost > best_cost or (cost == best_cost and best_assignment is not None):
-            return
-        if v == n:
-            if cost < best_cost or best_assignment is None:
-                best_cost = cost
-                best_assignment = assignment.copy()
-            return
-        for c in range(min(used + 1, k)):
-            extra = 0
-            for u in _bits(g.adj[v] & ((1 << v) - 1)):
-                if assignment[u] == c:
-                    extra += 1
-            assignment[v] = c
-            assign(v + 1, cost + extra, max(used, c + 1))
-        assignment[v] = 0
-
-    assign(0, 0, 0)
-    if best_assignment is None:  # the greedy cost is always attainable
-        raise RuntimeError("exhaustive partition search found no assignment")
-    return _partition_info(g, best_assignment, certified=True)
-

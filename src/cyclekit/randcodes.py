@@ -17,8 +17,6 @@ contiguous row per position, and the events are tested by reductions over
 the positions, which numpy takes one contiguous row at a time: Q ANDs the
 n cyclic neighbour comparisons, P counts each letter of the content in a
 dtype that holds n, and QP tests the content only of the words in Q.
-:func:`estimate_second_letter_share` keeps O(k) numbers per walk instead of
-the walk itself.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import code_cycle_count, rooted_hamilton_permutations_general
-from .graphs import turan_class_sizes
+from .analytic import code_cycle_count
 
 EVENTS = ("Q", "P", "QP")
 # Letters per chunk of draws in estimate_prob: 4 MB of int32 whatever n is.
@@ -150,65 +147,3 @@ def exact_prob(n: int, k: int, event: str, content: Sequence[int] | None = None)
     if event == "P":
         return Fraction(ways, k**n)
     return Fraction(code_cycle_count(tuple(x for x in content if x)), k**n)
-
-
-@dataclass(frozen=True)
-class WalkShareEstimate:
-    estimate: float | None
-    stderr: float | None
-    accepted: int
-    samples: int
-    exact: Fraction
-    z: float | None
-
-
-def estimate_second_letter_share(
-    n: int, k: int, samples: int, seed: int
-) -> WalkShareEstimate:
-    """Estimate, via the no-repeat random walk on {1..k}, the probability that
-    a uniform rooted cyclic word with balanced content has letter 2 in second
-    position.
-
-    The walk starts at 1, never repeats a letter, and is retained when the
-    (b_1+1)-th visit to 1 would land exactly at position n+1 and the first n
-    letters have balanced content; conditioned on that, the walk is uniform on
-    the rooted words, so the acceptance-frequency of (second letter = 2) is an
-    unbiased estimate of the exact rooted-count ratio, returned alongside it.
-    No acceptances is reported, not fatal.
-
-    The draws go column by column, one ``samples``-long step vector per
-    position.  Per walk only the current letter, the k running letter counts
-    and whether letter 2 came second are kept, so memory is O(k * samples)
-    whatever n is.
-    """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    sizes = turan_class_sizes(n, k)
-    rng = _rng(seed)
-    walk = np.arange(samples)
-    letter = np.ones(samples, dtype=np.int64)
-    counts = np.zeros((k, samples), dtype=np.int32)
-    for j in range(1, n + 1):
-        counts[letter - 1, walk] += 1  # letter j - 1 of the body
-        step = rng.integers(1, k, size=samples)
-        letter = step + (step >= letter)
-        if j == 1:
-            second_is_2 = letter == 2
-    accept = letter == 1
-    for row, want in zip(counts, sizes):
-        accept &= row == want
-    accepted = int(accept.sum())
-    numer = rooted_hamilton_permutations_general(sizes, 1, 2)
-    denom = sum(
-        rooted_hamilton_permutations_general(sizes, 1, j) for j in range(2, k + 1)
-    )
-    exact = Fraction(numer, denom)
-    if accepted == 0:
-        return WalkShareEstimate(None, None, 0, samples, exact, None)
-    hits = int((second_is_2 & accept).sum())
-    p = hits / accepted
-    stderr = sqrt(p * (1 - p) / accepted)
-    z = None if stderr == 0 else (p - float(exact)) / stderr
-    return WalkShareEstimate(p, stderr, accepted, samples, exact, z)

@@ -80,7 +80,7 @@ from .analytic import (
 from .counting import count_cycles, count_paths_from
 from .graphs import Graph, _bits, _unchecked_graph, complete_multipartite, turan_class_sizes, twin_classes
 from .morphisms import canonical_label, canonical_orbits, contains_subgraph
-from .graph_io import graph_to_graph6
+from .graph_io import graph_from_graph6, graph_to_graph6
 
 ENUM_CAP = 10
 # Stored in every cache file; a file with another value is recomputed.
@@ -348,10 +348,11 @@ def _cache_path(cache_dir: Path, n: int, h_canonical_g6: str) -> Path:
     return cache_dir / f"maxcycles_n{n}_{digest}.json"
 
 
-def _read_cache(path: Path) -> SearchResult | None:
-    """The result cached at ``path``, or None on a miss.  A file that cannot
-    be used (unreadable, not a result, another schema) is a miss too, reported
-    in one line on stderr; the caller then recomputes and overwrites it."""
+def _read_cache(path: Path, n: int) -> SearchResult | None:
+    """The result for n vertices cached at ``path``, or None on a miss.  A
+    file that cannot be used (unreadable, not a result, another schema, a
+    result or an extremal graph for another n) is a miss too, reported in one
+    line on stderr; the caller then recomputes and overwrites it."""
     if not path.exists():
         return None
     try:
@@ -359,6 +360,8 @@ def _read_cache(path: Path) -> SearchResult | None:
         if not isinstance(raw, dict) or raw.get("schema") != CACHE_SCHEMA:
             raise ValueError(f"not a schema {CACHE_SCHEMA} search result")
         result = SearchResult.from_dict(raw)
+        if result.n != n or any(graph_from_graph6(g6).n != n for g6 in result.extremal_graphs):
+            raise ValueError(f"not a result for n={n}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: recomputing unusable cache file {path}: {exc!r}", file=sys.stderr)
         return None
@@ -431,19 +434,21 @@ def max_cycles_h_free(
     all extremal isomorphism classes as canonical graph6 strings.
 
     Results are cached per (n, canonical form of the forbidden graph) when a
-    cache directory is given; rerunning serves the stored report, and a cache
-    file that cannot be read back is replaced by a fresh result.
+    cache directory is given; rerunning serves the stored report under this
+    call's label, and a cache file that cannot be read back is replaced by a
+    fresh result.
     """
+    _check_enumeration(n, forbid)
     canon_h, _ = canonical_label(forbid)
     canon_g6 = graph_to_graph6(canon_h)
     label = forbid_label if forbid_label is not None else canon_g6
     path = None
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), n, canon_g6)
-        cached = _read_cache(path)
+        cached = _read_cache(path, n)
         if cached is not None:
+            cached.forbidden = label
             return cached
-    _check_enumeration(n, forbid)
     t0 = time.perf_counter()
     if n == 1:
         best, extremal, examined = 0, [Graph(1, (0,))], 1

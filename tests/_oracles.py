@@ -11,15 +11,14 @@ cyclic-word DP with its sub-vector walk (``reference_*_word_count``,
 :func:`reference_cycle_spectrum_multipartite` and, for equal classes,
 :func:`reference_spectrum_equal_classes`), the ``stepcount`` suite without
 its memo (:func:`reference_rooted_move_inequality`), the one-shot Monte Carlo
-draw :func:`reference_estimate_hits`, the whole-array walk estimator
-:func:`reference_second_letter_share`, :func:`reference_cmd_verify`, the
+draw :func:`reference_estimate_hits`, :func:`reference_cmd_verify`, the
 ``verify`` command with one branch per suite, and
 :func:`reference_turan_dominance`, the ``turanbest`` suite with every
 sampled subgraph built from its edge list and counted through its
 spectrum.  :func:`graph_texts` is the hypothesis strategy of parser input
 that the fuzz tests share, and
-:func:`partitions_exact`, :func:`extremal_number` and
-:func:`extremal_function_from_search` are helpers that only the tests use.
+:func:`partitions_exact` and :func:`extremal_number` are helpers that only
+the tests use.
 """
 
 from __future__ import annotations
@@ -186,14 +185,6 @@ def brute_chromatic(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
-def brute_min_irregular(g: Graph, k: int) -> int:
-    best = g.edge_count
-    for assignment in product(range(k), repeat=g.n):
-        cost = sum(1 for u, v in g.edges() if assignment[u] == assignment[v])
-        best = min(best, cost)
-    return best
-
-
 def brute_path_product_max(n: int, m: int, ex: dict[int, int]) -> int:
     """Maximize prod max(r_i, 1) subject to the budget and prefix caps."""
     best = 0
@@ -253,15 +244,6 @@ def extremal_number(t: int, forbid: Graph) -> int:
     from cyclekit.search import enumerate_graphs
 
     return max(g.edge_count for g in enumerate_graphs(t, forbid))
-
-
-def extremal_function_from_search(forbid: Graph, t_max: int):
-    """Edge-maximum table for the path-product optimizer, filled by exhaustive
-    search over forbid-free graphs (t_max capped by the enumeration limit)."""
-    from cyclekit.bounds import ExtremalFunction
-
-    values = tuple(extremal_number(t, forbid) for t in range(2, t_max + 1))
-    return ExtremalFunction(values, provenance="exhaustive")
 
 
 @st.composite
@@ -598,54 +580,18 @@ def reference_estimate_hits(
     n: int, k: int, event: str, samples: int, seed: int, content: Sequence[int] | None = None
 ) -> int:
     """Hits of ``randcodes.estimate_prob`` from one ``samples x n`` draw of
-    the same stream, tested with a rotated copy of the words."""
+    the same stream, tested with a rotated copy of the words.  A word has the
+    content when each of its letters has its count and no letter lies past
+    the content, so the cost does not grow with k."""
+    content = tuple(content or ())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
     words = rng.integers(1, k + 1, size=(samples, n))
     in_q = np.all(words != np.roll(words, -1, axis=1), axis=1)
-    padded = list(content or ()) + [0] * (k - len(content or ()))
-    has = np.ones(samples, dtype=bool)
-    for letter, want in enumerate(padded, start=1):
+    has = ~np.any(words > len(content), axis=1)
+    for letter, want in enumerate(content, start=1):
         has &= (words == letter).sum(axis=1) == want
     mask = {"Q": in_q, "P": has, "QP": in_q & has}[event]
     return int(mask.sum())
-
-
-def reference_second_letter_share(n: int, k: int, samples: int, seed: int):
-    """``randcodes.estimate_second_letter_share`` from the whole
-    ``samples x (n+1)`` walk array, drawn column by column from the same
-    stream."""
-    from fractions import Fraction
-    from math import sqrt
-
-    from cyclekit.analytic import rooted_hamilton_permutations_general
-    from cyclekit.graphs import turan_class_sizes
-    from cyclekit.randcodes import WalkShareEstimate
-
-    sizes = turan_class_sizes(n, k)
-    b1 = sizes[0]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    walks = np.empty((samples, n + 1), dtype=np.int64)
-    walks[:, 0] = 1
-    for j in range(1, n + 1):
-        step = rng.integers(1, k, size=samples)
-        walks[:, j] = step + (step >= walks[:, j - 1])
-    body = walks[:, :n]
-    accept = ((body == 1).sum(axis=1) == b1) & (walks[:, n] == 1)
-    for letter, want in enumerate(sizes, start=1):
-        accept &= (body == letter).sum(axis=1) == want
-    accepted = int(accept.sum())
-    numer = rooted_hamilton_permutations_general(sizes, 1, 2)
-    denom = sum(
-        rooted_hamilton_permutations_general(sizes, 1, j) for j in range(2, k + 1)
-    )
-    exact = Fraction(numer, denom)
-    if accepted == 0:
-        return WalkShareEstimate(None, None, 0, samples, exact, None)
-    hits = int((walks[accept, 1] == 2).sum())
-    p = hits / accepted
-    stderr = sqrt(p * (1 - p) / accepted)
-    z = None if stderr == 0 else (p - float(exact)) / stderr
-    return WalkShareEstimate(p, stderr, accepted, samples, exact, z)
 
 
 # ---------------------------------------------------------------------------
@@ -818,10 +764,9 @@ def reference_cmd_verify(args: argparse.Namespace) -> int:
         exf_max = min(args.n_max, bounds.PATH_BOUND_CAP)
         n0 = args.n0
         for n in range(n0 + 1, exf_max + 1):
-            exf = bounds.ExtremalFunction.turan_formula(2, n)
             for m in range(0, turan_edge_count(n, 2) + 1):
                 structured = bounds.path_bound_structured(n, m, 2, n0)
-                exhaustive = bounds.path_bound_exhaustive(n, m, exf)
+                exhaustive = bounds.path_bound_exhaustive(n, m, 2)
                 ok = structured.value <= exhaustive
                 failures += 0 if ok else 1
                 line = {

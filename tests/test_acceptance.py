@@ -21,7 +21,6 @@ from cyclekit.analytic import (
     rooted_hamilton_permutations_general,
 )
 from cyclekit.bounds import (
-    ExtremalFunction,
     check_bipartite_decay,
     check_recursion,
     check_total_to_hamilton,
@@ -33,7 +32,7 @@ from cyclekit.counting import count_paths_from, cycle_spectrum
 from cyclekit.graphs import complete_multipartite, turan_class_sizes, turan_edge_count, turan_graph
 from cyclekit.graph_io import graph_from_graph6, named_graph
 from cyclekit.morphisms import is_isomorphic
-from cyclekit.randcodes import estimate_prob, estimate_second_letter_share
+from cyclekit.randcodes import estimate_prob
 from cyclekit.search import (
     compositions_exact,
     max_cycles_h_free,
@@ -190,19 +189,17 @@ def test_c08_path_product_optimizer():
     n0 = 5
     grid_points = 0
     for n in range(n0 + 1, 13):
-        exf = ExtremalFunction.turan_formula(2, n)
         for m in range(0, turan_edge_count(n, 2) + 1):
             s = path_bound_structured(n, m, 2, n0)
-            assert s.value <= path_bound_exhaustive(n, m, exf), (n, m)
+            assert s.value <= path_bound_exhaustive(n, m, 2), (n, m)
             grid_points += 1
     # anchor at (n=5, m=6) with the triangle-free table, recomputed by the
     # independent enumeration oracle: optimum 9 at (0,0,3,3); the sequence
     # (0,2,2,2) is feasible with value 8 but not optimal
-    exf5 = ExtremalFunction.turan_formula(2, 5)
-    table = {t: exf5.value(t) for t in range(2, 6)}
+    table = {t: t * t // 4 for t in range(2, 6)}  # Mantel: ex(t, K3) = floor(t^2/4)
     oracle = brute_path_product_max(5, 6, table)
     assert oracle == 9
-    assert path_bound_exhaustive(5, 6, exf5) == oracle
+    assert path_bound_exhaustive(5, 6, 2) == oracle
     feasible_value = 1
     prefix = 0
     for idx, r in enumerate((0, 2, 2, 2)):
@@ -306,19 +303,10 @@ def test_c12_monte_carlo_consistency():
             est_qp = estimate_prob(n, k, "QP", samples, SEED + 2, content=balanced)
             assert abs(est_qp.estimate - float(p_exact)) <= 4 * max(est_qp.stderr, 1e-9)
             checked += 1
-    # walk-based conditional estimate against the exact rooted ratio
-    for n, k in ((6, 3), (8, 3)):
-        res = estimate_second_letter_share(n, k, samples, SEED)
-        assert res.accepted > 0
-        assert abs(res.estimate - float(res.exact)) <= 4 * max(res.stderr, 1e-9)
-        checked += 1
     # byte-exact seeded determinism
     a = estimate_prob(6, 3, "Q", 10**5, SEED)
     b = estimate_prob(6, 3, "Q", 10**5, SEED)
     assert a == b
-    wa = estimate_second_letter_share(6, 3, 10**5, SEED)
-    wb = estimate_second_letter_share(6, 3, 10**5, SEED)
-    assert wa == wb
     _report(
         12,
         True,

@@ -8,7 +8,6 @@ import mpmath as mp
 import pytest
 
 from cyclekit.bounds import (
-    ExtremalFunction,
     check_bipartite_decay,
     check_recursion,
     check_total_to_hamilton,
@@ -39,64 +38,43 @@ class TestExpBounds:
 
 
 class TestPathBoundExhaustive:
-    K3_EX = ExtremalFunction.turan_formula(2, 14)
+    @staticmethod
+    def _k3_table(n):
+        """ex(t) for triangle-free graphs, floor(t^2/4) by Mantel's theorem."""
+        return {t: t * t // 4 for t in range(2, n + 1)}
 
     def test_small_case_recomputed(self):
         # brute-force optimum for n=5, m=6 under the triangle-free table;
         # the optimal sequence is (0,0,3,3) with value 9
-        exf = ExtremalFunction.turan_formula(2, 5)
-        table = {t: exf.value(t) for t in range(2, 6)}
-        brute = brute_path_product_max(5, 6, table)
+        brute = brute_path_product_max(5, 6, self._k3_table(5))
         assert brute == 9
-        assert path_bound_exhaustive(5, 6, exf) == brute
+        assert path_bound_exhaustive(5, 6, 2) == brute
 
     def test_zero_budget(self):
-        assert path_bound_exhaustive(5, 0, self.K3_EX) == 1
+        assert path_bound_exhaustive(5, 0, 2) == 1
 
     def test_budget_above_prefix_caps(self):
-        exf = ExtremalFunction.turan_formula(2, 4)
-        table = {t: exf.value(t) for t in range(2, 5)}
-        assert path_bound_exhaustive(4, 100, exf) == brute_path_product_max(4, 100, table)
-        assert path_bound_exhaustive(4, 100, exf) == 4
+        assert path_bound_exhaustive(4, 100, 2) == brute_path_product_max(4, 100, self._k3_table(4))
+        assert path_bound_exhaustive(4, 100, 2) == 4
 
     def test_matches_brute_force_on_grid(self):
         for n in range(2, 7):
-            exf = ExtremalFunction.turan_formula(2, n)
-            table = {t: exf.value(t) for t in range(2, n + 1)}
             for m in range(0, turan_edge_count(n, 2) + 3):
-                assert path_bound_exhaustive(n, m, exf) == brute_path_product_max(
-                    n, m, table
+                assert path_bound_exhaustive(n, m, 2) == brute_path_product_max(
+                    n, m, self._k3_table(n)
                 )
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            path_bound_exhaustive(15, 3, ExtremalFunction.turan_formula(2, 20))
-
-
-class TestExtremalFunction:
-    def test_turan_formula_values(self):
-        exf = ExtremalFunction.turan_formula(2, 6)
-        assert [exf.value(t) for t in range(2, 7)] == [1, 2, 4, 6, 9]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExtremalFunction((2, 1))  # decreasing
-        with pytest.raises(ValueError):
-            ExtremalFunction((2,))  # above C(2,2)
-
-    def test_range_errors(self):
-        exf = ExtremalFunction.turan_formula(2, 5)
-        with pytest.raises(ValueError):
-            exf.value(6)
+            path_bound_exhaustive(15, 3, 2)
 
 
 class TestPathBoundStructured:
     def test_dominated_by_exhaustive_on_grid(self):
         for n in range(6, 13):
-            exf = ExtremalFunction.turan_formula(2, n)
             for m in range(0, turan_edge_count(n, 2) + 1):
                 s = path_bound_structured(n, m, 2, 5)
-                assert s.value <= path_bound_exhaustive(n, m, exf), (n, m)
+                assert s.value <= path_bound_exhaustive(n, m, 2), (n, m)
 
     def test_flat_tail_position_in_claim_regime(self):
         # when the budget leaves 10n slack the flat tail starts by n-2

@@ -38,7 +38,8 @@ def run_quiet(*argv):
 
 
 def _retyped(key, value):
-    """Damage for a cache file: one field of the stored result gets the wrong type."""
+    """Damage for a cache file: one field of the stored result gets a wrong
+    value, of the wrong type or for another n."""
 
     def damage(raw: bytes) -> bytes:
         data = json.loads(raw)
@@ -136,6 +137,13 @@ class TestAnalytic:
         data = json.loads(out)
         assert data["rooted_code_count"] == 1
         assert data["rooted_permutations"] == 2
+
+    @pytest.mark.parametrize("rooted", ["1,2,3", "1", "a,b"])
+    def test_bad_rooted_names_the_flag(self, capsys, rooted):
+        # used to exit 2 with Python's "too many values to unpack"
+        code, out, err = run(capsys, "analytic", "--parts", "2,2", "--rooted", rooted)
+        assert (code, out) == (2, "")
+        assert "--rooted" in err and "I,J" in err
 
     def test_bad_parts(self, capsys):
         code, _, err = run(capsys, "analytic", "--parts", "2,zero")
@@ -375,9 +383,12 @@ class TestSearch:
             _retyped("extremal_graphs", [7]),
             _retyped("unique", "yes"),
             _retyped("forbidden", 3),
+            _retyped("n", 7),
+            _retyped("extremal_graphs", ["E???"]),
         ],
         ids=["truncated", "garbage", "wrong_schema", "missing_keys", "graphs_string",
-             "graphs_not_strings", "unique_not_bool", "forbidden_not_string"],
+             "graphs_not_strings", "unique_not_bool", "forbidden_not_string", "other_n",
+             "graph_of_other_order"],
     )
     def test_unusable_cache_file_is_recomputed(self, capsys, tmp_path, damage):
         args = ("search", "--n", "5", "--forbid", "K3", "--cache-dir", str(tmp_path), "--format", "json")
@@ -396,6 +407,14 @@ class TestSearch:
         code, out, err = run(capsys, *args)
         assert (code, err) == (0, "")
         assert json.loads(out)["from_cache"] is True
+
+    def test_cache_hit_is_served_under_the_callers_label(self, capsys, tmp_path):
+        # Bw is K3 in graph6, so both runs share one cache file
+        run(capsys, "search", "--n", "5", "--forbid", "K3", "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, "search", "--n", "5", "--forbid", "Bw", "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["forbidden"], data["from_cache"]) == ("Bw", True)
 
     def test_cache_dir_from_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLEKIT_CACHE_DIR", str(tmp_path))
@@ -421,8 +440,12 @@ class TestSearch:
         assert code == 2
 
     @pytest.mark.parametrize("n", ["0", "11"])
-    def test_out_of_range_n_names_the_range(self, capsys, n):
-        code, out, err = run(capsys, "search", "--n", n, "--forbid", "K3")
+    def test_out_of_range_n_names_the_range(self, capsys, tmp_path, n):
+        # a cache file for that n is not served either (Bw is K3's canonical graph6)
+        fake = {"schema": 1, "n": int(n), "forbidden": "K3", "max_cycles": "0", "extremal_graphs": [],
+                "unique": False, "graphs_examined": 0, "elapsed": 0.0}
+        cli.search._cache_path(tmp_path, int(n), "Bw").write_text(json.dumps(fake))
+        code, out, err = run(capsys, "search", "--n", n, "--forbid", "K3", "--cache-dir", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: enumeration needs 1..10 vertices (n={n})\n"
 

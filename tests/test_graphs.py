@@ -9,7 +9,6 @@ import pytest
 from cyclekit.graphs import (
     ClassVector,
     Graph,
-    best_k_partition,
     chromatic_number,
     complete_multipartite,
     has_critical_edge,
@@ -21,7 +20,7 @@ from cyclekit.graphs import (
 from cyclekit.morphisms import is_isomorphic
 from cyclekit.search import compositions_exact
 
-from _oracles import brute_chromatic, brute_min_irregular, random_graph
+from _oracles import brute_chromatic, random_graph
 
 
 def cycle_graph(n: int) -> Graph:
@@ -177,46 +176,6 @@ class TestChromatic:
     def test_cap(self):
         with pytest.raises(ValueError):
             chromatic_number(make_graph(17, []))
-
-
-class TestBestPartition:
-    def test_turan_graphs_have_zero_irregular(self):
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                info = best_k_partition(turan_graph(n, k), k)
-                assert info.irregular_edges == ()
-                assert info.certified
-
-    def test_k4_needs_two(self):
-        k4 = turan_graph(4, 4)
-        info = best_k_partition(k4, 2)
-        assert len(info.irregular_edges) == 2
-        assert info.regular_edges == 4
-
-    def test_c5_needs_one(self):
-        info = best_k_partition(cycle_graph(5), 2)
-        assert len(info.irregular_edges) == 1
-
-    def test_assignment_is_lex_minimal_rgs(self):
-        info = best_k_partition(cycle_graph(5), 2)
-        assert info.assignment[0] == 0
-        for v in range(1, 5):
-            assert info.assignment[v] <= max(info.assignment[:v]) + 1
-
-    def test_matches_brute_force(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(2, 7)
-            k = rng.randint(1, 3)
-            g = random_graph(rng, n, rng.random())
-            info = best_k_partition(g, k)
-            assert len(info.irregular_edges) == brute_min_irregular(g, k)
-
-    def test_heuristic_mode_flagged(self):
-        g = turan_graph(20, 2)
-        info = best_k_partition(g, 2)
-        assert not info.certified
-        assert len(info.assignment) == 20
 
 
 class TestGraphBasics:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from cyclekit.analytic import code_cycle_count, prob_Q_given_P
+from cyclekit.analytic import code_cycle_count
 from cyclekit.graphs import turan_class_sizes
 from cyclekit.randcodes import (
     _INT32_K_MAX,
@@ -19,12 +18,11 @@ from cyclekit.randcodes import (
     _draw,
     _rng,
     estimate_prob,
-    estimate_second_letter_share,
     exact_prob,
 )
 from cyclekit.search import partitions_at_most
 
-from _oracles import reference_estimate_hits, reference_second_letter_share
+from _oracles import reference_estimate_hits
 
 
 def exact_q_probability(n: int, k: int) -> Fraction:
@@ -87,9 +85,8 @@ class TestEstimates:
                 call()
 
     def test_negative_seed_is_named(self):
-        for call in (lambda: estimate_prob(4, 2, "Q", 10, -1), lambda: estimate_second_letter_share(6, 3, 10, -1)):
-            with pytest.raises(ValueError, match="seed=-1"):
-                call()
+        with pytest.raises(ValueError, match="seed=-1"):
+            estimate_prob(4, 2, "Q", 10, -1)
 
     def test_one_letter_alphabet(self):
         assert estimate_prob(1, 1, "Q", 10, 0).hits == 0 == exact_prob(1, 1, "Q")
@@ -101,19 +98,6 @@ def _content(n: int, k: int) -> tuple[int, ...]:
     """A content of n letters over at most k of them, balanced over
     min(n, k) letters; it leaves letters without copies when n < k."""
     return turan_class_sizes(n, min(n, k))
-
-
-def _counter_hits(n, k, event, samples, seed, content):
-    """Hits counted word by word from one int64 draw, for alphabets too
-    large for the oracle, which pads the content to k parts."""
-    words = _rng(seed).integers(1, k + 1, size=(samples, n)).tolist()
-    want = Counter({letter: c for letter, c in enumerate(content, start=1) if c})
-    hits = 0
-    for w in words:
-        in_q = all(w[j] != w[j - 1] for j in range(n))
-        has = Counter(w) == want
-        hits += {"Q": in_q, "P": has, "QP": in_q and has}[event]
-    return hits
 
 
 # the edges of the letter dtypes (uint8 up to 255, uint16, the int32 draw)
@@ -160,11 +144,10 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("k", HUGE_K)
     def test_huge_alphabets(self, n, k):
-        # the oracle pads the content to k parts, so it cannot take these
         content = _content(n, k)
         for event in EVENTS:
             est = estimate_prob(n, k, event, 2_000, 8, content=content)
-            assert est.hits == _counter_hits(n, k, event, 2_000, 8, content), event
+            assert est.hits == reference_estimate_hits(n, k, event, 2_000, 8, content), event
 
     def test_int32_draws_equal_int64_draws(self):
         # the int32 fill takes the same 32-bit draws as the int64 fill
@@ -195,59 +178,6 @@ class TestChunkedDraws:
         assert peak < 12 * 2**20
 
 
-class TestWalkShare:
-    def test_balanced_three_classes_is_half(self):
-        res = estimate_second_letter_share(6, 3, 300_000, 7)
-        assert res.exact == Fraction(1, 2)
-        assert res.accepted > 0
-        assert abs(res.estimate - 0.5) < 4 * res.stderr
-
-    def test_unbalanced_target_sizes(self):
-        # sizes (3,3,2): second classes have different sizes, share != 1/2
-        res = estimate_second_letter_share(8, 3, 300_000, 19)
-        assert res.exact != Fraction(1, 2)
-        assert res.accepted > 0
-        assert abs(res.estimate - float(res.exact)) < 4 * res.stderr
-
-    def test_deterministic(self):
-        a = estimate_second_letter_share(6, 3, 50_000, 3)
-        b = estimate_second_letter_share(6, 3, 50_000, 3)
-        assert a == b
-
-    def test_zero_acceptances_reported(self):
-        # one sample at this size never matches the conditioning event
-        res = estimate_second_letter_share(12, 4, 1, 0)
-        assert res.accepted == 0
-        assert res.estimate is None
-        assert res.stderr is None
-        assert res.z is None
-        assert 0 < res.exact < 1  # exact side still reported
-
-    def test_rejects_k2(self):
-        with pytest.raises(ValueError):
-            estimate_second_letter_share(6, 2, 100, 0)
-
-    @pytest.mark.parametrize("n,k,samples,seed", [
-        (3, 3, 50, 9), (6, 3, 1_000, 0), (9, 3, 5_000, 4), (7, 5, 3_000, 2),
-        (12, 4, 20_000, 1), (12, 4, 1, 0), (20, 6, 10_000, 5),
-    ])
-    def test_equals_whole_walk_array(self, n, k, samples, seed):
-        assert estimate_second_letter_share(n, k, samples, seed) == reference_second_letter_share(
-            n, k, samples, seed
-        )
-
-    @pytest.mark.parametrize("n", [12, 36])
-    def test_memory_does_not_grow_with_walk_length(self, n):
-        # the whole walk array held 26.4 MB at n = 12 and 69.9 MB at n = 36
-        tracemalloc.start()
-        try:
-            estimate_second_letter_share(n, 4, 200_000, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 13 * 2**20
-
-
 class TestExactSideIsExact:
     def test_probabilities_sum_to_one_over_contents(self):
         # sanity for the exact reference values used in comparisons
@@ -269,9 +199,3 @@ class TestExactSideIsExact:
             assert exact_prob(n, k, "Q") == Fraction(sum(in_q), k**n)
             assert exact_prob(n, k, "P", content) == Fraction(sum(has), k**n)
             assert exact_prob(n, k, "QP", content) == Fraction(sum(map(min, in_q, has)), k**n)
-
-    def test_walk_exact_share_consistent_with_probability(self):
-        sizes = turan_class_sizes(8, 3)
-        res = estimate_second_letter_share(8, 3, 1000, 0)
-        assert 0 < res.exact < 1
-        assert prob_Q_given_P(sizes) > 0

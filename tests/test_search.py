@@ -28,7 +28,6 @@ from cyclekit.search import (
 from _oracles import (
     augmentation_classes,
     brute_force_graph_classes,
-    extremal_function_from_search,
     extremal_number,
     partitions_exact,
     random_graph,
@@ -200,14 +199,6 @@ class TestExtremalNumbers:
         k4 = named_graph("K4")
         for t in range(3, 7):
             assert extremal_number(t, k4) == turan_graph(t, 3).edge_count
-
-    def test_search_backed_table_matches_formula(self):
-        from cyclekit.bounds import ExtremalFunction
-
-        searched = extremal_function_from_search(K3, 7)
-        formula = ExtremalFunction.turan_formula(2, 7)
-        assert searched.values == formula.values
-        assert searched.provenance == "exhaustive"
 
 
 class TestMaxCyclesSearch:
