@@ -27,6 +27,7 @@ from .search import VerifyReport
 
 WORK_DPS = 60
 PATH_BOUND_CAP = 14
+EXP_TERMS = 40  # Taylor terms that exp_bounds sums before it bounds the tail
 
 
 def _tk(t: int, k: int) -> int:
@@ -58,23 +59,25 @@ def _ln(value: int | Fraction) -> float | None:
 
 
 @lru_cache(maxsize=64)
-def exp_bounds(x: Fraction, terms: int = 40) -> tuple[Fraction, Fraction]:
-    """Rational lower and upper bounds for e^x, x >= 0, via the Taylor tail.
+def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lower and upper bounds for e^x, 0 <= x < ``EXP_TERMS`` + 2,
+    via the Taylor tail.
 
-    The lower bound is the partial sum; the upper bound adds the geometric
-    majorant of the tail (requires x < terms + 2).  Memoized: the checks ask
-    for the same few constants in every case.
+    The lower bound is the partial sum of ``EXP_TERMS`` terms; the upper
+    bound adds the geometric majorant of the tail, which needs
+    x < ``EXP_TERMS`` + 2.  Memoized: the checks ask for the same few
+    constants in every case.
     """
     if x < 0:
         raise ValueError("nonnegative arguments only")
-    if x >= terms + 2:
-        raise ValueError("increase terms: tail majorant needs x < terms + 2")
+    if x >= EXP_TERMS + 2:
+        raise ValueError(f"the tail majorant needs x < {EXP_TERMS + 2}, got {x}")
     term = Fraction(1)
     partial = Fraction(1)
-    for i in range(1, terms + 1):
+    for i in range(1, EXP_TERMS + 1):
         term *= Fraction(x, i)
         partial += term
-    tail = term * Fraction(x, terms + 1) / (1 - Fraction(x, terms + 2))
+    tail = term * Fraction(x, EXP_TERMS + 1) / (1 - Fraction(x, EXP_TERMS + 2))
     return partial, partial + tail
 
 

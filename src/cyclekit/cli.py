@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
-from .counting import DEFAULT_CYCLE_CAP, cycle_spectrum, spectrum_to_csv
+from .counting import cycle_spectrum, spectrum_to_csv
 from .graphs import Graph, chromatic_number, complete_multipartite, has_critical_edge, turan_graph
 from .graph_io import (
     GraphFormatError,
@@ -119,13 +119,14 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
+    """The class sizes given to ``flag`` as comma-separated integers."""
     try:
         parts = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError as exc:
-        raise GraphFormatError(f"bad class sizes {text!r}") from exc
+        raise GraphFormatError(f"{flag} needs comma-separated class sizes, got {text!r}") from exc
     if not parts:
-        raise GraphFormatError("empty class sizes")
+        raise GraphFormatError(f"{flag} needs at least one class size, got {text!r}")
     return parts
 
 
@@ -153,12 +154,12 @@ def _input_graphs(args: argparse.Namespace) -> list[Graph]:
     if args.turan is not None:
         n, k = args.turan
         return [turan_graph(n, k)]
-    return [complete_multipartite(_parse_parts(args.parts))]
+    return [complete_multipartite(_parse_parts(args.parts, "--parts"))]
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     for g in _input_graphs(args):
-        spectrum = cycle_spectrum(g, max_n=args.cycle_cap)
+        spectrum = cycle_spectrum(g)
         total = sum(spectrum.values())
         ham = spectrum.get(g.n, 0)
         if args.format == "json":
@@ -187,7 +188,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    parts = _parse_parts(args.parts)
+    parts = _parse_parts(args.parts, "--parts")
     n = sum(parts)
     prob = analytic.prob_Q_given_P(parts)
     out: dict = {
@@ -308,7 +309,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    content = _parse_parts(args.content) if args.content else None
+    content = _parse_parts(args.content, "--content") if args.content is not None else None
     est = randcodes.estimate_prob(
         args.n, args.k, args.event, args.samples, args.seed, content=content
     )
@@ -354,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--edge-list", default=None, help="file: first line n, then 'u v' lines")
     p_count.add_argument("--turan", nargs=2, type=int, metavar=("N", "K"), default=None)
     p_count.add_argument("--parts", default=None, help="complete multipartite class sizes, e.g. 2,2,2")
-    p_count.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP)
     p_count.set_defaults(func=cmd_count)
 
     p_analytic = sub.add_parser("analytic", parents=[common], help="multipartite counts without building the graph")

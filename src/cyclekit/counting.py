@@ -35,11 +35,11 @@ closing counts directly instead of building the spectrum dict, with the same
 check that every doubled count is even; the searches and ``verify
 turanbest`` make tens of thousands of such calls.
 
-One rule routes both the cycle spectrum and the path counts (``_layers``):
-the kernel runs when ``_KERNEL_MIN_M`` = 11 <= n <= ``DEFAULT_CYCLE_CAP`` =
-24, the dict DP otherwise.  Above the cap the kernel's slot table (2^n
-entries, 128 MB at n = 24) would dominate, so a raised ``max_n`` on a sparse
-graph still runs on the dict DP.
+One rule routes both the cycle spectrum and the path counts over single
+vertices (``_layers``): the kernel runs when n >= ``_KERNEL_MIN_M`` = 11, the
+dict DP below that and for no anchor.  The vertex forms count graphs with at
+most ``VERTEX_CAP`` = 24 vertices.  That limit is the kernel's: its slot
+table has 2^n entries, 128 MB at n = 24.
 
 The kernel runs twice per graph: once for the lowest anchor alone, then
 once for all higher anchors together, so a graph pays the kernel's fixed
@@ -62,8 +62,9 @@ anchors have distinct numbers m <= n - 1 of vertices above them, so such a
 sum is at most sum_{m < n} m! <= 2 (n - 1)!, which fits int64 for n <= 21;
 larger passes take each sum as its high and low 32-bit halves, summed in
 int64 and joined as Python ints.  A pass with n <= 21 therefore runs int64
-numpy operations only.  All reported counts are Python ints; the caps below
-bound runtime and memory, not exactness.
+numpy operations only.  All reported counts are Python ints;
+``VERTEX_CAP`` and ``QUOTIENT_STATE_CAP`` bound runtime and memory, not
+exactness.
 
 The kernel pays a fixed cost of about fifteen numpy calls per layer, while
 the dict DP costs in proportion to the reachable states.  Timed per graph on
@@ -75,31 +76,11 @@ p = 0.5 and 0.21x at p = 0.8, but 17x at p = 0.25 (0.18 ms against
 graphs on ten or fewer vertices, which is every graph the extremal searches
 count, keep the dict DP.
 
-Timed on the same VM against an earlier design, which made one kernel call
-per anchor with 11 to 20 vertices above it, deduplicated with ``np.unique``
-and ran the dict DP for the other anchors.  Seeded twin-free G(n, p), two
-processes per side; time is the best of 3 calls in either process, peak RSS
-the higher of the two (about 28 MB of it the interpreter and numpy):
-
-===  ================================  ================================
-n    p = 0.5: ms      peak RSS MB      p = 0.75: ms     peak RSS MB
-===  ================================  ================================
-11   0.835 -> 0.507   29 -> 29         5.1 -> 0.723     29 -> 29
-12   2.78 -> 0.96     30 -> 29         5.72 -> 1.18     30 -> 29
-13   5.25 -> 1.84     30 -> 29         5.74 -> 1.98     30 -> 30
-14   4.77 -> 3.17     30 -> 30         10.7 -> 4.46     31 -> 30
-15   8.98 -> 6.02     31 -> 30         16.8 -> 9.67     32 -> 31
-16   22.5 -> 17.3     35 -> 34         31.4 -> 20.7     36 -> 35
-17   39.7 -> 34.4     40 -> 38         57.2 -> 44.1     42 -> 41
-18   96.7 -> 81.8     53 -> 49         121 -> 98.3      55 -> 52
-19   209 -> 181       79 -> 74         245 -> 202       79 -> 73
-20   429 -> 366       128 -> 111       536 -> 430       123 -> 115
-===  ================================  ================================
-
-Near the cap the kernel is the only practical form.  On the same VM a dense
-twin-free G(22, 0.75) takes 5.7 s and 390 MB peak RSS, where the dict DP
-taking the anchor with 21 vertices above it took 171 to 201 s and 1.3 GB;
-K_24 over single vertices takes 29 s and 1.1 GB (``BENCH_exact_kernel.json``).
+Near ``VERTEX_CAP`` the kernel is the only practical vertex form.  On the
+same VM a dense twin-free G(22, 0.75) takes 5.7 s and 390 MB peak RSS, where
+the dict DP taking the anchor with 21 vertices above it took 171 to 201 s
+and 1.3 GB; K_24 over single vertices takes 29 s and 1.1 GB
+(``BENCH_exact_kernel.json``).
 
 The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
 anchored dict DP over twin classes instead of vertices (twins have equal
@@ -115,26 +96,42 @@ and a remainder raises ``ArithmeticError``.  The paper's extremal graphs T_k(n)
 have k classes: T_3(24) costs about 1 ms and T_8(24) about 0.4 s, where the
 vertex forms walk 2^23 vertex sets from one anchor.
 
-``cycle_spectrum`` takes the quotient when n >= ``_KERNEL_MIN_M`` and the graph
-has fewer than ``_KERNEL_MIN_M`` twin classes; every other graph takes the
-vertex forms.  Against the two-pass kernel the crossover depends on n:
-timed on the same VM on seeded random blow-ups (up to 6 per cell, quotient
-over vertex forms, median), the ratio is 0.69 at 7 classes and 1.41 at 8
-for n = 11, 0.95 at 8 and 1.33 at 9 for n = 13, 0.81 at 9 and 1.17 at 10
-for n = 15, and still 0.83 at 11 for n = 17.  Graphs on ten or fewer
-vertices, and twin-free graphs such as G(n, m), never compute the quotient.
+``cycle_spectrum`` routes by n.  Graphs on ten or fewer vertices take the
+vertex forms.  Up to ``VERTEX_CAP`` a graph takes the quotient when it has
+fewer than ``_KERNEL_MIN_M`` twin classes, and the vertex forms otherwise.
+Against the two-pass kernel the crossover depends on n: timed on the same VM
+on seeded random blow-ups (up to 6 per cell, quotient over vertex forms,
+median), the ratio is 0.69 at 7 classes and 1.41 at 8 for n = 11, 0.95 at 8
+and 1.33 at 9 for n = 13, 0.81 at 9 and 1.17 at 10 for n = 15, and still
+0.83 at 11 for n = 17.
+
+Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
+frontier from one anchor class holds at most prod(|w| + 1) vectors of used
+vertices, over the twin classes w, and a graph whose product exceeds
+``QUOTIENT_STATE_CAP`` = 2^21 raises ``ValueError`` before any counting.  The
+cap admits about the work that K_24 costs the kernel (29 s, 1.1 GB): on the
+same VM T_6(48), with 3^12 = 531,441 states, takes about 3 s, and T_9(36),
+with 5^9 = 1,953,125, about 20 s and 190 MB, while T_3(45), T_4(40) and
+T_5(30) less one edge take 0.03 to 0.24 s.  Up to ``VERTEX_CAP`` no state cap is
+needed: a graph with at most 24 vertices and at most ten classes has a
+product of at most 4^4 3^6 = 186,624.  A twin-poor graph above 24 vertices,
+such as G(25, m), is refused.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph, twin_classes
 
-DEFAULT_CYCLE_CAP = 24
+# The most vertices the vertex forms count (the kernel's slot table has 2^n
+# entries), and the most states, prod(|w| + 1) over the twin classes w, that
+# the quotient may take on above that (see the module docstring).
+VERTEX_CAP = 24
+QUOTIENT_STATE_CAP = 1 << 21
 
 # Graphs with fewer vertices run the dict DP, and graphs with at least this
 # many vertices but fewer twin classes the quotient DP (see the module
@@ -146,10 +143,10 @@ def _layers(
     adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
 ) -> tuple[list[int], list[int] | None]:
     """``(closed, ends)`` for the ``anchors`` of the graph with bit rows
-    ``adj``: the kernel when 11 <= n <= ``DEFAULT_CYCLE_CAP``, the lowest
-    anchor alone and then the rest in one pass, and the dict DP otherwise
-    (also for no anchor).  With ``end_sums`` false ``ends`` is None."""
-    if not anchors or not _KERNEL_MIN_M <= len(adj) <= DEFAULT_CYCLE_CAP:
+    ``adj``, n <= ``VERTEX_CAP``: the kernel when n >= 11, the lowest anchor
+    alone and then the rest in one pass, and the dict DP otherwise (also for
+    no anchor).  With ``end_sums`` false ``ends`` is None."""
+    if not anchors or len(adj) < _KERNEL_MIN_M:
         return _dict_layers(adj, anchors, end_sums=end_sums)
     closed, ends = _path_layers(adj, anchors[:1], end_sums=end_sums)
     if len(anchors) > 1:
@@ -291,16 +288,26 @@ def _dedup(keys: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, slot[keys]
 
 
-def cycle_spectrum(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int]:
-    """Per-length cycle counts {r: count, 3 <= r <= n}; zero entries omitted."""
+def cycle_spectrum(g: Graph) -> dict[int, int]:
+    """Per-length cycle counts {r: count, 3 <= r <= n}; zero entries omitted.
+    Raises ``ValueError`` when g has more than ``VERTEX_CAP`` vertices and
+    its twin classes bound the quotient above ``QUOTIENT_STATE_CAP`` states."""
     n = g.n
-    if n > max_n:
-        raise ValueError(f"cycle counting capped at {max_n} vertices (n={n})")
-    if n >= _KERNEL_MIN_M:
-        classes = twin_classes(g)
+    if n < _KERNEL_MIN_M:
+        return _vertex_spectrum(g)
+    classes = twin_classes(g)
+    if n <= VERTEX_CAP:
         if len(classes) < _KERNEL_MIN_M:
             return _quotient_spectrum(g, classes)
-    return _vertex_spectrum(g)
+        return _vertex_spectrum(g)
+    states = prod(len(cls) + 1 for cls in classes)
+    if states > QUOTIENT_STATE_CAP:
+        raise ValueError(
+            f"cycle counting refused: n={n} is above the vertex cap {VERTEX_CAP}, and its "
+            f"{len(classes)} twin classes bound the quotient at {states} states, above the "
+            f"state cap {QUOTIENT_STATE_CAP}"
+        )
+    return _quotient_spectrum(g, classes)
 
 
 def _vertex_spectrum(g: Graph) -> dict[int, int]:
@@ -395,19 +402,20 @@ def _divide_rootings(rooted: dict[tuple[int, int], int]) -> dict[int, int]:
     return spectrum
 
 
-def count_cycles(g: Graph, *, max_n: int = DEFAULT_CYCLE_CAP) -> int:
-    """Total number of cycles in g."""
-    if g.n < _KERNEL_MIN_M and g.n <= max_n:
+def count_cycles(g: Graph) -> int:
+    """Total number of cycles in g, under the caps of ``cycle_spectrum``."""
+    if g.n < _KERNEL_MIN_M:
         # cycle_spectrum takes the vertex DP too; skip building the dict
         return sum(_doubled_cycles(g.adj)) // 2
-    return sum(cycle_spectrum(g, max_n=max_n).values())
+    return sum(cycle_spectrum(g).values())
 
 
-def count_paths_from(g: Graph, x: int, *, max_n: int = DEFAULT_CYCLE_CAP) -> dict[int, int]:
-    """Map y -> number of simple x-y paths with at least one edge, for y != x."""
+def count_paths_from(g: Graph, x: int) -> dict[int, int]:
+    """Map y -> number of simple x-y paths with at least one edge, for y != x,
+    in a graph with at most ``VERTEX_CAP`` vertices."""
     n = g.n
-    if n > max_n:
-        raise ValueError(f"path counting capped at {max_n} vertices (n={n})")
+    if n > VERTEX_CAP:
+        raise ValueError(f"path counting capped at {VERTEX_CAP} vertices (n={n})")
     if not 0 <= x < n:
         raise ValueError(f"vertex {x} out of range")
     # swap x with vertex 0, so that every other vertex lies above the one

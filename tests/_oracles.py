@@ -15,8 +15,10 @@ draw :func:`reference_estimate_hits`, :func:`reference_cmd_verify`, the
 ``verify`` command with one branch per suite, and
 :func:`reference_turan_dominance`, the ``turanbest`` suite with every
 sampled subgraph built from its edge list and counted through its
-spectrum.  :func:`graph_texts` is the hypothesis strategy of parser input
-that the fuzz tests share, and
+spectrum.  :func:`minus_edge_spectrum` counts the cycles of a complete
+multipartite graph less one edge from the ``analytic`` counts alone, the
+check of ``counting`` past 24 vertices.  :func:`graph_texts` is the
+hypothesis strategy of parser input that the fuzz tests share, and
 :func:`partitions_exact` and :func:`extremal_number` are helpers that only
 the tests use.
 """
@@ -543,6 +545,38 @@ def reference_spectrum_equal_classes(size: int, count: int) -> dict[int, int]:
 
     descend(size, count, 1, ())
     return dict(sorted(spectrum.items()))
+
+
+def minus_edge_spectrum(sizes: Sequence[int], i: int, j: int) -> dict[int, int]:
+    """Per-length cycle counts of the complete multipartite graph on classes
+    ``sizes`` less one edge uv, u in class i and v in class j (0-based,
+    i != j): the ``analytic`` spectrum less the cycles through uv.
+
+    On a vertex set with c'_w vertices in class w, containing u and v, the
+    orderings from u whose second vertex lies in class j number
+    R = ``rooted_hamilton_permutations_general(c', i, j)`` (empty classes
+    dropped); by symmetry 1/c'_j of them go to v next, one per Hamilton cycle
+    through uv.  The set's other vertices are chosen in
+    C(s_i - 1, c'_i - 1) C(s_j - 1, c'_j - 1) prod_w C(s_w, c'_w) ways, w over
+    the other classes.  Independent of ``counting``: it builds no graph.
+    """
+    spectrum = dict(cycle_spectrum_multipartite(sizes))
+    ranges = [range(1, s + 1) if w in (i, j) else range(s + 1) for w, s in enumerate(sizes)]
+    for sub in product(*ranges):
+        r = sum(sub)
+        if r < 3:
+            continue
+        kept = [w for w, c in enumerate(sub) if c]
+        parts = [sub[w] for w in kept]
+        rooted = rooted_hamilton_permutations_general(parts, kept.index(i) + 1, kept.index(j) + 1)
+        through, rem = divmod(rooted, sub[j])
+        if rem:
+            raise ArithmeticError(f"rooted orderings {rooted} of {sub} not divisible by {sub[j]}")
+        ways = 1
+        for w, (s, c) in enumerate(zip(sizes, sub)):
+            ways *= comb(s - 1, c - 1) if w in (i, j) else comb(s, c)
+        spectrum[r] = spectrum.get(r, 0) - ways * through
+    return {r: c for r, c in sorted(spectrum.items()) if c}
 
 
 def reference_rooted_move_inequality(n: int, k: int) -> search.VerifyReport:

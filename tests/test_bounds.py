@@ -11,6 +11,7 @@ from cyclekit.bounds import (
     check_bipartite_decay,
     check_recursion,
     check_total_to_hamilton,
+    EXP_TERMS,
     exp_bounds,
     path_bound_exhaustive,
     path_bound_structured,
@@ -35,6 +36,11 @@ class TestExpBounds:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             exp_bounds(Fraction(-1))
+
+    def test_rejects_x_past_the_tail_majorant(self):
+        exp_bounds(Fraction(EXP_TERMS + 2) - Fraction(1, 10))
+        with pytest.raises(ValueError, match=f"x < {EXP_TERMS + 2}"):
+            exp_bounds(Fraction(EXP_TERMS + 2))
 
 
 class TestPathBoundExhaustive:

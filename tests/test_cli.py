@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from cyclekit import cli, counting
+from cyclekit import cli
 from cyclekit.cli import main
 from cyclekit.counting import count_cycles
 from cyclekit.graph_io import GraphFormatError, graph_from_graph6, graph_to_graph6, parse_graph_argument
-from cyclekit.graphs import make_graph, turan_class_sizes, turan_graph
+from cyclekit.graphs import make_graph, turan_class_sizes, turan_graph, twin_classes
 from cyclekit.morphisms import is_isomorphic
 
-from _oracles import graph_texts, reference_cmd_verify
+from _oracles import graph_texts, random_graph, reference_cmd_verify
 
 
 def run(capsys, *argv):
@@ -107,10 +108,19 @@ class TestCount:
         code, _, err = run(capsys, "count", "--turan", "4", "2", "--parts", "2,2")
         assert code == 2
 
-    def test_cycle_cap_zero_is_applied(self, capsys):
-        code, out, err = run(capsys, "count", "--turan", "5", "2", "--cycle-cap", "0")
+    def test_turan_past_the_vertex_cap_matches_analytic(self, capsys):
+        code, out, _ = run(capsys, "count", "--turan", "45", "3", "--format", "json")
+        _, want, _ = run(capsys, "analytic", "--parts", "15,15,15", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["spectrum"] == json.loads(want)["spectrum"]
+
+    def test_twin_free_graph_past_the_vertex_cap_exit_2(self, capsys):
+        rng = random.Random(113)
+        g = random_graph(rng, 25, 0.5)
+        assert len(twin_classes(g)) == 25
+        code, out, err = run(capsys, "count", "--graph6", graph_to_graph6(g))
         assert (code, out) == (2, "")
-        assert err == "error: cycle counting capped at 0 vertices (n=5)\n"
+        assert err.startswith("error: cycle counting refused: n=25") and "25 twin classes" in err
 
 
 class TestAnalytic:
@@ -572,6 +582,7 @@ class TestFlagsPerCommand:
         [
             ("count", "--turan", "5", "2", "--seed", "1"),
             ("count", "--turan", "5", "2", "--cache-dir", "D"),
+            ("count", "--turan", "5", "2", "--cycle-cap", "0"),
             ("analytic", "--parts", "2,2", "--seed", "1"),
             ("analytic", "--parts", "2,2", "--cache-dir", "D"),
             ("verify", "major", "--n-max", "3", "--cache-dir", "D"),
@@ -585,9 +596,17 @@ class TestFlagsPerCommand:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
-    def test_cycle_cap_defaults_to_the_library_cap(self):
-        args = cli.build_parser().parse_args(["count", "--turan", "5", "2"])
-        assert args.cycle_cap == counting.DEFAULT_CYCLE_CAP
+
+@pytest.mark.parametrize("value", ["2,zero", "", ","], ids=["not-an-int", "empty", "comma-only"])
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "--parts"), ("analytic", "--parts"), ("estimate", "--n", "4", "--k", "2", "--event", "P", "--content")],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_bad_class_sizes_name_the_flag(capsys, argv, value):
+    code, out, err = run(capsys, *argv, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[-1]} needs ") and repr(value) in err
 
 
 def run_fresh(*argv):

@@ -34,6 +34,7 @@ from cyclekit.search import compositions_exact
 from _oracles import (
     brute_count_paths,
     brute_cycle_spectrum,
+    minus_edge_spectrum,
     random_blowup,
     random_graph,
     walk_cycle_spectrum,
@@ -42,6 +43,13 @@ from _oracles import (
 
 def cycle_graph(n):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def twin_free_graph(n):
+    """A seeded G(n, 6n) graph, twin-free for the n the tests use."""
+    rng = random.Random(107)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(n, rng.sample(pairs, 6 * n))
 
 
 K4 = turan_graph(4, 4)
@@ -89,11 +97,31 @@ class TestCycleSpectrum:
             assert cycle_spectrum(g) == brute_cycle_spectrum(g) == walk_cycle_spectrum(g)
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            cycle_spectrum(make_graph(25, []))
-        assert cycle_spectrum(make_graph(25, []), max_n=25) == {}
-        with pytest.raises(ValueError, match="capped at 4"):
-            count_cycles(K5, max_n=4)
+        # past 24 vertices only the quotient runs, and a twin-free graph
+        # bounds it at 2^25 states, above QUOTIENT_STATE_CAP
+        g = twin_free_graph(25)
+        assert len(twin_classes(g)) == 25
+        for count in (cycle_spectrum, count_cycles):
+            with pytest.raises(ValueError, match=f"n=25 .* 25 twin classes .* {2 ** 25} states"):
+                count(g)
+
+    def test_edgeless_graph_past_the_vertex_cap(self):
+        assert cycle_spectrum(make_graph(25, [])) == {}
+        assert count_cycles(make_graph(64, [])) == 0
+
+    def test_state_cap_refuses_before_the_quotient(self, monkeypatch):
+        def unreachable(g, classes):
+            raise AssertionError("the quotient ran past the state cap")
+
+        monkeypatch.setattr(counting, "_quotient_spectrum", unreachable)
+        # T_10(40): ten classes of four vertices, so 5^10 states
+        assert 5 ** 10 > counting.QUOTIENT_STATE_CAP
+        with pytest.raises(ValueError, match=f"{5 ** 10} states"):
+            cycle_spectrum(turan_graph(40, 10))
+
+    @pytest.mark.parametrize("n, k", [(45, 3), (40, 4), (30, 5)])
+    def test_turan_past_the_vertex_cap(self, n, k):
+        assert cycle_spectrum(turan_graph(n, k)) == cycle_spectrum_multipartite(turan_class_sizes(n, k))
 
     def test_total_matches_spectrum(self):
         # below 11 vertices count_cycles sums the DP's closing counts directly
@@ -280,19 +308,16 @@ class TestTwoForms:
         assert kernel_calls == [(22, 1)]
 
     def test_path_cap(self):
-        rng = random.Random(103)
-        pairs = [(u, v) for u in range(25) for v in range(u + 1, 25)]
-        g = make_graph(25, rng.sample(pairs, 30))
-        with pytest.raises(ValueError):
-            count_paths_from(g, 0)
-        from_0 = count_paths_from(g, 0, max_n=25)
-        assert from_0 == {y: c for y in range(1, 25) if (c := brute_count_paths(g, 0, y))}
+        # paths have no quotient form, so even the edgeless graph is refused
+        for g in (twin_free_graph(25), make_graph(25, [])):
+            with pytest.raises(ValueError, match="capped at 24 vertices"):
+                count_paths_from(g, 0)
 
 
 class TestKernelSelection:
-    """Graphs with 11 <= n <= 24 run the numpy kernel in two passes, the
-    lowest anchor alone and every higher anchor together; smaller and larger
-    graphs run the dict DP.  All forms must agree."""
+    """Vertex counts of graphs with 11 <= n <= 24 run the numpy kernel in
+    two passes, the lowest anchor alone and every higher anchor together;
+    smaller graphs run the dict DP.  All forms must agree."""
 
     def test_both_forms_in_one_call_match_walk_oracle(self, kernel_calls):
         # "both forms": the lone pass and the pass over the higher anchors
@@ -391,6 +416,15 @@ class TestKernelSelection:
         assert kernel_calls == []
 
 
+def without_edge_between(sizes, i, j, rng):
+    """The complete multipartite graph on ``sizes`` less one random edge
+    between classes i and j (0-based)."""
+    start = [sum(sizes[:w]) for w in range(len(sizes))]
+    u = start[i] + rng.randrange(sizes[i])
+    v = start[j] + rng.randrange(sizes[j])
+    return complete_multipartite(sizes).without_edges([(u, v)])
+
+
 def blowup_sizes(rng, n, t):
     """A random composition of n into t positive class sizes."""
     cuts = sorted(rng.sample(range(1, n), t - 1))
@@ -399,7 +433,8 @@ def blowup_sizes(rng, n, t):
 
 class TestQuotient:
     """The DP over twin classes, which cycle_spectrum runs on graphs with at
-    least _KERNEL_MIN_M vertices and fewer twin classes."""
+    least _KERNEL_MIN_M vertices and fewer twin classes, and on every graph
+    past VERTEX_CAP that the state cap admits."""
 
     def test_matches_walk_oracle_on_blowups(self):
         rng = random.Random(67)
@@ -430,6 +465,21 @@ class TestQuotient:
                     if key not in analytic:
                         analytic[key] = cycle_spectrum_multipartite(key)
                     assert cycle_spectrum(complete_multipartite(parts)) == analytic[key], parts
+
+    def test_minus_edge_oracle_on_small_compositions(self):
+        rng = random.Random(109)
+        for _ in range(40):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+            i, j = rng.sample(range(len(sizes)), 2)
+            g = without_edge_between(sizes, i, j, rng)
+            assert cycle_spectrum(g) == minus_edge_spectrum(sizes, i, j), (sizes, i, j)
+
+    @pytest.mark.parametrize("n, k", [(45, 3), (40, 4), (30, 5)])
+    def test_turan_less_one_edge_past_the_vertex_cap(self, n, k):
+        sizes = turan_class_sizes(n, k)
+        g = without_edge_between(sizes, 0, k - 1, random.Random(n))
+        assert len(twin_classes(g)) == k + 2
+        assert cycle_spectrum(g) == minus_edge_spectrum(sizes, 0, k - 1)
 
     def test_remainder_raises(self):
         assert counting._divide_rootings({(3, 1): 4, (4, 2): 8, (4, 1): 2}) == {3: 2, 4: 3}
