@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
 from .counting import cycle_spectrum, spectrum_to_csv
-from .graphs import Graph, chromatic_number, complete_multipartite, has_critical_edge, turan_graph
+from .graphs import Graph, complete_multipartite, turan_graph
 from .graph_io import (
     GraphFormatError,
     graph_from_edge_list,
@@ -276,21 +276,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     except GraphFormatError as exc:
         print(f"bad --forbid argument: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    # before the search, so that a forbidden graph over the chromatic cap
-    # fails at once and leaves no cache file
-    chi = chromatic_number(forbid)
-    critical = has_critical_edge(forbid)
     result = search.max_cycles_h_free(
         args.n,
         forbid,
         forbid_label=args.forbid,
         cache_dir=args.cache_dir,
     )
-    out = result.to_dict()
-    out["forbidden_chi"] = chi
-    out["forbidden_has_critical_edge"] = critical
     if args.format == "json":
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps(result.to_dict(), sort_keys=True))
     elif args.format == "csv":
         print("n,forbidden,max_cycles,unique,graphs_examined,elapsed,from_cache,extremal")
         print(
@@ -303,8 +296,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"extremal classes (graph6): {', '.join(result.extremal_graphs)}")
         print(f"unique: {result.unique}, examined: {result.graphs_examined}, "
               f"elapsed: {result.elapsed:.3f}s, from_cache: {result.from_cache}")
-        print(f"forbidden graph: chi={out['forbidden_chi']}, "
-              f"critical_edge={out['forbidden_has_critical_edge']}")
+        print(f"forbidden graph: chi={result.forbidden_chi}, "
+              f"critical_edge={result.forbidden_has_critical_edge}")
     return 0
 
 

@@ -78,13 +78,22 @@ from .analytic import (
     rooted_hamilton_permutations_general,
 )
 from .counting import count_cycles, count_paths_from
-from .graphs import Graph, _bits, _unchecked_graph, complete_multipartite, turan_class_sizes, twin_classes
+from .graphs import (
+    Graph,
+    _bits,
+    _unchecked_graph,
+    chromatic_number,
+    complete_multipartite,
+    has_critical_edge,
+    turan_class_sizes,
+    twin_classes,
+)
 from .morphisms import canonical_label, canonical_orbits, contains_subgraph
 from .graph_io import graph_from_graph6, graph_to_graph6
 
 ENUM_CAP = 10
 # Stored in every cache file; a file with another value is recomputed.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +316,8 @@ class SearchResult:
     extremal_graphs: tuple[str, ...]
     unique: bool
     graphs_examined: int
+    forbidden_chi: int
+    forbidden_has_critical_edge: bool
     elapsed: float
     from_cache: bool = False
 
@@ -318,6 +329,8 @@ class SearchResult:
             "extremal_graphs": list(self.extremal_graphs),
             "unique": self.unique,
             "graphs_examined": self.graphs_examined,
+            "forbidden_chi": self.forbidden_chi,
+            "forbidden_has_critical_edge": self.forbidden_has_critical_edge,
             "elapsed": self.elapsed,
             "from_cache": self.from_cache,
         }
@@ -327,8 +340,9 @@ class SearchResult:
         graphs = raw["extremal_graphs"]
         if not isinstance(graphs, list) or not all(isinstance(g, str) for g in graphs):
             raise TypeError("extremal_graphs must be a list of graph6 strings")
-        if not isinstance(raw["unique"], bool):
-            raise TypeError("unique must be a boolean")
+        for key in ("unique", "forbidden_has_critical_edge"):
+            if not isinstance(raw[key], bool):
+                raise TypeError(f"{key} must be a boolean")
         if not isinstance(raw["forbidden"], str):
             raise TypeError("forbidden must be a string")
         return cls(
@@ -338,6 +352,8 @@ class SearchResult:
             extremal_graphs=tuple(graphs),
             unique=raw["unique"],
             graphs_examined=int(raw["graphs_examined"]),
+            forbidden_chi=int(raw["forbidden_chi"]),
+            forbidden_has_critical_edge=raw["forbidden_has_critical_edge"],
             elapsed=float(raw["elapsed"]),
             from_cache=bool(raw.get("from_cache", False)),
         )
@@ -348,11 +364,12 @@ def _cache_path(cache_dir: Path, n: int, h_canonical_g6: str) -> Path:
     return cache_dir / f"maxcycles_n{n}_{digest}.json"
 
 
-def _read_cache(path: Path, n: int) -> SearchResult | None:
+def _read_cache(path: Path, n: int, chi: int) -> SearchResult | None:
     """The result for n vertices cached at ``path``, or None on a miss.  A
     file that cannot be used (unreadable, not a result, another schema, a
-    result or an extremal graph for another n) is a miss too, reported in one
-    line on stderr; the caller then recomputes and overwrites it."""
+    result or an extremal graph for another n, a forbidden graph of another
+    chromatic number than ``chi``) is a miss too, reported in one line on
+    stderr; the caller then recomputes and overwrites it."""
     if not path.exists():
         return None
     try:
@@ -362,6 +379,8 @@ def _read_cache(path: Path, n: int) -> SearchResult | None:
         result = SearchResult.from_dict(raw)
         if result.n != n or any(graph_from_graph6(g6).n != n for g6 in result.extremal_graphs):
             raise ValueError(f"not a result for n={n}")
+        if result.forbidden_chi != chi:
+            raise ValueError(f"not a result for a forbidden graph with chi={chi}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: recomputing unusable cache file {path}: {exc!r}", file=sys.stderr)
         return None
@@ -431,13 +450,18 @@ def max_cycles_h_free(
     cache_dir: str | Path | None = None,
 ) -> SearchResult:
     """Exact maximum cycle count over forbid-free graphs on n vertices, with
-    all extremal isomorphism classes as canonical graph6 strings.
+    all extremal isomorphism classes as canonical graph6 strings, and the
+    forbidden graph's chromatic number and critical-edge flag.
 
     Results are cached per (n, canonical form of the forbidden graph) when a
     cache directory is given; rerunning serves the stored report under this
     call's label, and a cache file that cannot be read back is replaced by a
-    fresh result.
+    fresh result.  The chromatic number comes first, so that a forbidden
+    graph over its cap fails at once and leaves no cache file; the
+    critical-edge flag, one chromatic number per edge, is computed only when
+    the cache misses.
     """
+    chi = chromatic_number(forbid)
     _check_enumeration(n, forbid)
     canon_h, _ = canonical_label(forbid)
     canon_g6 = graph_to_graph6(canon_h)
@@ -445,10 +469,11 @@ def max_cycles_h_free(
     path = None
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), n, canon_g6)
-        cached = _read_cache(path, n)
+        cached = _read_cache(path, n, chi)
         if cached is not None:
             cached.forbidden = label
             return cached
+    critical = has_critical_edge(forbid)
     t0 = time.perf_counter()
     if n == 1:
         best, extremal, examined = 0, [Graph(1, (0,))], 1
@@ -462,6 +487,8 @@ def max_cycles_h_free(
         extremal_graphs=g6s,
         unique=len(g6s) == 1,
         graphs_examined=examined,
+        forbidden_chi=chi,
+        forbidden_has_critical_edge=critical,
         elapsed=time.perf_counter() - t0,
         from_cache=False,
     )

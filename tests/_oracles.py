@@ -15,7 +15,9 @@ draw :func:`reference_estimate_hits`, :func:`reference_cmd_verify`, the
 ``verify`` command with one branch per suite, and
 :func:`reference_turan_dominance`, the ``turanbest`` suite with every
 sampled subgraph built from its edge list and counted through its
-spectrum.  :func:`minus_edge_spectrum` counts the cycles of a complete
+spectrum, and :func:`reference_path_bound_exhaustive`, the path-product
+optimum re-solved for each budget by a recursion memoized on (position,
+budget used).  :func:`minus_edge_spectrum` counts the cycles of a complete
 multipartite graph less one edge from the ``analytic`` counts alone, the
 check of ``counting`` past 24 vertices.  :func:`graph_texts` is the
 hypothesis strategy of parser input that the fuzz tests share, and
@@ -202,6 +204,27 @@ def brute_path_product_max(n: int, m: int, ex: dict[int, int]) -> int:
 
     rec(2, 0, 1)
     return best
+
+
+def reference_path_bound_exhaustive(n: int, m: int, k: int) -> int:
+    """``bounds.path_bound_exhaustive`` as it was before its one-pass table:
+    the best product from position i on, given the budget used so far,
+    memoized on (i, used) and solved afresh for each budget m."""
+    if n < 2:
+        return 1
+    ex = [turan_edge_count(t, min(k, t)) if t > 1 else 0 for t in range(n + 1)]
+    memo: dict[tuple[int, int], int] = {}
+
+    def best(i: int, used: int) -> int:
+        if i > n:
+            return 1
+        key = (i, used)
+        if key not in memo:
+            cap = min(ex[i] - used, m - used)
+            memo[key] = max(max(r, 1) * best(i + 1, used + r) for r in range(cap + 1))
+        return memo[key]
+
+    return best(2, 0)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from cyclekit import bounds
 from cyclekit.bounds import (
+    PATH_BOUND_CAP,
+    _ln,
     check_bipartite_decay,
     check_recursion,
     check_total_to_hamilton,
@@ -19,7 +27,52 @@ from cyclekit.bounds import (
 )
 from cyclekit.graphs import turan_edge_count
 
-from _oracles import brute_path_product_max
+from _oracles import brute_path_product_max, reference_path_bound_exhaustive
+
+
+def _mp_ln(value):
+    """The display log as it was computed before the fixed-point series."""
+    with mp.workdps(60):
+        return float(mp.log(mp.mpf(value.numerator)) - mp.log(mp.mpf(value.denominator)))
+
+
+class TestLn:
+    def _assert_matches_mpmath(self, values):
+        for value in values:
+            assert repr(_ln(value)) == repr(_mp_ln(value)), value
+
+    def test_huge_ints(self):
+        rng = random.Random(20)
+        values = [rng.randrange(2, 10 ** rng.randrange(1, 401)) for _ in range(300)]
+        self._assert_matches_mpmath(values + [2, 3, 10**400, 2**1000, 2**1000 - 1])
+
+    def test_fractions_with_huge_terms(self):
+        rng = random.Random(21)
+        values = [Fraction(rng.randrange(1, 10 ** rng.randrange(1, 301)), rng.randrange(1, 10 ** rng.randrange(1, 301)))
+                  for _ in range(300)]
+        self._assert_matches_mpmath(values + [Fraction(1, 10**400), Fraction(3, 4), Fraction(4, 3)])
+
+    def test_fractions_near_one(self):
+        rng = random.Random(22)
+        values = [Fraction(10**40 + d, 10**40) for d in range(-9, 10) if d]
+        for _ in range(100):
+            den = rng.randrange(10**40, 10**41)
+            values.append(Fraction(den + rng.choice((-1, 1)), den))
+        self._assert_matches_mpmath(values)
+
+    def test_one_is_exactly_zero(self):
+        for one in (1, Fraction(1), Fraction(10**50, 10**50)):
+            assert repr(_ln(one)) == "0.0"
+
+    def test_nonpositive_has_no_log(self):
+        for value in (0, -1, -(10**400), Fraction(0), Fraction(-3, 7)):
+            assert _ln(value) is None
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(bounds.__file__).parents[1])}
+    code = "import sys, cyclekit.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestExpBounds:
@@ -70,9 +123,19 @@ class TestPathBoundExhaustive:
                     n, m, self._k3_table(n)
                 )
 
+    def test_matches_the_per_budget_recursion(self):
+        for k in (2, 3, 4):
+            for n in range(2, (PATH_BOUND_CAP if k == 2 else 12) + 1):
+                for m in range(0, turan_edge_count(n, min(k, n)) + 3):
+                    assert path_bound_exhaustive(n, m, k) == reference_path_bound_exhaustive(n, m, k), (n, m, k)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             path_bound_exhaustive(15, 3, 2)
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            path_bound_exhaustive(5, -1, 2)
 
 
 class TestPathBoundStructured:

@@ -387,18 +387,22 @@ class TestSearch:
         [
             lambda raw: raw[: len(raw) // 2],
             lambda raw: b"\xff\xfe{garbage",
-            lambda raw: raw.replace(b'"schema": 1', b'"schema": 0'),
-            lambda raw: b'{"schema": 1}',
+            lambda raw: raw.replace(b'"schema": %d' % cli.search.CACHE_SCHEMA, b'"schema": 1'),
+            lambda raw: b'{"schema": %d}' % cli.search.CACHE_SCHEMA,
             _retyped("extremal_graphs", "DFw"),
             _retyped("extremal_graphs", [7]),
             _retyped("unique", "yes"),
             _retyped("forbidden", 3),
             _retyped("n", 7),
             _retyped("extremal_graphs", ["E???"]),
+            _retyped("forbidden_has_critical_edge", "yes"),
+            _retyped("forbidden_chi", "three"),
+            _retyped("forbidden_chi", 4),
         ],
         ids=["truncated", "garbage", "wrong_schema", "missing_keys", "graphs_string",
              "graphs_not_strings", "unique_not_bool", "forbidden_not_string", "other_n",
-             "graph_of_other_order"],
+             "graph_of_other_order", "critical_edge_not_bool", "chi_not_int",
+             "chi_of_another_graph"],
     )
     def test_unusable_cache_file_is_recomputed(self, capsys, tmp_path, damage):
         args = ("search", "--n", "5", "--forbid", "K3", "--cache-dir", str(tmp_path), "--format", "json")
@@ -413,10 +417,34 @@ class TestSearch:
         assert {**again, "elapsed": 0} == {**fresh, "elapsed": 0}
         assert len(err.splitlines()) == 1 and err.startswith("warning:")
         assert list(tmp_path.iterdir()) == [path]
-        assert json.loads(path.read_text())["schema"] == 1
+        assert json.loads(path.read_text())["schema"] == cli.search.CACHE_SCHEMA
         code, out, err = run(capsys, *args)
         assert (code, err) == (0, "")
         assert json.loads(out)["from_cache"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_warm_run_skips_the_critical_edge_test(self, capsys, tmp_path, monkeypatch, fmt):
+        args = ("search", "--n", "5", "--forbid", "C5", "--cache-dir", str(tmp_path), "--format", fmt)
+        _, cold, _ = run(capsys, *args)
+
+        def refuse(_):
+            raise AssertionError("has_critical_edge ran on a cache hit")
+
+        monkeypatch.setattr(cli.search, "has_critical_edge", refuse)
+        code, warm, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+
+        # a hit serves the stored elapsed, so from_cache is the one difference
+        if fmt == "json":
+            assert json.loads(warm) == {**json.loads(cold), "from_cache": True}
+        elif fmt == "csv":
+            head, row = cold.splitlines()
+            fields = row.rsplit(",", 2)
+            assert fields[1] == "false"
+            assert warm == f"{head}\n{fields[0]},true,{fields[2]}\n"
+        else:
+            assert warm == cold.replace("from_cache: False", "from_cache: True")
+        assert warm != cold
 
     def test_cache_hit_is_served_under_the_callers_label(self, capsys, tmp_path):
         # Bw is K3 in graph6, so both runs share one cache file
@@ -452,8 +480,9 @@ class TestSearch:
     @pytest.mark.parametrize("n", ["0", "11"])
     def test_out_of_range_n_names_the_range(self, capsys, tmp_path, n):
         # a cache file for that n is not served either (Bw is K3's canonical graph6)
-        fake = {"schema": 1, "n": int(n), "forbidden": "K3", "max_cycles": "0", "extremal_graphs": [],
-                "unique": False, "graphs_examined": 0, "elapsed": 0.0}
+        fake = {"schema": cli.search.CACHE_SCHEMA, "n": int(n), "forbidden": "K3", "max_cycles": "0",
+                "extremal_graphs": [], "unique": False, "graphs_examined": 0, "forbidden_chi": 3,
+                "forbidden_has_critical_edge": True, "elapsed": 0.0}
         cli.search._cache_path(tmp_path, int(n), "Bw").write_text(json.dumps(fake))
         code, out, err = run(capsys, "search", "--n", n, "--forbid", "K3", "--cache-dir", str(tmp_path))
         assert (code, out) == (2, "")
