@@ -1,6 +1,10 @@
 """Command-line interface: counting, analytic reports, verification sweeps,
 and extremal search with a persistent cache.
 
+Every setting comes from its flag alone: argparse holds each default and
+checks each value, and each command, and each ``verify`` suite, registers
+only the flags it reads, so any other flag exits 2.
+
 Exit codes: 0 on success (and when every asserted check holds), 1 when an
 asserted inequality is violated (an implementation-bug signal, since those
 are theorems) or stdout was closed before all output was written, 2 on
@@ -36,19 +40,27 @@ CHECK_FAILED = 1
 FORMATS = ("table", "json", "csv")
 
 
+# the verify flags beyond --n-max, --k and --k-max, with their defaults
+SUITE_FLAGS = {"i_max": 3, "n0": 5, "samples": 0, "seed": 0}
+
+
 @dataclass(frozen=True)
 class Suite:
     """One ``verify`` suite.  ``reports(args, k_values)`` yields its
     reports over the parsed ranges; ``k_min`` is the least k it accepts (and
-    where the default k range starts), ``n_cap`` the largest ``--n-max``, and
-    a failed check of an ``asserted`` suite exits 1.  A sweep's table form
-    prints the ``violation`` line of each failed case, then ``summary`` with
-    the failure total.  The rows call the suite functions through their
+    where the default k range starts), or None when it reads no k, ``flags``
+    the keys of ``SUITE_FLAGS`` it reads, ``n_cap`` the largest ``--n-max``,
+    and a failed check of an ``asserted`` suite exits 1.  The suite's parser
+    takes ``--format``, ``--n-max``, ``--k`` and ``--k-max`` when it has a
+    ``k_min``, and ``flags``.  A sweep's table form prints the
+    ``violation`` line of each failed case, then ``summary`` with the
+    failure total.  The rows call the suite functions through their
     modules, so a patched module attribute takes effect."""
 
-    k_min: int
+    k_min: int | None
     asserted: bool
     reports: Callable[[argparse.Namespace, Sequence[int]], Iterator]
+    flags: tuple[str, ...] = ()
     n_cap: int | None = None
     violation: str | None = None
     summary: str | None = None
@@ -56,7 +68,8 @@ class Suite:
 
 SUITES: dict[str, Suite] = {
     "turanbest": Suite(2, True, lambda a, ks: (
-        search.verify_turan_dominance(n, k, a.samples, a.seed) for k in ks for n in range(max(3, k), a.n_max + 1))),
+        search.verify_turan_dominance(n, k, a.samples, a.seed) for k in ks for n in range(max(3, k), a.n_max + 1)),
+        flags=("samples", "seed")),
     "major": Suite(2, True, lambda a, ks: (
         search.verify_balanced_code_probability(n, k) for k in ks for n in range(2, a.n_max + 1))),
     "stepcount": Suite(3, True, lambda a, ks: (
@@ -67,56 +80,25 @@ SUITES: dict[str, Suite] = {
         search.report_rooted_class_share(n, k) for k in ks for n in range(max(3, k), a.n_max + 1))),
     "recursion": Suite(3, True, lambda a, ks: (
         bounds.check_recursion(n, k, i)
-        for k in ks for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 3) + 1))),
+        for k in ks for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 3) + 1)),
+        flags=("i_max",)),
     "secondcount": Suite(3, True, lambda a, ks: (
         bounds.check_total_to_hamilton(n, k) for k in ks for n in range(3, a.n_max + 1))),
-    "second2count": Suite(3, True, lambda a, ks: (
-        bounds.check_bipartite_decay(n, i) for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 4) + 1))),
+    "second2count": Suite(None, True, lambda a, ks: (
+        bounds.check_bipartite_decay(n, i) for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 4) + 1)),
+        flags=("i_max",)),
     # k = 2 is the bipartite ratio, reported before every k >= 3
     "kkmain": Suite(3, False, lambda a, ks: (
         bounds.report_asymptotic_ratio(n, k) for k in (2, *ks) for n in range(4, a.n_max + 1))),
     "ref3count": Suite(
-        3, True,
+        None, True,
         lambda a, ks: (bounds.verify_path_bound(n, a.n0) for n in range(a.n0 + 1, a.n_max + 1)),
+        flags=("n0",),
         n_cap=bounds.PATH_BOUND_CAP,
         violation="ref3count n={n} m={m}: VIOLATED",
         summary="ref3count: structured <= exhaustive sweep done, {failures} failures",
     ),
 }
-VERIFY_NAMES = tuple(SUITES)
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config lines must be key=value: {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in ("format", "seed", "cache_dir"):
-            raise ValueError(f"unknown config key {key!r}; known keys are format, seed, cache_dir")
-        out[key] = value.strip()
-    return out
-
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill in ``args.format``, and ``args.seed`` and ``args.cache_dir`` where
-    the command takes them, when their flags are unset: from the ``--config``
-    file, then (``cache_dir`` only) from ``CYCLEKIT_CACHE_DIR``, then the
-    default.  A key of the file that the command does not take is ignored."""
-    conf = _load_config_file(args.config) if args.config else {}
-    args.format = args.format or conf.get("format", "table")
-    if args.format not in FORMATS:
-        raise ValueError(f"format must be one of {', '.join(FORMATS)}, not {args.format!r}")
-    if "seed" in args and args.seed is None:
-        args.seed = int(conf.get("seed", 0))
-    if "cache_dir" in args:
-        cache = args.cache_dir or conf.get("cache_dir") or os.environ.get("CYCLEKIT_CACHE_DIR")
-        args.cache_dir = Path(cache) if cache else None
-    return args
 
 
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
@@ -246,15 +228,14 @@ def _emit(report: search.VerifyReport | bounds.BoundReport, fmt: str, violation:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     name, fmt = args.lemma, args.format
-    suite = SUITES.get(name)
-    if suite is None:
-        print(f"unknown lemma identifier {name!r}; choose from {', '.join(VERIFY_NAMES)}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.k is not None and args.k < suite.k_min:
-        raise ValueError(f"verify {name} needs --k >= {suite.k_min}, got {args.k}")
+    suite = SUITES[name]
+    k_values: Sequence[int] = ()
+    if suite.k_min is not None:
+        if args.k is not None and args.k < suite.k_min:
+            raise ValueError(f"verify {name} needs --k >= {suite.k_min}, got {args.k}")
+        k_values = [args.k] if args.k is not None else range(suite.k_min, args.k_max + 1)
     if suite.n_cap is not None and args.n_max > suite.n_cap:
         raise ValueError(f"verify {name} is capped at --n-max {suite.n_cap}, got {args.n_max}")
-    k_values = [args.k] if args.k is not None else range(suite.k_min, args.k_max + 1)
     reports = suite.reports(args, k_values)
     first = next(reports, None)
     if first is None:
@@ -280,7 +261,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         args.n,
         forbid,
         forbid_label=args.forbid,
-        cache_dir=args.cache_dir,
+        cache_dir=args.cache_dir or None,  # --cache-dir '' caches nothing
     )
     if args.format == "json":
         print(json.dumps(result.to_dict(), sort_keys=True))
@@ -337,12 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cycle counting and Turán-graph verification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every command takes these; --seed and --cache-dir only where they are read
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--config", default=None, help="key=value config file")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=FORMATS, default="table")
 
-    p_count = sub.add_parser("count", parents=[common], help="cycle spectrum of one or more graphs")
+    p_count = sub.add_parser("count", parents=[fmt], help="cycle spectrum of one or more graphs")
     p_count.add_argument("--graph6", default=None)
     p_count.add_argument("--graph6-file", default=None, help="file with one graph6 string per line")
     p_count.add_argument("--edge-list", default=None, help="file: first line n, then 'u v' lines")
@@ -350,35 +329,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--parts", default=None, help="complete multipartite class sizes, e.g. 2,2,2")
     p_count.set_defaults(func=cmd_count)
 
-    p_analytic = sub.add_parser("analytic", parents=[common], help="multipartite counts without building the graph")
+    p_analytic = sub.add_parser("analytic", help="multipartite counts without building the graph")
+    p_analytic.add_argument("--format", choices=("table", "json"), default="table")
     p_analytic.add_argument("--parts", required=True)
     p_analytic.add_argument("--rooted", default=None, metavar="I,J")
     p_analytic.set_defaults(func=cmd_analytic)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run one verification suite")
-    p_verify.add_argument("lemma")
-    p_verify.add_argument("--n-max", type=int, default=10)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--k-max", type=int, default=3)
-    p_verify.add_argument("--i-max", type=int, default=3)
-    p_verify.add_argument("--n0", type=int, default=5)
-    p_verify.add_argument("--samples", type=int, default=0)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify = sub.add_parser("verify", help="run one verification suite")
+    suites = p_verify.add_subparsers(dest="lemma", required=True)
+    for name, suite in SUITES.items():
+        p_suite = suites.add_parser(name, parents=[fmt])
+        p_suite.add_argument("--n-max", type=int, default=10)
+        if suite.k_min is not None:
+            p_suite.add_argument("--k", type=int, default=None)
+            p_suite.add_argument("--k-max", type=int, default=3)
+        for flag in suite.flags:
+            p_suite.add_argument("--" + flag.replace("_", "-"), type=int, default=SUITE_FLAGS[flag])
+        p_suite.set_defaults(func=cmd_verify)
 
-    p_search = sub.add_parser("search", parents=[common], help="maximum cycles over H-free graphs")
+    p_search = sub.add_parser("search", parents=[fmt], help="maximum cycles over H-free graphs")
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--forbid", required=True, help="catalog name (K3, C5, ...) or graph6")
-    p_search.add_argument("--cache-dir", default=None, help="default: $CYCLEKIT_CACHE_DIR")
+    p_search.add_argument("--cache-dir", default=None, help="directory of cached results; none by default")
     p_search.set_defaults(func=cmd_search)
 
-    p_est = sub.add_parser("estimate", parents=[common], help="Monte Carlo word-event probabilities")
+    p_est = sub.add_parser("estimate", parents=[fmt], help="Monte Carlo word-event probabilities")
     p_est.add_argument("--n", type=int, required=True)
     p_est.add_argument("--k", type=int, required=True)
     p_est.add_argument("--event", choices=randcodes.EVENTS, required=True)
     p_est.add_argument("--samples", type=int, default=100000)
     p_est.add_argument("--content", default=None)
-    p_est.add_argument("--seed", type=int, default=None)
+    p_est.add_argument("--seed", type=int, default=0)
     p_est.set_defaults(func=cmd_estimate)
 
     return parser
@@ -397,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        code = args.func(_apply_config(args))
+        code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

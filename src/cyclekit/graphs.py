@@ -259,9 +259,11 @@ def chromatic_number(g: Graph) -> int:
     return n
 
 
-def has_critical_edge(g: Graph) -> bool:
-    """True iff removing some edge lowers the chromatic number."""
-    chi = chromatic_number(g)
+def has_critical_edge(g: Graph, chi: int | None = None) -> bool:
+    """True iff removing some edge lowers the chromatic number.  A caller
+    that already knows χ(g) passes it as ``chi``."""
+    if chi is None:
+        chi = chromatic_number(g)
     if chi <= 1:
         return False
     for u, v in g.edges():

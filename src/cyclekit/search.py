@@ -458,8 +458,8 @@ def max_cycles_h_free(
     call's label, and a cache file that cannot be read back is replaced by a
     fresh result.  The chromatic number comes first, so that a forbidden
     graph over its cap fails at once and leaves no cache file; the
-    critical-edge flag, one chromatic number per edge, is computed only when
-    the cache misses.
+    critical-edge flag, which reuses that χ(H) and adds one chromatic number
+    per edge, is computed only when the cache misses.
     """
     chi = chromatic_number(forbid)
     _check_enumeration(n, forbid)
@@ -473,7 +473,7 @@ def max_cycles_h_free(
         if cached is not None:
             cached.forbidden = label
             return cached
-    critical = has_critical_edge(forbid)
+    critical = has_critical_edge(forbid, chi)
     t0 = time.perf_counter()
     if n == 1:
         best, extremal, examined = 0, [Graph(1, (0,))], 1

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 
 from cyclekit import bounds, search
 from cyclekit.analytic import cycle_spectrum_multipartite, rooted_hamilton_permutations_general
-from cyclekit.cli import CHECK_FAILED, USAGE_ERROR, VERIFY_NAMES, _apply_config
+from cyclekit.cli import CHECK_FAILED
 from cyclekit.graph_io import graph_to_graph6
 from cyclekit.counting import cycle_spectrum
 from cyclekit.graphs import Graph, _bits, make_graph, turan_class_sizes, turan_edge_count
@@ -741,14 +741,11 @@ def _emit_bound(report: bounds.BoundReport, fmt: str) -> None:
 
 
 def reference_cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _apply_config(args)
     name = args.lemma
-    if name not in VERIFY_NAMES:
-        print(f"unknown lemma identifier {name!r}; choose from {', '.join(VERIFY_NAMES)}", file=sys.stderr)
-        return USAGE_ERROR
-    fmt = cfg.format
+    fmt = args.format
     n_max = args.n_max
-    k_values = [args.k] if args.k else list(range(2 if name in ("turanbest", "major") else 3, args.k_max + 1))
+    k = getattr(args, "k", None)  # second2count and ref3count read no k
+    k_values = [k] if k else list(range(2 if name in ("turanbest", "major") else 3, getattr(args, "k_max", 3) + 1))
     failures = 0
     asserted = True
     if fmt == "csv" and name in ("recursion", "secondcount", "second2count", "kkmain"):
@@ -759,7 +756,7 @@ def reference_cmd_verify(args: argparse.Namespace) -> int:
             for n in range(3, n_max + 1):
                 if k > n:
                     continue
-                rep = search.verify_turan_dominance(n, k, args.samples, cfg.seed)
+                rep = search.verify_turan_dominance(n, k, args.samples, args.seed)
                 failures += rep.failures
                 _emit_report(rep, fmt)
     elif name == "major":

@@ -7,12 +7,13 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from cyclekit import cli
 from cyclekit.cli import main
@@ -159,6 +160,12 @@ class TestAnalytic:
         code, _, err = run(capsys, "analytic", "--parts", "2,zero")
         assert code == 2
 
+    def test_csv_format_exit_2(self, capsys):
+        # used to exit 0 and print the table form
+        code, out, err = run(capsys, "analytic", "--parts", "2,2", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'csv'" in err
+
     def test_spectrum_up_to_the_64_vertex_limit(self, capsys):
         code, out, _ = run(capsys, "analytic", "--parts", ",".join(["1"] * 64), "--format", "json")
         assert code == 0
@@ -213,7 +220,7 @@ class TestVerify:
     def test_unknown_lemma_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "nosuch")
         assert code == 2
-        assert "unknown lemma" in err
+        assert "invalid choice: 'nosuch'" in err
 
     def test_failed_theorem_check_exit_1(self, capsys, monkeypatch):
         # the real checks are theorems and never fail; stub one to confirm
@@ -344,7 +351,7 @@ REFERENCE_RUNS = [
 
 class TestVerifyMatchesReference:
     def test_every_suite_is_covered(self):
-        assert {argv[0] for argv in REFERENCE_RUNS} == set(cli.VERIFY_NAMES) == set(cli.SUITES)
+        assert {argv[0] for argv in REFERENCE_RUNS} == set(cli.SUITES)
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     @pytest.mark.parametrize("argv", REFERENCE_RUNS, ids=" ".join)
@@ -454,10 +461,20 @@ class TestSearch:
         data = json.loads(out)
         assert (data["forbidden"], data["from_cache"]) == ("Bw", True)
 
-    def test_cache_dir_from_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLEKIT_CACHE_DIR", str(tmp_path))
-        run(capsys, "search", "--n", "4", "--forbid", "K3", "--format", "json")
-        assert list(tmp_path.glob("*.json"))
+    def test_cache_dir_env_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # CYCLEKIT_CACHE_DIR used to set the cache; only --cache-dir does
+        monkeypatch.setenv("CYCLEKIT_CACHE_DIR", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "search", "--n", "4", "--forbid", "K3", "--format", "json")
+        assert (code, json.loads(out)["from_cache"]) == (0, False)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_cache_dir_caches_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            code, out, _ = run(capsys, "search", "--n", "4", "--forbid", "K3", "--cache-dir", "", "--format", "json")
+            assert (code, json.loads(out)["from_cache"]) == (0, False)
+        assert list(tmp_path.iterdir()) == []
 
     def test_extremal_output_reparses_isomorphic(self, capsys):
         code, out, _ = run(
@@ -552,54 +569,35 @@ class TestEstimate:
 
 
 class TestConfigFile:
-    def test_config_sets_format_and_cache(self, capsys, tmp_path):
-        conf = tmp_path / "ck.conf"
-        conf.write_text(f"format=json\ncache_dir={tmp_path}\n")
-        code, out, _ = run(
-            capsys, "search", "--n", "4", "--forbid", "K3", "--config", str(conf)
-        )
-        assert code == 0
-        json.loads(out)  # json format came from the config file
-        assert list(tmp_path.glob("*.json"))
+    """No command reads a config file: ``--config`` is an unknown flag, and
+    ``--format`` and ``--seed`` take their values and defaults from argparse."""
 
-    def test_bad_config_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ("count", "--turan", "4", "2"),
+        ("analytic", "--parts", "2,2"),
+        ("verify", "major", "--n-max", "3"),
+        ("search", "--n", "4", "--forbid", "K3"),
+        ("estimate", "--n", "4", "--k", "2", "--event", "Q"),
+    ], ids=lambda argv: argv[0])
+    def test_config_flag_exit_2(self, capsys, tmp_path, argv):
         conf = tmp_path / "ck.conf"
-        conf.write_text("not a pair\n")
-        code, _, err = run(
-            capsys, "count", "--turan", "4", "2", "--config", str(conf)
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("argv", [("count", "--turan", "4", "2"), ("verify", "major", "--n-max", "3")])
-    def test_unknown_format_value_exit_2(self, capsys, tmp_path, argv):
-        conf = tmp_path / "ck.conf"
-        conf.write_text("format=xml\n")
+        conf.write_text(f"format=json\nseed=5\ncache_dir={tmp_path}\n")
         code, out, err = run(capsys, *argv, "--config", str(conf))
         assert (code, out) == (2, "")
-        assert "'xml'" in err
+        assert f"unrecognized arguments: --config {conf}" in err
+        assert list(tmp_path.iterdir()) == [conf]
 
-    def test_unknown_key_exit_2(self, capsys, tmp_path):
-        conf = tmp_path / "ck.conf"
-        conf.write_text("format=json\ncycle_cap=5\n")
-        code, out, err = run(capsys, "count", "--turan", "4", "2", "--config", str(conf))
+    @pytest.mark.parametrize("argv", [("count", "--turan", "4", "2"), ("verify", "major", "--n-max", "3")])
+    def test_unknown_format_value_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "xml")
         assert (code, out) == (2, "")
-        assert "'cycle_cap'" in err
+        assert "invalid choice: 'xml'" in err
 
-    def test_count_ignores_seed_and_cache_dir(self, capsys, tmp_path):
-        conf = tmp_path / "ck.conf"
-        conf.write_text(f"seed=not-a-number\ncache_dir={tmp_path / 'unused'}\nformat=json\n")
-        plain = run(capsys, "count", "--turan", "5", "2", "--format", "json")
-        assert run(capsys, "count", "--turan", "5", "2", "--config", str(conf)) == plain
-        assert plain[0] == 0
-
-    def test_seed_from_config_unless_given(self, capsys, tmp_path):
-        conf = tmp_path / "ck.conf"
-        conf.write_text("seed=5\n")
+    def test_seed_defaults_to_zero(self, capsys):
         argv = ("estimate", "--n", "6", "--k", "3", "--event", "Q", "--samples", "200", "--format", "json")
-        from_file = run(capsys, *argv, "--config", str(conf))
-        assert from_file == run(capsys, *argv, "--seed", "5")
-        assert run(capsys, *argv, "--config", str(conf), "--seed", "6") == run(capsys, *argv, "--seed", "6")
-        assert from_file != run(capsys, *argv)
+        unseeded = run(capsys, *argv)
+        assert unseeded == run(capsys, *argv, "--seed", "0")
+        assert unseeded != run(capsys, *argv, "--seed", "5")
 
 
 class TestFlagsPerCommand:
@@ -624,6 +622,83 @@ class TestFlagsPerCommand:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+# a small accepted value of each verify flag that only some suites read;
+# --k and --k-max take the suite's least k
+SUITE_FLAG_VALUES = {"--k": None, "--k-max": None, "--i-max": "1", "--n0": "4", "--samples": "2", "--seed": "1"}
+
+
+class TestFlagsPerSuite:
+    """Each ``verify`` suite takes --format, --n-max and only the flags its
+    row of ``cli.SUITES`` reads; the cases come from the table, so a new row
+    is covered as it is added."""
+
+    @pytest.mark.parametrize("flag", list(SUITE_FLAG_VALUES))
+    @pytest.mark.parametrize("name", list(cli.SUITES))
+    def test_flag_is_read_or_refused(self, capsys, name, flag):
+        suite = cli.SUITES[name]
+        if flag in ("--k", "--k-max"):
+            reads, value = suite.k_min is not None, str(suite.k_min or 3)
+        else:
+            reads, value = flag[2:].replace("-", "_") in suite.flags, SUITE_FLAG_VALUES[flag]
+        code, out, err = run(capsys, "verify", name, "--n-max", "6", flag, value)
+        if reads:
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out) == (2, "")
+            assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("name", list(cli.SUITES))
+    def test_row_declares_what_its_reports_read(self, name):
+        suite = cli.SUITES[name]
+        args = cli.build_parser().parse_args(["verify", name, "--n-max", "6"])
+        read = set()
+
+        class Recorder:
+            def __getattr__(self, attr):
+                read.add(attr)
+                return getattr(args, attr)
+
+        class Ks:
+            iterated = False
+
+            def __iter__(self):
+                self.iterated = True
+                return iter([suite.k_min or 3])
+
+        ks = Ks()
+        assert list(suite.reports(Recorder(), ks))
+        assert read == {"n_max", *suite.flags}
+        assert ks.iterated == (suite.k_min is not None)
+
+
+def _readme_commands():
+    """The ``cyclekit`` lines of README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("cyclekit ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_block_covers_every_command():
+    assert {shlex.split(line)[1] for line in README_COMMANDS} == {"count", "analytic", "verify", "search", "estimate"}
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_exits_0(capsys, tmp_path, monkeypatch, line):
+    # run where the README's input files exist, and cache under tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    (tmp_path / "graphs.g6").write_text(graph_to_graph6(turan_graph(4, 4)) + "\n" + graph_to_graph6(turan_graph(5, 2)) + "\n")
+    (tmp_path / "mygraph.txt").write_text("3\n0 1\n1 2\n2 0\n")
+    argv = shlex.split(line, comments=True)[1:]
+    if "--cache-dir" in argv:
+        argv[argv.index("--cache-dir") + 1] = str(tmp_path / "cache")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("value", ["2,zero", "", ","], ids=["not-an-int", "empty", "comma-only"])
@@ -699,10 +774,9 @@ class TestFuzz:
             assert code == 0
             assert json.loads(out)["total"] == count_cycles(g)
 
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, deadline=None)
     @given(text=graph_texts())
-    def test_search_forbid(self, monkeypatch, text):
-        monkeypatch.delenv("CYCLEKIT_CACHE_DIR", raising=False)
+    def test_search_forbid(self, text):
         try:
             h = parse_graph_argument(text)
         except GraphFormatError:

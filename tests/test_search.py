@@ -9,7 +9,7 @@ import pytest
 
 from cyclekit import search
 from cyclekit.counting import count_cycles
-from cyclekit.graphs import Graph, complete_multipartite, make_graph, turan_graph
+from cyclekit.graphs import Graph, chromatic_number, complete_multipartite, make_graph, turan_graph
 from cyclekit.graph_io import graph_from_graph6, graph_to_graph6, named_graph
 from cyclekit.morphisms import contains_subgraph, is_isomorphic
 from cyclekit.search import (
@@ -244,6 +244,23 @@ class TestMaxCyclesSearch:
         assert len(files) == 1
         raw = json.loads(files[0].read_text())
         assert SearchResult.from_dict(raw).max_cycles == 3
+
+    @pytest.mark.parametrize("name", ["K3", "C5", "K4"])
+    def test_miss_colours_the_forbidden_graph_once(self, monkeypatch, tmp_path, name):
+        # the critical-edge test takes the chromatic number the search found
+        h = named_graph(name)
+        whole = []
+
+        def counted(g):
+            whole.append(g == h)
+            return chromatic_number(g)
+
+        monkeypatch.setattr("cyclekit.graphs.chromatic_number", counted)
+        monkeypatch.setattr(search, "chromatic_number", counted)
+        result = max_cycles_h_free(5, h, cache_dir=tmp_path)
+        assert not result.from_cache and result.forbidden_has_critical_edge
+        # the full H once, first; then the per-edge deletions, up to a critical one
+        assert whole[0] and len(whole) > 1 and not any(whole[1:])
 
 
 class TestVerifySuites:
