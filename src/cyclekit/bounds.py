@@ -166,17 +166,6 @@ class BoundReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    CSV_HEADER = "name,n,m,k,i,lhs_log,rhs_log,holds"
-
-    def to_csv_row(self) -> str:
-        cells = [self.name]
-        for key in ("n", "m", "k", "i"):
-            cells.append(str(self.params.get(key, "")))
-        cells.append("" if self.lhs_log is None else repr(self.lhs_log))
-        cells.append("" if self.rhs_log is None else repr(self.rhs_log))
-        cells.append("" if self.holds is None else str(self.holds).lower())
-        return ",".join(cells)
-
 
 # ---------------------------------------------------------------------------
 # Path-product optimizer

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
-from .counting import cycle_spectrum, spectrum_to_csv
+from .counting import cycle_spectrum
 from .graphs import Graph, complete_multipartite, turan_graph
 from .graph_io import (
     GraphFormatError,
@@ -37,7 +37,7 @@ from .graph_io import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-FORMATS = ("table", "json", "csv")
+FORMATS = ("table", "json")
 
 
 # the verify flags beyond --n-max, --k and --k-max, with their defaults
@@ -158,8 +158,6 @@ def cmd_count(args: argparse.Namespace) -> int:
                     sort_keys=True,
                 )
             )
-        elif args.format == "csv":
-            sys.stdout.write(spectrum_to_csv(spectrum))
         else:
             print(f"graph: n={g.n}, edges={g.edge_count}, graph6={graph_to_graph6(g)}")
             for r in sorted(spectrum):
@@ -211,7 +209,7 @@ def _emit(report: search.VerifyReport | bounds.BoundReport, fmt: str, violation:
             verdict = "report" if report.holds is None else ("holds" if report.holds else "VIOLATED")
             print(f"{report.name} {report.params}: {verdict}")
         else:
-            print(report.to_csv_row() if fmt == "csv" else report.to_json())
+            print(report.to_json())
         return int(report.holds is False)
     if fmt != "table":
         for case in report.cases:
@@ -240,8 +238,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     first = next(reports, None)
     if first is None:
         raise ValueError(f"verify {name}: the given ranges hold no case")
-    if fmt == "csv" and isinstance(first, bounds.BoundReport):
-        print(bounds.BoundReport.CSV_HEADER)
     failures = sum(_emit(rep, fmt, suite.violation) for rep in itertools.chain([first], reports))
     if fmt == "table" and suite.summary:
         print(suite.summary.format(failures=failures))
@@ -265,13 +261,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     )
     if args.format == "json":
         print(json.dumps(result.to_dict(), sort_keys=True))
-    elif args.format == "csv":
-        print("n,forbidden,max_cycles,unique,graphs_examined,elapsed,from_cache,extremal")
-        print(
-            f"{result.n},{result.forbidden},{result.max_cycles},{str(result.unique).lower()},"
-            f"{result.graphs_examined},{result.elapsed!r},{str(result.from_cache).lower()},"
-            + ";".join(result.extremal_graphs)
-        )
     else:
         print(f"max cycles over {args.forbid}-free graphs on {result.n} vertices: {result.max_cycles}")
         print(f"extremal classes (graph6): {', '.join(result.extremal_graphs)}")
@@ -300,12 +289,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         print(json.dumps(out, sort_keys=True))
-    elif args.format == "csv":
-        print("event,n,k,estimate,stderr,exact_value_if_known")
-        print(
-            f"{args.event},{args.n},{args.k},{est.estimate!r},{est.stderr!r},"
-            f"{exact.numerator}/{exact.denominator}"
-        )
     else:
         for key in ("event", "n", "k", "estimate", "stderr", "hits", "samples", "exact"):
             print(f"{key}: {out[key]}")
@@ -329,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--parts", default=None, help="complete multipartite class sizes, e.g. 2,2,2")
     p_count.set_defaults(func=cmd_count)
 
-    p_analytic = sub.add_parser("analytic", help="multipartite counts without building the graph")
-    p_analytic.add_argument("--format", choices=("table", "json"), default="table")
+    p_analytic = sub.add_parser("analytic", parents=[fmt], help="multipartite counts without building the graph")
     p_analytic.add_argument("--parts", required=True)
     p_analytic.add_argument("--rooted", default=None, metavar="I,J")
     p_analytic.set_defaults(func=cmd_analytic)
@@ -375,6 +357,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if [] in vars(args).values():
+            # argparse (as of Python 3.11) reads ``--flag=--`` as an empty list
+            _parser().error("'--' is not a flag value")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -425,14 +425,3 @@ def count_paths_from(g: Graph, x: int) -> dict[int, int]:
     _, ends = _layers(adj, [0])
     ends[0], ends[x] = ends[x], ends[0]
     return {y: c for y, c in enumerate(ends) if c}
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def spectrum_to_csv(spectrum: dict[int, int]) -> str:
-    lines = ["r,count"]
-    lines += [f"{r},{spectrum[r]}" for r in sorted(spectrum)]
-    return "\n".join(lines) + "\n"

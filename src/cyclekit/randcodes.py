@@ -105,6 +105,8 @@ def _check_event(n: int, k: int, event: str, content: Sequence[int] | None) -> N
             raise ValueError("content parts must be nonnegative")
         if sum(content) != n:
             raise ValueError("content must sum to n")
+    elif content is not None:
+        raise ValueError(f"event {event} takes no content vector")
 
 
 def estimate_prob(

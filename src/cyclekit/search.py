@@ -32,15 +32,16 @@ children of one parent are then pairwise non-isomorphic, and no set of
 graphs is kept at all; the enumeration streams depth first.
 
 Graphs above the last level are labelled, to get the next level's
-automorphisms.  At the last level a child is labelled only when its
-deletion is in doubt.  When the new vertex m is the only least-key vertex,
-it is the canonical deletion; when it is a twin of every tied vertex, a
-twin swap maps it onto the canonical deletion.  Either way m passes without
-a labelling, and only the remaining tied children are labelled.  At K3-free
-n = 6 that leaves 12 last-level labellings where every one of 43
-candidates was labelled before, and 1809 where 8442 were at K4-free n = 8.
-``enumerate_graphs`` labels what the last level yields, so it returns
-canonical forms; ``max_cycles_h_free`` labels only its extremal classes.
+automorphisms, and grown as built, not relabelled.  At the last level a
+child is labelled only when its deletion is in doubt.  When the new vertex
+m is the only least-key vertex, it is the canonical deletion; when it is a
+twin of every tied vertex, a twin swap maps it onto the canonical deletion.
+Either way m passes without a labelling, and only the remaining tied
+children are labelled.  At K3-free n = 6 that leaves 12 last-level
+labellings where every one of 43 candidates was labelled before, and 1809
+where 8442 were at K4-free n = 8.  ``enumerate_graphs`` labels what the
+last level yields, so it returns canonical forms; ``max_cycles_h_free``
+labels only its extremal classes.
 
 The maximum-cycle search counts a last-level child from its parent: a cycle
 through the new vertex m is m, a u-w path of the parent and m again, so
@@ -228,40 +229,26 @@ def _evident_deletion(child: Graph, ties: list[int]) -> bool:
     return all(adj[v] & ~(1 << m) == adj[m] & ~(1 << v) for v in ties[1:])
 
 
-def _canonical_child(
-    child: Graph, ties: list[int]
-) -> tuple[Graph, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-    """``canonical_orbits(child)``, or None when the new vertex is not a
-    canonical deletion: among the tied vertices, the one with the highest
-    canonical position, and the new vertex must lie in its orbit."""
-    labelled = canonical_orbits(child)
-    _, perm, orbits, _ = labelled
+def _canonical_child(child: Graph, ties: list[int]) -> tuple[tuple[int, ...], ...] | None:
+    """The automorphisms of ``child`` that ``canonical_orbits`` returns, or
+    None when the new vertex is not a canonical deletion: among the tied
+    vertices, the one with the highest canonical position, and the new
+    vertex must lie in its orbit."""
+    _, perm, orbits, auts = canonical_orbits(child)
     if len(ties) > 1 and orbits[max(ties, key=perm.__getitem__)] != orbits[ties[0]]:
         return None
-    return labelled
-
-
-def _canonical_auts(
-    perm: tuple[int, ...], auts: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """The automorphisms ``auts`` rewritten in the labelling ``perm``
-    (``perm[old] = new``)."""
-    relabeled = []
-    for a in auts:
-        b = [0] * len(a)
-        for v, w in enumerate(a):
-            b[perm[v]] = perm[w]
-        relabeled.append(tuple(b))
-    return tuple(relabeled)
+    return auts
 
 
 def _last_level(n: int, forbid: Graph | None) -> Iterator[tuple[Graph, list[int]]]:
     """Each graph on n - 1 >= 1 vertices of the search tree with the
     neighbourhoods of its accepted children, the new vertex being n - 1.
 
-    Graphs above the last level are canonical forms.  A last-level child is
-    labelled only when its deletion is not evident, and the children of one
-    parent are pairwise non-isomorphic."""
+    Graphs above the last level are grown as built, with the automorphisms
+    their labelling returns in their own vertex numbers: the deletion rule
+    and the orbit pruning depend only on the isomorphism class.  A last-level child is labelled only when its
+    deletion is not evident, and the children of one parent are pairwise
+    non-isomorphic."""
 
     def grow(g: Graph, auts: tuple[tuple[int, ...], ...]) -> Iterator[tuple[Graph, list[int]]]:
         if g.n == n - 1:
@@ -269,10 +256,9 @@ def _last_level(n: int, forbid: Graph | None) -> Iterator[tuple[Graph, list[int]
                       if _evident_deletion(child, ties) or _canonical_child(child, ties) is not None]
             return
         for child, ties in _candidates(g, auts, forbid):
-            labelled = _canonical_child(child, ties)
-            if labelled is not None:
-                canon, perm, _, child_auts = labelled
-                yield from grow(canon, _canonical_auts(perm, child_auts))
+            child_auts = _canonical_child(child, ties)
+            if child_auts is not None:
+                yield from grow(child, child_auts)
 
     yield from grow(Graph(1, (0,)), ())
 
@@ -345,16 +331,26 @@ class SearchResult:
                 raise TypeError(f"{key} must be a boolean")
         if not isinstance(raw["forbidden"], str):
             raise TypeError("forbidden must be a string")
+        for key in ("n", "graphs_examined", "forbidden_chi"):
+            if type(raw[key]) is not int:  # a bool is an int too
+                raise TypeError(f"{key} must be an integer")
+        digits = raw["max_cycles"]
+        if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+            raise TypeError("max_cycles must be a string of decimal digits")
+        if raw["unique"] != (len(graphs) == 1):
+            raise ValueError("unique must say whether there is one extremal graph")
+        if not (type(raw["elapsed"]) is float and 0 <= raw["elapsed"] < float("inf")):
+            raise TypeError("elapsed must be a finite nonnegative number of seconds")
         return cls(
-            n=int(raw["n"]),
+            n=raw["n"],
             forbidden=raw["forbidden"],
-            max_cycles=int(raw["max_cycles"]),
+            max_cycles=int(digits),
             extremal_graphs=tuple(graphs),
             unique=raw["unique"],
-            graphs_examined=int(raw["graphs_examined"]),
-            forbidden_chi=int(raw["forbidden_chi"]),
+            graphs_examined=raw["graphs_examined"],
+            forbidden_chi=raw["forbidden_chi"],
             forbidden_has_critical_edge=raw["forbidden_has_critical_edge"],
-            elapsed=float(raw["elapsed"]),
+            elapsed=raw["elapsed"],
             from_cache=bool(raw.get("from_cache", False)),
         )
 

@@ -731,9 +731,7 @@ def _emit_report(report: search.VerifyReport, fmt: str) -> None:
 
 
 def _emit_bound(report: bounds.BoundReport, fmt: str) -> None:
-    if fmt == "csv":
-        print(report.to_csv_row())
-    elif fmt == "table":
+    if fmt == "table":
         verdict = "report" if report.holds is None else ("holds" if report.holds else "VIOLATED")
         print(f"{report.name} {report.params}: {verdict}")
     else:
@@ -748,8 +746,6 @@ def reference_cmd_verify(args: argparse.Namespace) -> int:
     k_values = [k] if k else list(range(2 if name in ("turanbest", "major") else 3, getattr(args, "k_max", 3) + 1))
     failures = 0
     asserted = True
-    if fmt == "csv" and name in ("recursion", "secondcount", "second2count", "kkmain"):
-        print(bounds.BoundReport.CSV_HEADER)
 
     if name == "turanbest":
         for k in k_values:

@@ -214,12 +214,6 @@ class TestInequalitySuites:
         with pytest.raises(ValueError):
             check_bipartite_decay(10, 7)
 
-    def test_csv_row_shape(self):
-        rep = check_recursion(6, 3, 1)
-        row = rep.to_csv_row()
-        assert row.startswith("recursion,6,,3,1,")
-        assert row.endswith(",true")
-
 
 class TestAsymptoticRatios:
     def test_bipartite_ratio_near_one(self):

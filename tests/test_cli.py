@@ -78,11 +78,6 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["total"] == 1
 
-    def test_csv_spectrum(self, capsys):
-        code, out, _ = run(capsys, "count", "--turan", "4", "4", "--format", "csv")
-        assert code == 0
-        assert out == "r,count\n3,4\n4,3\n"
-
     def test_graph6_file_multiple(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"
         g6s = [graph_to_graph6(turan_graph(4, 4)), graph_to_graph6(turan_graph(5, 2))]
@@ -160,12 +155,6 @@ class TestAnalytic:
         code, _, err = run(capsys, "analytic", "--parts", "2,zero")
         assert code == 2
 
-    def test_csv_format_exit_2(self, capsys):
-        # used to exit 0 and print the table form
-        code, out, err = run(capsys, "analytic", "--parts", "2,2", "--format", "csv")
-        assert (code, out) == (2, "")
-        assert "invalid choice: 'csv'" in err
-
     def test_spectrum_up_to_the_64_vertex_limit(self, capsys):
         code, out, _ = run(capsys, "analytic", "--parts", ",".join(["1"] * 64), "--format", "json")
         assert code == 0
@@ -191,16 +180,6 @@ class TestVerify:
         )
         assert code == 0
         assert all(json.loads(line)["holds"] for line in out.splitlines())
-
-    def test_second2count_csv(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "second2count", "--n-max", "8", "--i-max", "1",
-            "--format", "csv",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "name,n,m,k,i,lhs_log,rhs_log,holds"
-        assert all(line.endswith(",true") for line in lines[1:])
 
     def test_kkmain_reports_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "kkmain", "--n-max", "6", "--format", "json")
@@ -299,7 +278,7 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "sample_subgraphs" in err
 
-    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("argv", [
         ("secondcount", "--n-max", "2"),
         ("recursion", "--i-max", "-1"),
@@ -353,7 +332,7 @@ class TestVerifyMatchesReference:
     def test_every_suite_is_covered(self):
         assert {argv[0] for argv in REFERENCE_RUNS} == set(cli.SUITES)
 
-    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("argv", REFERENCE_RUNS, ids=" ".join)
     def test_byte_identical(self, capsys, argv, fmt):
         full = ("verify", *argv, "--format", fmt)
@@ -405,11 +384,21 @@ class TestSearch:
             _retyped("forbidden_has_critical_edge", "yes"),
             _retyped("forbidden_chi", "three"),
             _retyped("forbidden_chi", 4),
+            _retyped("max_cycles", 9.99),
+            _retyped("max_cycles", "-3"),
+            _retyped("graphs_examined", True),
+            _retyped("n", 5.0),
+            _retyped("forbidden_chi", 3.0),
+            _retyped("unique", False),
+            _retyped("elapsed", "nan"),
+            _retyped("elapsed", True),
         ],
         ids=["truncated", "garbage", "wrong_schema", "missing_keys", "graphs_string",
              "graphs_not_strings", "unique_not_bool", "forbidden_not_string", "other_n",
              "graph_of_other_order", "critical_edge_not_bool", "chi_not_int",
-             "chi_of_another_graph"],
+             "chi_of_another_graph", "max_cycles_float", "max_cycles_signed",
+             "examined_bool", "n_float", "chi_float", "unique_contradicts_graphs",
+             "elapsed_nan", "elapsed_bool"],
     )
     def test_unusable_cache_file_is_recomputed(self, capsys, tmp_path, damage):
         args = ("search", "--n", "5", "--forbid", "K3", "--cache-dir", str(tmp_path), "--format", "json")
@@ -429,7 +418,7 @@ class TestSearch:
         assert (code, err) == (0, "")
         assert json.loads(out)["from_cache"] is True
 
-    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_warm_run_skips_the_critical_edge_test(self, capsys, tmp_path, monkeypatch, fmt):
         args = ("search", "--n", "5", "--forbid", "C5", "--cache-dir", str(tmp_path), "--format", fmt)
         _, cold, _ = run(capsys, *args)
@@ -444,11 +433,6 @@ class TestSearch:
         # a hit serves the stored elapsed, so from_cache is the one difference
         if fmt == "json":
             assert json.loads(warm) == {**json.loads(cold), "from_cache": True}
-        elif fmt == "csv":
-            head, row = cold.splitlines()
-            fields = row.rsplit(",", 2)
-            assert fields[1] == "false"
-            assert warm == f"{head}\n{fields[0]},true,{fields[2]}\n"
         else:
             assert warm == cold.replace("from_cache: False", "from_cache: True")
         assert warm != cold
@@ -525,15 +509,11 @@ class TestEstimate:
         assert data["exact"] == "1/8"
         assert abs(data["estimate"] - 0.125) < 4 * data["stderr"]
 
-    def test_csv_carries_exact_value(self, capsys):
-        code, out, _ = run(
-            capsys, "estimate", "--n", "4", "--k", "2", "--event", "QP",
-            "--content", "2,2", "--samples", "5000", "--seed", "2", "--format", "csv",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "event,n,k,estimate,stderr,exact_value_if_known"
-        assert lines[1].endswith(",1/8")
+    def test_content_with_q_is_rejected(self, capsys):
+        # used to exit 0, though the content does not sum to n
+        code, out, err = run(capsys, "estimate", "--n", "4", "--k", "3", "--event", "Q", "--content", "9,9")
+        assert (code, out) == (2, "")
+        assert err == "error: event Q takes no content vector\n"
 
     def test_content_with_more_parts_than_letters_is_rejected(self, capsys):
         # used to print an "exact" probability of 45/32
@@ -598,6 +578,38 @@ class TestConfigFile:
         unseeded = run(capsys, *argv)
         assert unseeded == run(capsys, *argv, "--seed", "0")
         assert unseeded != run(capsys, *argv, "--seed", "5")
+
+
+class TestFormat:
+    """``--format`` is ``table`` or ``json`` for every command and suite."""
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--turan", "4", "4"),
+        ("analytic", "--parts", "2,2"),
+        ("search", "--n", "4", "--forbid", "K3"),
+        ("estimate", "--n", "4", "--k", "2", "--event", "Q"),
+        *(("verify", name, "--n-max", "4") for name in cli.SUITES),
+    ], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "verify" else argv[0])
+    def test_csv_format_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--graph6=--"),
+    ("count", "--edge-list=--"),
+    ("analytic", "--parts=--"),
+    ("analytic", "--parts", "2,2", "--rooted=--"),
+    ("search", "--n", "4", "--forbid=--"),
+    ("estimate", "--n", "4", "--k", "2", "--event", "P", "--content=--"),
+], ids=" ".join)
+def test_double_dash_value_exit_2(capsys, argv):
+    # argparse hands ``--flag=--`` over as an empty list, which used to end
+    # in a traceback (or, for --rooted, in no rooted count at all)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "'--' is not a flag value" in err and "Traceback" not in err
 
 
 class TestFlagsPerCommand:

@@ -20,7 +20,6 @@ from cyclekit.counting import (
     count_cycles,
     count_paths_from,
     cycle_spectrum,
-    spectrum_to_csv,
 )
 from cyclekit.graphs import (
     complete_multipartite,
@@ -508,8 +507,3 @@ class TestVertexPath:
     def test_complete_multipartite(self, n):
         for parts in ((1,) * n, turan_class_sizes(n, 2), turan_class_sizes(n, 3), (n - 4, 3, 1)):
             assert counting._vertex_spectrum(complete_multipartite(parts)) == cycle_spectrum_multipartite(parts)
-
-
-class TestSerialization:
-    def test_csv(self):
-        assert spectrum_to_csv({3: 4, 4: 3}) == "r,count\n3,4\n4,3\n"

@@ -84,6 +84,13 @@ class TestEstimates:
             with pytest.raises(ValueError, match="at least one letter"):
                 call()
 
+    @pytest.mark.parametrize("content", [(9, 9), (2, 2)])
+    def test_q_takes_no_content(self, content):
+        # a content with Q used to be ignored, even one that does not sum to n
+        for call in (lambda: estimate_prob(4, 3, "Q", 10, 0, content), lambda: exact_prob(4, 3, "Q", content)):
+            with pytest.raises(ValueError, match="event Q takes no content"):
+                call()
+
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match="seed=-1"):
             estimate_prob(4, 2, "Q", 10, -1)
@@ -100,6 +107,11 @@ def _content(n: int, k: int) -> tuple[int, ...]:
     return turan_class_sizes(n, min(n, k))
 
 
+def _event_content(event: str, content: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``content`` for the events that read one, None for Q."""
+    return None if event == "Q" else content
+
+
 # the edges of the letter dtypes (uint8 up to 255, uint16, the int32 draw)
 SMALL_K = [1, 2, 127, 128, 255, 256, 300]
 HUGE_K = [_INT32_K_MAX, _INT32_K_MAX + 1, 2**31, 2**40]
@@ -112,8 +124,8 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("samples", [1, R - 1, R, R + 1, 3 * R + 7])
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
     def test_hits_equal_one_draw(self, k, samples):
-        content = turan_class_sizes(self.N, k)
         for event in EVENTS:
+            content = _event_content(event, turan_class_sizes(self.N, k))
             est = estimate_prob(self.N, k, event, samples, k, content=content)
             assert est.hits == reference_estimate_hits(self.N, k, event, samples, k, content)
 
@@ -121,17 +133,17 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 130, 256])
     @pytest.mark.parametrize("k", SMALL_K)
     def test_every_event_and_dtype_equal_one_draw(self, n, k):
-        content = _content(n, k)
         for event in EVENTS:
+            content = _event_content(event, _content(n, k))
             est = estimate_prob(n, k, event, 500, n + k, content=content)
             assert est.hits == reference_estimate_hits(n, k, event, 500, n + k, content), event
 
     @pytest.mark.parametrize("n, k", [(1, 2), (2, 3), (130, 300), (256, 2)])
     def test_chunk_boundaries_across_lengths(self, n, k):
         rows = _chunk_rows(n)
-        content = _content(n, k)
         for samples in (rows, rows + 1):
             for event in EVENTS:
+                content = _event_content(event, _content(n, k))
                 est = estimate_prob(n, k, event, samples, 5, content=content)
                 assert est.hits == reference_estimate_hits(n, k, event, samples, 5, content), (event, samples)
 
@@ -144,8 +156,8 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("k", HUGE_K)
     def test_huge_alphabets(self, n, k):
-        content = _content(n, k)
         for event in EVENTS:
+            content = _event_content(event, _content(n, k))
             est = estimate_prob(n, k, event, 2_000, 8, content=content)
             assert est.hits == reference_estimate_hits(n, k, event, 2_000, 8, content), event
 
