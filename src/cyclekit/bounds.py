@@ -7,15 +7,16 @@ are exact (integers, rationals, or transcendental factors replaced by
 directed rational bounds rounded against the inequality).
 
 The ``*_log`` fields are for display and never decide a verdict.  ``_ln``
-computes them by integer fixed-point series; mpmath is imported only inside
-``report_asymptotic_ratio``, the ``kkmain`` findings, whose 30-digit ``rhs``
-the benchmark digests pin as mpmath prints it.
+computes them by integer fixed-point series.  ``report_asymptotic_ratio``, the
+``kkmain`` findings, works in 60-digit ``decimal``, whose ``ln`` and ``exp``
+are correctly rounded, so all 30 printed digits of its ``rhs`` are right.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -30,6 +31,9 @@ from .graphs import turan_class_sizes, turan_edge_count
 from .search import VerifyReport
 
 WORK_DPS = 60
+RHS_DIGITS = 30  # significant digits of the kkmain rhs
+# pi to 80 significant digits, as an integer over 10^79
+PI_NUM, PI_DEN = 31415926535897932384626433832795028841971693993751058209749445923078164062862090, 10**79
 PATH_BOUND_CAP = 14
 EXP_TERMS = 40  # Taylor terms that exp_bounds sums before it bounds the tail
 
@@ -362,6 +366,28 @@ def check_bipartite_decay(n: int, i: int) -> BoundReport:
     )
 
 
+@lru_cache(maxsize=None)
+def _dec_ln(num: int, den: int = 1) -> Decimal:
+    """ln(num/den) at ``WORK_DPS`` digits; memoized, the kkmain rows reuse
+    the logs of 2, pi, n and (k-1)/k."""
+    with localcontext(Context(prec=WORK_DPS)):
+        return (Decimal(num) / den).ln()
+
+
+def _nstr(x: Decimal) -> str:
+    """x > 0 to ``RHS_DIGITS`` significant digits, rounded half up, printed as
+    mpmath's nstr prints it: fixed notation while the leading digit's
+    exponent lies in (-``RHS_DIGITS`` // 3, ``RHS_DIGITS``), e-notation otherwise, with
+    trailing zeros stripped but one digit kept after the point."""
+    x = x.normalize(Context(prec=RHS_DIGITS, rounding=ROUND_HALF_UP))
+    lead = x.adjusted()
+    if -(RHS_DIGITS // 3) < lead < RHS_DIGITS:
+        text = format(x, "f")
+        return text if "." in text else text + ".0"
+    digits = "".join(map(str, x.as_tuple().digits))
+    return f"{digits[0]}.{digits[1:] or '0'}e{lead:+d}"
+
+
 def report_asymptotic_ratio(n: int, k: int) -> BoundReport:
     """Exact count divided by its asymptotic form; reported, never asserted.
 
@@ -370,27 +396,24 @@ def report_asymptotic_ratio(n: int, k: int) -> BoundReport:
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    import mpmath as mp  # the only mpmath user: importing cyclekit does not load it
-
-    with mp.workdps(WORK_DPS):
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    with localcontext(Context(prec=WORK_DPS)):
         if k == 2:
             exact, _ = _bipartite_top_and_total(n)
-            denom_log = mp.log(mp.pi) - n * mp.log(2) + n * mp.log(n) - n
+            denom_log = _dec_ln(PI_NUM, PI_DEN) - n * _dec_ln(2) + n * _dec_ln(n) - n
             name = "kkmain-bipartite"
-        elif k >= 3:
-            exact = _balanced_hamilton(n, k)
-            denom_log = (
-                n * mp.log(mp.mpf(k - 1) / k) + (n - mp.mpf(1) / 2) * mp.log(n) - n
-            )
-            name = "kkmain-hamilton"
         else:
-            raise ValueError("k must be >= 2")
-        ratio = mp.exp(mp.log(mp.mpf(exact)) - denom_log)
+            exact = _balanced_hamilton(n, k)
+            denom_log = n * _dec_ln(k - 1, k) + (n - Decimal("0.5")) * _dec_ln(n) - n
+            name = "kkmain-hamilton"
+        ratio = (Decimal(exact).ln() - denom_log).exp()
+        rhs = _nstr(denom_log.exp())
     return BoundReport(
         name=name,
         params={"n": n, "k": k},
         lhs=exact,
-        rhs=mp.nstr(mp.exp(denom_log), 30),
+        rhs=rhs,
         direction="ratio",
         lhs_log=_ln(exact),
         rhs_log=float(denom_log),

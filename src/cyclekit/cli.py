@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
 from .counting import cycle_spectrum
-from .graphs import Graph, complete_multipartite, turan_graph
+from .graphs import MAX_VERTICES, Graph, complete_multipartite, turan_graph
 from .graph_io import (
     GraphFormatError,
     graph_from_edge_list,
@@ -49,9 +49,11 @@ class Suite:
     """One ``verify`` suite.  ``reports(args, k_values)`` yields its
     reports over the parsed ranges; ``k_min`` is the least k it accepts (and
     where the default k range starts), or None when it reads no k, ``flags``
-    the keys of ``SUITE_FLAGS`` it reads, ``n_cap`` the largest ``--n-max``,
-    and a failed check of an ``asserted`` suite exits 1.  The suite's parser
-    takes ``--format``, ``--n-max``, ``--k`` and ``--k-max`` when it has a
+    the keys of ``SUITE_FLAGS`` it reads, ``n_cap`` the largest ``--n-max``
+    (by default the vertex limit of the class vectors the suites build, so
+    that a run past it fails before printing anything), and a failed check
+    of an ``asserted`` suite exits 1.  The suite's parser takes
+    ``--format``, ``--n-max``, ``--k`` and ``--k-max`` when it has a
     ``k_min``, and ``flags``.  A sweep's table form prints the
     ``violation`` line of each failed case, then ``summary`` with the
     failure total.  The rows call the suite functions through their
@@ -61,7 +63,7 @@ class Suite:
     asserted: bool
     reports: Callable[[argparse.Namespace, Sequence[int]], Iterator]
     flags: tuple[str, ...] = ()
-    n_cap: int | None = None
+    n_cap: int | None = MAX_VERTICES
     violation: str | None = None
     summary: str | None = None
 
@@ -86,7 +88,7 @@ SUITES: dict[str, Suite] = {
         bounds.check_total_to_hamilton(n, k) for k in ks for n in range(3, a.n_max + 1))),
     "second2count": Suite(None, True, lambda a, ks: (
         bounds.check_bipartite_decay(n, i) for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 4) + 1)),
-        flags=("i_max",)),
+        flags=("i_max",), n_cap=None),  # a closed form, built from no class vector
     # k = 2 is the bipartite ratio, reported before every k >= 3
     "kkmain": Suite(3, False, lambda a, ks: (
         bounds.report_asymptotic_ratio(n, k) for k in (2, *ks) for n in range(4, a.n_max + 1))),
@@ -357,12 +359,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if [] in vars(args).values():
-            # argparse (as of Python 3.11) reads ``--flag=--`` as an empty list
-            _parser().error("'--' is not a flag value")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if [] in vars(args).values():
+            # argparse (as of Python 3.11) reads ``--flag=--`` as an empty list
+            raise ValueError("'--' is not a flag value")
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code

@@ -70,9 +70,18 @@ class TestLn:
 
 
 def test_importing_the_cli_leaves_mpmath_unloaded():
+    """Nothing in the package needs mpmath: importing the CLI does not load
+    it, and kkmain, its last user, runs with every import of it refused."""
     env = {**os.environ, "PYTHONPATH": str(Path(bounds.__file__).parents[1])}
-    code = "import sys, cyclekit.cli; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys, cyclekit.cli\n"
+        "if 'mpmath' in sys.modules: sys.exit('import cyclekit.cli loaded mpmath')\n"
+        "sys.modules['mpmath'] = None\n"
+        "sys.exit(cyclekit.cli.main(['verify', 'kkmain', '--n-max', '8', '--format', 'json']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout.splitlines()) == 5 * 2  # n = 4..8 for k = 2 and k = 3
 
 
 class TestExpBounds:
@@ -232,3 +241,34 @@ class TestAsymptoticRatios:
 
     def test_never_asserts(self):
         assert report_asymptotic_ratio(12, 2).holds is None
+
+    def test_pi_constant_matches_mpmath(self):
+        with mp.workdps(90):
+            assert bounds.PI_NUM == int(mp.nint(mp.pi * mp.mpf(bounds.PI_DEN)))
+        assert len(str(bounds.PI_NUM)) == 80
+
+    @pytest.mark.parametrize("n, k, rhs", [
+        (20, 3, "14533496027994.3688556821638954"),
+        (46, 2, "1.44239484622652736956947520799e+43"),
+        (4, 3, "0.463091709186760509154747007007"),
+        (33, 3, "161798165947133782873431403870.0"),
+    ])
+    def test_rhs_literals(self, n, k, rhs):
+        assert report_asymptotic_ratio(n, k).rhs == rhs
+
+    def test_matches_mpmath_at_60_digits(self):
+        """rhs equals mpmath's nstr(exp(denom_log), 30), and rhs_log and the
+        ratio equal its floats, with every step inside workdps(60)."""
+        cases = [(n, 2) for n in range(4, 130)] + [(n, k) for k in range(3, 9) for n in range(4, 65)]
+        for n, k in cases:
+            report = report_asymptotic_ratio(n, k)
+            with mp.workdps(60):
+                if k == 2:
+                    denom_log = mp.log(mp.pi) - n * mp.log(2) + n * mp.log(n) - n
+                else:
+                    denom_log = n * mp.log(mp.mpf(k - 1) / k) + (n - mp.mpf(1) / 2) * mp.log(n) - n
+                rhs = mp.nstr(mp.exp(denom_log), 30)
+                ratio = float(mp.exp(mp.log(mp.mpf(report.lhs)) - denom_log))
+            assert report.rhs == rhs, (n, k)
+            assert repr(report.rhs_log) == repr(float(denom_log)), (n, k)
+            assert repr(report.detail["ratio"]) == repr(ratio), (n, k)
