@@ -54,33 +54,44 @@ reading the table back gives each path its row.  That replaces a sort
 The kernel is exact at any n, by a bound per layer.  A row at layer p counts
 the paths through p vertices with one vertex set and one end, at most
 (p - 2)! (the orders of the inner vertices), and an entry of the product at
-most (p - 1)!.  Rows are int64 while (p - 1)! < 2^63, that is up to p = 21,
-and switch to object dtype (Python ints) from layer 22 on; at n = 24 those
-layers hold at most C(23, 21) + C(23, 22) + 1 = 277 vertex sets per pass.
-A closing or end sum adds one layer's rows over every anchor of a pass.  The
-anchors have distinct numbers m <= n - 1 of vertices above them, so such a
-sum is at most sum_{m < n} m! <= 2 (n - 1)!, which fits int64 for n <= 21;
-larger passes take each sum as its high and low 32-bit halves, summed in
-int64 and joined as Python ints.  A pass with n <= 21 therefore runs int64
-numpy operations only.  All reported counts are Python ints;
-``VERTEX_CAP`` and ``QUOTIENT_STATE_CAP`` bound runtime and memory, not
-exactness.
+most (p - 1)!.  Rows and the adjacency matrix are float64 while
+(p - 1)! < 2^53, that is up to layer p = 19, so that ``rows @ matrix`` runs
+on numpy's float64 BLAS product; numpy has none for integer types, and its
+own int64 loop took 7 to 12 times as long on a block of 2000 rows by 13
+columns.  The float product is exact: every term is a nonnegative integer
+and every partial sum lies between 0 and the entry, so every partial sum is
+an integer below 2^53 and exactly representable, whatever the order of
+summation, the use of FMA or the split across threads.  That needs a BLAS
+that sums plain products, as OpenBLAS, MKL and Accelerate do, not a
+Strassen-type one.  From layer 20 on the rows go through int64 to object
+dtype (Python ints) and the matrix to int64; at n = 24 those layers hold at
+most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.
+
+A closing or end sum adds one layer's counts over every anchor of a pass,
+in int64: float64 counts are cast as they are summed.  The anchors have
+distinct numbers m <= n - 1 of vertices above them, so such a sum is at most
+sum_{m < n} m! <= 2 (n - 1)!, which fits int64 for n <= 21; larger passes
+take each sum as the sums of the counts' high and low 32-bit halves, split
+exactly in float64 and summed in int64, joined as Python ints.  All
+reported counts are Python ints; ``VERTEX_CAP`` and ``QUOTIENT_STATE_CAP``
+bound runtime and memory, not exactness.
 
 The kernel pays a fixed cost of about fifteen numpy calls per layer, while
 the dict DP costs in proportion to the reachable states.  Timed per graph on
-a 2-core x86 VM (numpy 2.4, seeded G(n, p), kernel over dict DP, median of
-8 graphs): at n = 10 the two kernel passes take 0.76x the dict DP's time at
-p = 0.5 and 0.21x at p = 0.8, but 17x at p = 0.25 (0.18 ms against
-0.011 ms); at n = 11 they take 6x at p = 0.25 (0.24 ms against 0.04 ms),
-0.22x at p = 0.5 and 0.10x at p = 0.8.  Hence ``_KERNEL_MIN_M = 11``:
+a 2-core x86 VM (numpy 2.4 with one OpenBLAS thread, seeded G(n, p), kernel
+over dict DP, median of 8 graphs): at n = 10 the two kernel passes take
+1.7x the dict DP's time at p = 0.5 and 0.19x at p = 0.8, but 10x at
+p = 0.25 (0.44 ms against 0.045 ms); at n = 11 they take 8x at p = 0.25
+(0.67 ms against 0.094 ms), 0.38x at p = 0.5 and 0.10x at p = 0.8
+(``BENCH_float_product.json``).  Hence ``_KERNEL_MIN_M = 11``:
 graphs on ten or fewer vertices, which is every graph the extremal searches
 count, keep the dict DP.
 
 Near ``VERTEX_CAP`` the kernel is the only practical vertex form.  On the
-same VM a dense twin-free G(22, 0.75) takes 5.7 s and 390 MB peak RSS, where
-the dict DP taking the anchor with 21 vertices above it took 171 to 201 s
-and 1.3 GB; K_24 over single vertices takes 29 s and 1.1 GB
-(``BENCH_exact_kernel.json``).
+same VM a dense twin-free G(22, 0.75) takes 3.8 to 5.1 s and about 390 MB
+peak RSS, where the dict DP taking the anchor with 21 vertices above it took
+171 to 201 s and 1.3 GB (``BENCH_exact_kernel.json``); K_24 over single
+vertices takes 20 to 23 s and 1.1 GB (``BENCH_float_product.json``).
 
 The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
 anchored dict DP over twin classes instead of vertices (twins have equal
@@ -100,16 +111,16 @@ vertex forms walk 2^23 vertex sets from one anchor.
 vertex forms.  Up to ``VERTEX_CAP`` a graph takes the quotient when it has
 fewer than ``_KERNEL_MIN_M`` twin classes, and the vertex forms otherwise.
 Against the two-pass kernel the crossover depends on n: timed on the same VM
-on seeded random blow-ups (up to 6 per cell, quotient over vertex forms,
-median), the ratio is 0.69 at 7 classes and 1.41 at 8 for n = 11, 0.95 at 8
-and 1.33 at 9 for n = 13, 0.81 at 9 and 1.17 at 10 for n = 15, and still
-0.83 at 11 for n = 17.
+on seeded random blow-ups (6 per cell, quotient over vertex forms, median),
+the ratio is 0.66 at 7 classes and 1.18 at 8 for n = 11, 0.67 at 7 and 1.29
+at 8 for n = 13, 0.59 at 8 and 1.32 at 9 for n = 15, and 0.97 at 10 and 1.43
+at 11 for n = 17.
 
 Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
 frontier from one anchor class holds at most prod(|w| + 1) vectors of used
 vertices, over the twin classes w, and a graph whose product exceeds
 ``QUOTIENT_STATE_CAP`` = 2^21 raises ``ValueError`` before any counting.  The
-cap admits about the work that K_24 costs the kernel (29 s, 1.1 GB): on the
+cap admits about the work that K_24 costs the kernel (20 s, 1.1 GB): on the
 same VM T_6(48), with 3^12 = 531,441 states, takes about 3 s, and T_9(36),
 with 5^9 = 1,953,125, about 20 s and 190 MB, while T_3(45), T_4(40) and
 T_5(30) less one edge take 0.03 to 0.24 s.  Up to ``VERTEX_CAP`` no state cap is
@@ -221,18 +232,21 @@ def _path_layers(
     split = 2 * factorial(n - 1) >= 1 << 63  # a sum may pass int64
     cols = np.arange(n)
     matrix = (np.array([row >> first for row in adj[first:]], dtype=np.int64)[:, None] >> cols) & 1
+    matrix = matrix.astype(np.float64)
     bits = 1 << cols
     slot = np.empty(1 << n, dtype=np.intp)  # scratch for _dedup, indexed by vertex set
     starts = [s - first for s in anchors]
     masks = bits[starts]
-    rows = np.eye(n, dtype=np.int64)[starts]
+    rows = np.eye(n)[starts]
     p = 1
     while len(masks):
         if end_sums and p > 1:  # one-vertex paths have no edge
             layer = _exact_sum(rows, split, axis=0).tolist()
             ends[first:] = [a + b for a, b in zip(ends[first:], layer)]
-        if factorial(p - 1) >= 1 << 63:
-            rows = rows.astype(object, copy=False)  # the product's entries pass int64
+        if rows.dtype != object and factorial(p - 1) >= 1 << 53:
+            # the product's entries may pass 2^53: Python ints from here on
+            rows = rows.astype(np.int64).astype(object)
+            matrix = matrix.astype(np.int64)
         ext = rows @ matrix
         del rows  # each large array goes once used, to lower the peak memory
         low = masks & -masks  # the anchor of each set
@@ -256,13 +270,21 @@ def _path_layers(
 
 
 def _exact_sum(values: np.ndarray, split: bool, axis: int | None = None) -> int | np.ndarray:
-    """``values.sum(axis)`` for nonnegative counts.  With ``split`` an int64
-    sum is taken as its high and low 32-bit halves, whose sums fit int64,
-    joined as Python ints; object arrays sum as Python ints already."""
-    if not split or values.dtype == object:
+    """``values.sum(axis)`` for nonnegative integer counts held as float64
+    (below 2^53) or as Python ints.  Float64 counts are summed in int64,
+    with no converted copy of ``values``; with ``split`` the sum is taken as
+    the sums of the counts' high and low 32-bit halves, which fit int64,
+    joined as Python ints.  Object arrays sum as Python ints already."""
+    if values.dtype == object:
         return values.sum(axis=axis)
-    high = (values >> 32).sum(axis=axis).astype(object)
-    low = (values & 0xFFFFFFFF).sum(axis=axis).astype(object)
+    if not split:
+        return values.sum(axis=axis, dtype=np.int64)
+    half = values * 2.0 ** -32
+    np.floor(half, out=half)  # the high halves, exact in float64
+    high = half.sum(axis=axis, dtype=np.int64).astype(object)
+    half *= 2.0 ** 32
+    np.subtract(values, half, out=half)  # the low halves
+    low = half.sum(axis=axis, dtype=np.int64).astype(object)
     return (high << 32) + low
 
 

@@ -283,13 +283,38 @@ class TestTwoForms:
             assert counting._path_layers((0,) * n, [0, n - 1]) == ([0] * (n + 1), [0] * n)
 
     def test_split_sum_is_exact(self):
-        values = np.array([(1 << 62) + 2 ** 40 + 7, (1 << 62) - 1, 1 << 62, 5], dtype=np.int64)
-        exact = sum(values.tolist())
+        # float64 counts below 2^53 whose sums pass 2^63 (and round in float64)
+        values = np.array([2.0 ** 53 - 1, 2.0 ** 52 + 1, 7, 2.0 ** 40 + 3] * 1024)
+        exact = sum(map(int, values.tolist()))
         assert exact >= 1 << 63
         assert counting._exact_sum(values, True) == exact
-        matrix = values.reshape(2, 2)
-        assert counting._exact_sum(matrix, True, axis=0).tolist() == [sum(col) for col in zip(*matrix.tolist())]
-        assert counting._exact_sum(values[2:], False) == sum(values[2:].tolist())
+        matrix = values.reshape(-1, 2)
+        columns = [sum(map(int, col)) for col in zip(*matrix.tolist())]
+        assert max(columns) >= 1 << 63
+        assert counting._exact_sum(matrix, True, axis=0).tolist() == columns
+        assert counting._exact_sum(values[:4], False) == sum(map(int, values[:4].tolist()))
+
+    def test_float_stage_while_products_stay_below_2_53(self, monkeypatch):
+        # Layer p's products are below (p - 1)!, so float64 is exact up to
+        # layer 19.  The complete graphs cannot show one float layer too many:
+        # their counts have many factors of 2 and stay representable.
+        assert factorial(18) < 1 << 53 <= factorial(19)
+        dtypes = []
+        exact_sum = counting._exact_sum
+
+        def spy(values, split, axis=None):
+            dtypes.append(values.dtype)
+            return exact_sum(values, split, axis)
+
+        monkeypatch.setattr(counting, "_exact_sum", spy)
+        adj = cycle_graph(23).adj  # paths through up to 23 vertices
+        counting._path_layers(adj, [0], end_sums=False)
+        # one closing sum per layer, of the product's entries as they are held
+        assert dtypes == [np.dtype(np.float64)] * 19 + [np.dtype(object)] * 4
+        closed, ends = counting._path_layers(adj, [0, 5])
+        assert closed[23] == 2 and ends[5] == 2
+        # Python ints, never floats, so that JSON prints 2, not 2.0
+        assert all(type(c) is int for c in closed + ends)
 
     def test_complete_graph_past_int64(self, kernel_calls):
         # the doubled count of 22-cycles is 21! > 2^63
