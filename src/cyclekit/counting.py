@@ -1,45 +1,71 @@
 """Exact cycle and path counting by anchored subset dynamic programming.
 
 Cycles are counted up to rotation and reflection.  Each cycle is charged to
-its lowest-indexed vertex s, its anchor: a DP over (vertex set, end vertex)
-counts the simple paths that start at s and visit only vertices above s, a
-path closes to a cycle through the edge back to s, and the two traversal
-directions are merged by halving.  Path counts from x swap x with vertex 0
-and run the same DP with 0 as the only anchor.
+its lowest-indexed vertex s, its anchor, and counted from the simple paths
+that start at s and visit only vertices above s; a path closes to a cycle
+through the edge from its end back to s.  Path counts from x swap x with
+vertex 0 and count the paths from 0.
 
-The DP has two interchangeable forms.  Both take the graph's rows as bit
-masks and a list of anchors, and return ``(closed, ends)``: ``closed[p]``
-counts the paths through p vertices whose end is adjacent to their anchor,
-and ``ends[v]`` the paths with at least one edge that end at v.
+Over single vertices there are two forms, and each returns only what its
+caller reads: per-length cycle counts for the cycle spectrum, per-vertex
+path ends for ``count_paths_from``.
 
-- ``_dict_layers``: a ``dict[(mask, v)] -> int`` frontier of Python ints,
-  one anchor at a time.  Its cost follows the reachable states exactly and
-  it has no per-layer fixed cost, which is what the many calls on graphs of
-  ten or fewer vertices (the extremal searches) need.
-- ``_path_layers``: a numpy kernel.  Layer p holds the paths through p
+- The dict DP keeps a ``dict[(mask, v)] -> int`` frontier of Python ints.
+  Its cost follows the reachable states exactly and it has no per-layer
+  fixed cost.  ``_dict_cycles`` counts each cycle once: for anchor s it
+  runs one frontier per second vertex a, a neighbour of s above s.  That
+  frontier closes only at the neighbours of s above a, and it drops a path
+  once the path has visited all of them, so the highest neighbour of s
+  starts no run.  A cycle whose neighbours of s are a < b is counted by the
+  run from a alone.  ``_dict_ends`` is the one frontier from vertex 0 over
+  every vertex, and serves path counts only.
+- ``_path_layers`` is a numpy kernel.  Layer p holds the paths through p
   vertices as their vertex sets and a matrix of counts per (set, end
   vertex); the anchor of a set is its lowest vertex.  One matrix product
-  with the adjacency extends every path by one vertex.  The product's entry
-  in the anchor's column is the closing count, read before the set and the
-  vertices below the anchor (``set | (low - 1)``) are masked out.  Only
-  reachable sets are stored, so sparse graphs stay cheap.
+  with the adjacency extends every path by one vertex.  For cycles, the
+  product's entry in the anchor's column is the closing count, read before
+  the set and the vertices below the anchor (``set | (low - 1)``) are
+  masked out.  Every cycle closes in both of its directions, so the kernel
+  returns doubled counts, and ``_vertex_cycles`` halves them.  An odd count
+  raises ``ArithmeticError``.  For paths, the kernel sums each layer's rows
+  per end vertex and takes no closing sum.  Only reachable sets are stored,
+  so sparse graphs stay cheap.
 
-Path counts need ``ends``, cycles only ``closed``.  With ``end_sums`` false
-both forms skip the ``ends`` bookkeeping and return None for it: the kernel
-leaves out its per-layer column sums, and the dict DP its per-state end sum,
-and it also stops extending a path once the path has visited every
-neighbour of its anchor, since no extension of such a path closes.  The
-cycle spectrum and the cycle totals always run with ``end_sums`` false.  For
-graphs with fewer than ``_KERNEL_MIN_M`` vertices, ``count_cycles`` sums the
-closing counts directly instead of building the spectrum dict, with the same
-check that every doubled count is even; the searches and ``verify
-turanbest`` make tens of thousands of such calls.
+``_kernel_pays`` picks the form from n and the edge count m: the kernel
+when m >= n + 15, the dict DP otherwise, for cycles and paths alike.  The
+dict DP's states are paths, so its work is bounded by a function of m
+alone, and at a fixed m it falls as n grows and the edges spread thinner.
+The kernel pays a fixed cost of about fifteen numpy calls per layer, so
+its cost grows with n.  Timed per graph on a 2-core x86 VM (numpy 2.4 with
+one OpenBLAS thread, seeded G(n, m), median of 6 graphs,
+host-speed-corrected; ``BENCH_cycle_routing.json``), the two kernel passes
+overtake the once-counting dict DP at about 22, 24.5, 25, 26, 29 and 31
+edges for n = 8, 10, 12, 14, 16 and 19, and past 34 edges for n = 22,
+where the kernel's 2^n slot table dominates.  So:
 
-One rule routes both the cycle spectrum and the path counts over single
-vertices (``_layers``): the kernel runs when n >= ``_KERNEL_MIN_M`` = 11, the
-dict DP below that and for no anchor.  The vertex forms count graphs with at
-most ``VERTEX_CAP`` = 24 vertices.  That limit is the kernel's: its slot
-table has 2^n entries, 128 MB at n = 24.
+- every graph on seven or fewer vertices takes the dict DP: at n = 7 the
+  kernel takes 0.19 to 0.85 ms, the dict DP 0.01 to 0.24 ms;
+- sparse graphs take the dict DP: G(11, 0.2) and G(12, 0.2) take 0.05 and
+  0.04 ms on it, and 0.92 and 0.54 ms on the kernel;
+- dense graphs from eight vertices up take the kernel: G(10, 0.8) takes
+  9.0 ms on the dict DP and 1.4 ms on the kernel.
+
+The dict DP's once-counting pays on sparse graphs, where dropping a path
+once it can no longer close cuts most states, and loses on dense ones,
+where every run from a second vertex walks nearly all the sets above s;
+the rule sends those to the kernel.  Path counts run one kernel pass, not
+two, so their crossover lies lower, at about 22 to 23 edges for n = 8 to
+14, 25 for n = 16 and 27 for n = 19.  Between that and n + 15 edges the
+rule leaves path counts on the dict DP at up to 3x the kernel's time
+(G(16, 30): 3.8 ms against 1.2 ms).
+
+``count_cycles`` on graphs with ten or fewer vertices sums the vertex
+counts directly instead of building the spectrum dict; the searches and
+``verify turanbest`` make tens of thousands of such calls.
+
+The vertex forms count graphs with at most ``VERTEX_CAP`` = 24 vertices.
+That limit is the kernel's: its slot table has 2^n entries, 128 MB at
+n = 24.
 
 The kernel runs twice per graph: once for the lowest anchor alone, then
 once for all higher anchors together, so a graph pays the kernel's fixed
@@ -69,29 +95,19 @@ most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.
 
 A closing or end sum adds one layer's counts over every anchor of a pass,
 in int64: float64 counts are cast as they are summed.  The anchors have
-distinct numbers m <= n - 1 of vertices above them, so such a sum is at most
-sum_{m < n} m! <= 2 (n - 1)!, which fits int64 for n <= 21; larger passes
+distinct numbers j <= n - 1 of vertices above them, so such a sum is at most
+sum_{j < n} j! <= 2 (n - 1)!, which fits int64 for n <= 21; larger passes
 take each sum as the sums of the counts' high and low 32-bit halves, split
 exactly in float64 and summed in int64, joined as Python ints.  All
 reported counts are Python ints; ``VERTEX_CAP`` and ``QUOTIENT_STATE_CAP``
 bound runtime and memory, not exactness.
 
-The kernel pays a fixed cost of about fifteen numpy calls per layer, while
-the dict DP costs in proportion to the reachable states.  Timed per graph on
-a 2-core x86 VM (numpy 2.4 with one OpenBLAS thread, seeded G(n, p), kernel
-over dict DP, median of 8 graphs): at n = 10 the two kernel passes take
-1.7x the dict DP's time at p = 0.5 and 0.19x at p = 0.8, but 10x at
-p = 0.25 (0.44 ms against 0.045 ms); at n = 11 they take 8x at p = 0.25
-(0.67 ms against 0.094 ms), 0.38x at p = 0.5 and 0.10x at p = 0.8
-(``BENCH_float_product.json``).  Hence ``_KERNEL_MIN_M = 11``:
-graphs on ten or fewer vertices, which is every graph the extremal searches
-count, keep the dict DP.
-
 Near ``VERTEX_CAP`` the kernel is the only practical vertex form.  On the
 same VM a dense twin-free G(22, 0.75) takes 3.8 to 5.1 s and about 390 MB
-peak RSS, where the dict DP taking the anchor with 21 vertices above it took
-171 to 201 s and 1.3 GB (``BENCH_exact_kernel.json``); K_24 over single
-vertices takes 20 to 23 s and 1.1 GB (``BENCH_float_product.json``).
+peak RSS, where the dict DP, when it still counted every cycle twice, took
+171 to 201 s and 1.3 GB on the anchor with 21 vertices above it
+(``BENCH_exact_kernel.json``); K_24 over single vertices takes 20 to 23 s
+and 1.1 GB (``BENCH_float_product.json``).
 
 The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
 anchored dict DP over twin classes instead of vertices (twins have equal
@@ -107,14 +123,14 @@ and a remainder raises ``ArithmeticError``.  The paper's extremal graphs T_k(n)
 have k classes: T_3(24) costs about 1 ms and T_8(24) about 0.4 s, where the
 vertex forms walk 2^23 vertex sets from one anchor.
 
-``cycle_spectrum`` routes by n.  Graphs on ten or fewer vertices take the
-vertex forms.  Up to ``VERTEX_CAP`` a graph takes the quotient when it has
-fewer than ``_KERNEL_MIN_M`` twin classes, and the vertex forms otherwise.
-Against the two-pass kernel the crossover depends on n: timed on the same VM
-on seeded random blow-ups (6 per cell, quotient over vertex forms, median),
-the ratio is 0.66 at 7 classes and 1.18 at 8 for n = 11, 0.67 at 7 and 1.29
-at 8 for n = 13, 0.59 at 8 and 1.32 at 9 for n = 15, and 0.97 at 10 and 1.43
-at 11 for n = 17.
+``cycle_spectrum`` routes by n before ``_kernel_pays`` does.  Graphs on ten
+or fewer vertices take the vertex forms.  Up to ``VERTEX_CAP`` a graph takes
+the quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11 twin classes,
+and the vertex forms otherwise.  Against the two-pass kernel the crossover
+depends on n: timed on the same VM on seeded random blow-ups (6 per cell,
+quotient over vertex forms, median), the ratio is 0.66 at 7 classes and
+1.18 at 8 for n = 11, 0.67 at 7 and 1.29 at 8 for n = 13, 0.59 at 8 and
+1.32 at 9 for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.
 
 Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
 frontier from one anchor class holds at most prod(|w| + 1) vectors of used
@@ -144,88 +160,114 @@ from .graphs import Graph, twin_classes
 VERTEX_CAP = 24
 QUOTIENT_STATE_CAP = 1 << 21
 
-# Graphs with fewer vertices run the dict DP, and graphs with at least this
-# many vertices but fewer twin classes the quotient DP (see the module
-# docstring).
-_KERNEL_MIN_M = 11
+# Graphs with at least this many vertices but fewer twin classes take the
+# quotient DP (see the module docstring).
+_QUOTIENT_MIN_N = 11
 
 
-def _layers(
-    adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
-) -> tuple[list[int], list[int] | None]:
-    """``(closed, ends)`` for the ``anchors`` of the graph with bit rows
-    ``adj``, n <= ``VERTEX_CAP``: the kernel when n >= 11, the lowest anchor
-    alone and then the rest in one pass, and the dict DP otherwise (also for
-    no anchor).  With ``end_sums`` false ``ends`` is None."""
-    if not anchors or len(adj) < _KERNEL_MIN_M:
-        return _dict_layers(adj, anchors, end_sums=end_sums)
-    closed, ends = _path_layers(adj, anchors[:1], end_sums=end_sums)
-    if len(anchors) > 1:
-        more_closed, more_ends = _path_layers(adj, anchors[1:], end_sums=end_sums)
-        closed = [a + b for a, b in zip(closed, more_closed)]
-        if end_sums:
-            ends = [a + b for a, b in zip(ends, more_ends)]
-    return closed, ends
+def _kernel_pays(n: int, m: int) -> bool:
+    """Whether the numpy kernel, rather than the dict DP, counts over the
+    single vertices of a graph with n vertices and m edges: when it has at
+    least n + 15 edges, which no graph on seven or fewer vertices has (see
+    the module docstring)."""
+    return m >= n + 15
 
 
-def _dict_layers(
-    adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
-) -> tuple[list[int], list[int] | None]:
-    """Count the simple paths that start at one of the ``anchors`` and then
-    visit only vertices above their anchor, one anchor at a time.
+def _vertex_cycles(adj: Sequence[int]) -> list[int]:
+    """The cycles of each length r (entry r) of the graph with bit rows
+    ``adj``, from the anchored DP over single vertices: the dict DP or the
+    kernel, as ``_kernel_pays`` picks.  The kernel counts every cycle in both
+    directions, so an odd count from it raises ``ArithmeticError``."""
+    n = len(adj)
+    if not _kernel_pays(n, sum(row.bit_count() for row in adj) // 2):
+        return _dict_cycles(adj)
+    # anchors with at least two neighbours above them; the lowest runs alone,
+    # then every higher one in one pass
+    anchors = [s for s in range(n - 2) if (adj[s] >> (s + 1)).bit_count() >= 2]
+    doubled = [0] * (n + 1)
+    for part in (anchors[:1], anchors[1:]):
+        if part:
+            doubled = [a + b for a, b in zip(doubled, _path_layers(adj, part))]
+    if any(c % 2 for c in doubled):
+        raise ArithmeticError("directed cycle counts are not all even: implementation bug")
+    return [c // 2 for c in doubled]
 
-    ``adj`` holds the graph's rows as bit masks.  Returns ``(closed, ends)``:
-    ``closed[p]`` is the number of paths through p vertices whose end vertex
-    is adjacent to their anchor, and ``ends[v]`` the number of paths with at
-    least one edge that end at v.  With ``end_sums`` false ``ends`` is None,
-    and a path that has visited every neighbour of its anchor is not
-    extended, since no extension of it can close.
+
+def _dict_cycles(adj: Sequence[int]) -> list[int]:
+    """The cycles of each length r (entry r) of the graph with bit rows
+    ``adj``, each counted once by a ``dict[(mask, v)] -> int`` frontier of
+    Python ints.
+
+    A cycle with lowest vertex s and cycle neighbours a < b of s is counted
+    by the run from the path s, a, which closes only at the neighbours of s
+    above a.  A run stops extending a path once the path has visited all of
+    them, so the highest neighbour of s starts no run.
     """
     n = len(adj)
-    closed = [0] * (n + 1)
-    ends = [0] * n if end_sums else None
-    for s in anchors:
-        above = ((1 << n) - 1) >> s << s  # s and the vertices above it
-        sees = adj[s] & above  # the ends that close a path
-        # a path with no vertex of ``live`` left unvisited is dropped; -1 keeps all
-        live = -1 if end_sums else sees
-        frontier = {(1 << s, s): 1}
-        if end_sums:
-            ends[s] -= 1  # the one-vertex path, counted with the states below
-        size = 1
-        while frontier:
-            nxt: dict[tuple[int, int], int] = {}
-            shut = 0
-            for (mask, v), cnt in frontier.items():
-                if end_sums:
-                    ends[v] += cnt
-                if sees >> v & 1:
-                    shut += cnt
-                if not live & ~mask:
-                    continue
-                ext = adj[v] & above & ~mask
-                while ext:
-                    b = ext & -ext
-                    ext ^= b
-                    key = (mask | b, b.bit_length() - 1)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            closed[size] += shut
-            frontier = nxt
-            size += 1
-    return closed, ends
+    counts = [0] * (n + 1)
+    full = (1 << n) - 1
+    for s in range(n - 2):
+        above = full >> (s + 1) << (s + 1)  # the vertices above s
+        later = adj[s] & above
+        if not later & (later - 1):
+            continue  # fewer than two neighbours above s: no cycle
+        rows = [row & above for row in adj]
+        while later & (later - 1):
+            b = later & -later
+            later ^= b  # the neighbours above a = b, the ends that close
+            frontier = {(b, b.bit_length() - 1): 1}  # s is left out of the masks
+            size = 3  # of the paths that the frontier's extensions make
+            while frontier:
+                nxt: dict[tuple[int, int], int] = {}
+                shut = 0
+                for (mask, v), cnt in frontier.items():
+                    ext = rows[v] & ~mask
+                    while ext:
+                        bit = ext & -ext
+                        ext ^= bit
+                        new = mask | bit
+                        if bit & later:
+                            shut += cnt
+                            if not later & ~new:
+                                continue  # no closing end left to visit
+                        key = (new, bit.bit_length() - 1)
+                        nxt[key] = nxt.get(key, 0) + cnt
+                counts[size] += shut
+                frontier = nxt
+                size += 1
+    return counts
 
 
-def _path_layers(
-    adj: Sequence[int], anchors: list[int], *, end_sums: bool = True
-) -> tuple[list[int], list[int] | None]:
-    """``_dict_layers`` in one layered pass of the numpy kernel over every
-    anchor, of which there must be one at least (see the module docstring).
-    The cycle spectrum needs only ``closed``; with ``end_sums`` false
-    ``ends`` is None and the per-layer column sums, about 7% of the
-    kernel's time, are skipped."""
+def _dict_ends(adj: Sequence[int]) -> list[int]:
+    """The simple paths from vertex 0 with at least one edge, per end vertex
+    (entry v), of the graph with bit rows ``adj``, by a
+    ``dict[(mask, v)] -> int`` frontier of Python ints."""
+    ends = [0] * len(adj)
+    frontier = {(1, 0): 1}
+    while frontier:
+        nxt: dict[tuple[int, int], int] = {}
+        for (mask, v), cnt in frontier.items():
+            ends[v] += cnt
+            ext = adj[v] & ~mask
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                key = (mask | bit, bit.bit_length() - 1)
+                nxt[key] = nxt.get(key, 0) + cnt
+        frontier = nxt
+    ends[0] = 0  # the one-vertex path, the only one that ends at 0, has no edge
+    return ends
+
+
+def _path_layers(adj: Sequence[int], anchors: list[int], *, ends: bool = False) -> list[int]:
+    """The numpy kernel in one layered pass over every anchor, of which there
+    must be one at least (see the module docstring).  It counts the simple
+    paths that start at an anchor and then visit only vertices above it, and
+    returns twice the cycles of each length r (entry r) whose lowest vertex
+    is an anchor, or with ``ends`` the paths with at least one edge per end
+    vertex (entry v)."""
     size = len(adj)
-    closed = [0] * (size + 1)
-    ends = [0] * size if end_sums else None
+    out = [0] * (size if ends else size + 1)
     # only the vertices from the lowest anchor up take part
     first = min(anchors)
     n = size - first
@@ -240,9 +282,9 @@ def _path_layers(
     rows = np.eye(n)[starts]
     p = 1
     while len(masks):
-        if end_sums and p > 1:  # one-vertex paths have no edge
+        if ends and p > 1:  # one-vertex paths have no edge
             layer = _exact_sum(rows, split, axis=0).tolist()
-            ends[first:] = [a + b for a, b in zip(ends[first:], layer)]
+            out[first:] = [a + b for a, b in zip(out[first:], layer)]
         if rows.dtype != object and factorial(p - 1) >= 1 << 53:
             # the product's entries may pass 2^53: Python ints from here on
             rows = rows.astype(np.int64).astype(object)
@@ -250,7 +292,8 @@ def _path_layers(
         ext = rows @ matrix
         del rows  # each large array goes once used, to lower the peak memory
         low = masks & -masks  # the anchor of each set
-        closed[p] = int(_exact_sum(ext[np.arange(len(ext)), np.searchsorted(bits, low)], split))
+        if not ends and p >= 3:  # a closing path through p vertices is a p-cycle
+            out[p] = int(_exact_sum(ext[np.arange(len(ext)), np.searchsorted(bits, low)], split))
         # a path may not revisit its set or step below its anchor
         free = _bit_rows(~(masks | (low - 1)), n)
         free &= ext.astype(bool)
@@ -266,7 +309,7 @@ def _path_layers(
         rows[where * n + w] = counts
         rows = rows.reshape(-1, n)
         p += 1
-    return closed, ends
+    return out
 
 
 def _exact_sum(values: np.ndarray, split: bool, axis: int | None = None) -> int | np.ndarray:
@@ -315,11 +358,11 @@ def cycle_spectrum(g: Graph) -> dict[int, int]:
     Raises ``ValueError`` when g has more than ``VERTEX_CAP`` vertices and
     its twin classes bound the quotient above ``QUOTIENT_STATE_CAP`` states."""
     n = g.n
-    if n < _KERNEL_MIN_M:
+    if n < _QUOTIENT_MIN_N:
         return _vertex_spectrum(g)
     classes = twin_classes(g)
     if n <= VERTEX_CAP:
-        if len(classes) < _KERNEL_MIN_M:
+        if len(classes) < _QUOTIENT_MIN_N:
             return _quotient_spectrum(g, classes)
         return _vertex_spectrum(g)
     states = prod(len(cls) + 1 for cls in classes)
@@ -334,22 +377,7 @@ def cycle_spectrum(g: Graph) -> dict[int, int]:
 
 def _vertex_spectrum(g: Graph) -> dict[int, int]:
     """The cycle spectrum from the anchored DP over single vertices."""
-    doubled = _doubled_cycles(g.adj)
-    return {r: c // 2 for r, c in enumerate(doubled) if c}
-
-
-def _doubled_cycles(adj: Sequence[int]) -> list[int]:
-    """Twice the number of cycles of each length r (entry r; entries 0 to 2
-    are 0) of the graph with bit rows ``adj``, from the anchored DP over
-    single vertices.  Raises ``ArithmeticError`` when a count is odd."""
-    n = len(adj)
-    # anchors with at least two neighbours above them
-    anchors = [s for s in range(n - 2) if (adj[s] >> (s + 1)).bit_count() >= 2]
-    closed, _ = _layers(adj, anchors, end_sums=False)
-    doubled = [0, 0, 0] + closed[3:]  # closed[2] counts edges, not cycles
-    if any(c % 2 for c in doubled):
-        raise ArithmeticError("directed cycle counts are not all even: implementation bug")
-    return doubled
+    return {r: c for r, c in enumerate(_vertex_cycles(g.adj)) if c}
 
 
 def _quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
@@ -426,9 +454,9 @@ def _divide_rootings(rooted: dict[tuple[int, int], int]) -> dict[int, int]:
 
 def count_cycles(g: Graph) -> int:
     """Total number of cycles in g, under the caps of ``cycle_spectrum``."""
-    if g.n < _KERNEL_MIN_M:
-        # cycle_spectrum takes the vertex DP too; skip building the dict
-        return sum(_doubled_cycles(g.adj)) // 2
+    if g.n < _QUOTIENT_MIN_N:
+        # cycle_spectrum takes the vertex forms too; skip building the dict
+        return sum(_vertex_cycles(g.adj))
     return sum(cycle_spectrum(g).values())
 
 
@@ -444,6 +472,6 @@ def count_paths_from(g: Graph, x: int) -> dict[int, int]:
     # anchor: flip bits 0 and x of each row where they differ, then swap rows
     adj = [row ^ ((row ^ row >> x) & 1) * (1 | 1 << x) for row in g.adj]
     adj[0], adj[x] = adj[x], adj[0]
-    _, ends = _layers(adj, [0])
+    ends = _path_layers(adj, [0], ends=True) if _kernel_pays(n, g.edge_count) else _dict_ends(adj)
     ends[0], ends[x] = ends[x], ends[0]
     return {y: c for y, c in enumerate(ends) if c}

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
 
@@ -33,9 +34,11 @@ from cyclekit.search import compositions_exact
 from _oracles import (
     brute_count_paths,
     brute_cycle_spectrum,
+    brute_force_graph_classes,
     minus_edge_spectrum,
     random_blowup,
     random_graph,
+    reference_enumerate_graphs,
     walk_cycle_spectrum,
 )
 
@@ -53,6 +56,12 @@ def twin_free_graph(n):
 
 K4 = turan_graph(4, 4)
 K5 = turan_graph(5, 5)
+
+
+def odd_closings(adj, anchors, **options):
+    """A stand-in kernel whose doubled triangle count is 1 for the pass of
+    the lowest anchor alone and 0 for the others."""
+    return [0, 0, 0, int(anchors == [0])] + [0] * (len(adj) - 3)
 
 
 @st.composite
@@ -123,7 +132,7 @@ class TestCycleSpectrum:
         assert cycle_spectrum(turan_graph(n, k)) == cycle_spectrum_multipartite(turan_class_sizes(n, k))
 
     def test_total_matches_spectrum(self):
-        # below 11 vertices count_cycles sums the DP's closing counts directly
+        # below 11 vertices count_cycles sums the vertex forms' counts directly
         rng = random.Random(19)
         for n in range(1, 13):
             for _ in range(8):
@@ -131,20 +140,23 @@ class TestCycleSpectrum:
                 assert count_cycles(g) == sum(cycle_spectrum(g).values()), n
 
     def test_odd_directed_count_raises(self, monkeypatch):
-        # closed[3] = 3 would be one and a half triangles
-        monkeypatch.setattr(counting, "_layers", lambda adj, anchors, **options: ([0, 0, 2, 3, 0], None))
+        # the rule sends K_10 to the kernel, whose counts are doubled; a doubled
+        # count of 1 from the lowest anchor's pass is half a triangle
+        assert counting._kernel_pays(10, 45)
+        monkeypatch.setattr(counting, "_path_layers", odd_closings)
         with pytest.raises(ArithmeticError):
-            count_cycles(K4)
+            count_cycles(turan_graph(10, 10))
         with pytest.raises(ArithmeticError):
-            cycle_spectrum(K4)
+            cycle_spectrum(turan_graph(10, 10))
 
     def test_odd_directed_count_raises_with_asserts_stripped(self):
         code = (
             "from cyclekit import counting\n"
             "from cyclekit.graphs import turan_graph\n"
-            "counting._layers = lambda adj, anchors, **options: ([0, 0, 2, 3, 0], None)\n"
+            "counting._path_layers = lambda adj, anchors, **options: "
+            "[0, 0, 0, int(anchors == [0])] + [0] * (len(adj) - 3)\n"
             "try:\n"
-            "    counting.count_cycles(turan_graph(4, 4))\n"
+            "    counting.count_cycles(turan_graph(10, 10))\n"
             "except ArithmeticError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
@@ -251,11 +263,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_only(monkeypatch, kernel_calls):
+    """Send every vertex count to the numpy kernel, whatever its size, and
+    record its calls as ``kernel_calls`` does."""
+    monkeypatch.setattr(counting, "_kernel_pays", lambda n, m: True)
+    return kernel_calls
+
+
 def dict_spectrum(g):
-    """The vertex spectrum from the dict DP alone, every vertex an anchor (a
-    vertex with fewer than two neighbours above it closes no cycle)."""
-    closed, _ = counting._dict_layers(g.adj, list(range(g.n)))
-    return {r: closed[r] // 2 for r in range(3, g.n + 1) if closed[r]}
+    """The vertex spectrum from the dict DP alone."""
+    return {r: c for r, c in enumerate(counting._dict_cycles(g.adj)) if c}
 
 
 def paths_through(n, k):
@@ -263,24 +281,54 @@ def paths_through(n, k):
     return factorial(n - 2) // factorial(n - 2 - k)
 
 
+def paths_by_dict_dp(g, x):
+    """The path ends from x by the dict DP, every vertex but x renamed as
+    ``count_paths_from`` does: x and 0 swap places."""
+    perm = list(range(g.n))
+    perm[0], perm[x] = x, 0
+    ends = counting._dict_ends(g.relabel(perm).adj)
+    ends[0], ends[x] = ends[x], ends[0]
+    return ends
+
+
 class TestTwoForms:
-    """The dict DP and the numpy kernel answer the same question,
-    ``(closed, ends)`` for the same rows and anchors."""
+    """The dict DP and the numpy kernel count the same paths: the kernel's
+    closings are twice the dict DP's cycle counts, and the path ends of the
+    two agree."""
 
     def test_kernel_matches_dict_dp(self):
         rng = random.Random(101)
         for i in range(60):
-            n = 2 + i % 13
+            n = 3 + i % 12
             g = random_graph(rng, n, rng.random())
-            anchors = sorted(rng.sample(range(n), rng.randint(1, n)))
-            closed, ends = counting._dict_layers(g.adj, anchors)
-            assert counting._path_layers(g.adj, anchors) == (closed, ends), (n, anchors)
-            assert counting._path_layers(g.adj, anchors, end_sums=False) == (closed, None)
-            assert counting._dict_layers(g.adj, anchors, end_sums=False) == (closed, None)
+            once = counting._dict_cycles(g.adj)
+            # every anchor, in two passes split at a seeded point
+            cut = rng.randint(1, n - 1)
+            doubled = [a + b for a, b in zip(counting._path_layers(g.adj, list(range(cut))),
+                                              counting._path_layers(g.adj, list(range(cut, n))))]
+            assert doubled == [2 * c for c in once], (n, cut)
+            assert counting._path_layers(g.adj, [0], ends=True) == counting._dict_ends(g.adj), n
+
+    def test_once_dp_on_every_small_class(self):
+        # brute_force_graph_classes scans every permutation and stops at
+        # n = 5; the 156 classes on six vertices come from augmentation
+        classes = [g for n in range(1, 6) for g in brute_force_graph_classes(n)]
+        six = reference_enumerate_graphs(6)
+        assert len(six) == 156
+        for g in classes + six:
+            assert dict_spectrum(g) == brute_cycle_spectrum(g), g.adj
+
+    def test_once_dp_on_random_graphs(self):
+        rng = random.Random(103)
+        for n in range(3, 13):
+            for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.9):
+                g = random_graph(rng, n, p)
+                assert dict_spectrum(g) == walk_cycle_spectrum(g), (n, p)
 
     def test_edgeless_graphs(self):
         for n in (21, 22):
-            assert counting._path_layers((0,) * n, [0, n - 1]) == ([0] * (n + 1), [0] * n)
+            assert counting._path_layers((0,) * n, [0, n - 1]) == [0] * (n + 1)
+            assert counting._path_layers((0,) * n, [0], ends=True) == [0] * n
 
     def test_split_sum_is_exact(self):
         # float64 counts below 2^53 whose sums pass 2^63 (and round in float64)
@@ -308,10 +356,15 @@ class TestTwoForms:
 
         monkeypatch.setattr(counting, "_exact_sum", spy)
         adj = cycle_graph(23).adj  # paths through up to 23 vertices
-        counting._path_layers(adj, [0], end_sums=False)
-        # one closing sum per layer, of the product's entries as they are held
-        assert dtypes == [np.dtype(np.float64)] * 19 + [np.dtype(object)] * 4
-        closed, ends = counting._path_layers(adj, [0, 5])
+        closed = counting._path_layers(adj, [0])
+        # one closing sum per layer from the third, of the product's entries
+        # as they are held
+        assert dtypes == [np.dtype(np.float64)] * 17 + [np.dtype(object)] * 4
+        del dtypes[:]
+        ends = counting._path_layers(adj, [0], ends=True)
+        # the path mode takes no closing sum, only one end sum per layer from
+        # the second, of the rows before the layer's product
+        assert dtypes == [np.dtype(np.float64)] * 19 + [np.dtype(object)] * 3
         assert closed[23] == 2 and ends[5] == 2
         # Python ints, never floats, so that JSON prints 2, not 2.0
         assert all(type(c) is int for c in closed + ends)
@@ -339,19 +392,38 @@ class TestTwoForms:
 
 
 class TestKernelSelection:
-    """Vertex counts of graphs with 11 <= n <= 24 run the numpy kernel in
-    two passes, the lowest anchor alone and every higher anchor together;
-    smaller graphs run the dict DP.  All forms must agree."""
+    """``_kernel_pays`` sends a vertex count to the numpy kernel or to the
+    dict DP by n and the edge count; the kernel counts cycles in two passes,
+    the lowest anchor alone and every higher anchor together.  All forms must
+    agree."""
 
-    def test_both_forms_in_one_call_match_walk_oracle(self, kernel_calls):
+    def test_routing_by_density(self, kernel_calls):
+        rng = random.Random(113)
+        dense = [random_graph(rng, n, p) for n in (9, 10) for p in (0.75, 0.9)]
+        dense += [turan_graph(10, 10), turan_graph(10, 3)]
+        # the shapes of the oracle workload's graphs
+        dense += [make_graph(n, rng.sample(list(combinations(range(n), 2)), m))
+                  for n, m in ((13, 39), (14, 48)) for _ in range(3)]
+        sparse = [random_graph(rng, n, p) for n in (11, 12) for p in (0.2, 0.25)]
+        small = [random_graph(rng, n, p) for n in range(3, 8) for p in (0.3, 0.6, 1.0)]
+        for kernel, group in ((True, dense), (False, sparse + small)):
+            for g in group:
+                del kernel_calls[:]
+                assert count_cycles(g) == sum(walk_cycle_spectrum(g).values())
+                assert bool(kernel_calls) == kernel, (g.n, g.edge_count)
+                del kernel_calls[:]
+                count_paths_from(g, g.n - 1)
+                assert bool(kernel_calls) == kernel, (g.n, g.edge_count)
+
+    def test_both_forms_in_one_call_match_walk_oracle(self, kernel_only):
         # "both forms": the lone pass and the pass over the higher anchors
         rng = random.Random(53)
         for n in range(11, 17):
             for p in (0.2, 0.45, 0.8):
                 g = random_graph(rng, n, p)
-                del kernel_calls[:]
+                del kernel_only[:]
                 assert counting._vertex_spectrum(g) == walk_cycle_spectrum(g), (n, p)
-                assert kernel_calls[0][1] == 1 and len(kernel_calls) <= 2
+                assert kernel_only[0][1] == 1 and len(kernel_only) <= 2
 
     def test_kernel_takes_every_anchor_at_n22_23(self, kernel_calls):
         rng = random.Random(79)
@@ -365,19 +437,20 @@ class TestKernelSelection:
             assert 3 * spec.get(3, 0) == sum(codegree(g, u, v) for u, v in g.edges())
             assert 2 * spec.get(4, 0) == sum(comb(codegree(g, u, v), 2) for u, v in pairs)
 
-    def test_matches_dict_dp_on_random_graphs(self):
+    def test_matches_dict_dp_on_random_graphs(self, kernel_only):
         rng = random.Random(83)
         for _ in range(40):
             n = rng.randint(11, 15)
             g = random_graph(rng, n, rng.random())
             assert counting._vertex_spectrum(g) == dict_spectrum(g)
+        assert kernel_only
 
-    def test_cycle_18(self, kernel_calls):
+    def test_cycle_18(self, kernel_only):
         assert cycle_spectrum(cycle_graph(18)) == {18: 1}
         # only anchor 0 has two neighbours above it
-        assert kernel_calls == [(18, 1)]
+        assert kernel_only == [(18, 1)]
 
-    def test_sparse_18_identities(self, kernel_calls):
+    def test_sparse_18_identities(self, kernel_only):
         rng = random.Random(59)
         pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
         g = make_graph(18, rng.sample(pairs, 27))
@@ -386,24 +459,26 @@ class TestKernelSelection:
         assert 2 * spec.get(4, 0) == sum(comb(codegree(g, u, v), 2) for u, v in pairs)
         lhs = sum(count_paths_from(g, u).get(v, 0) for u, v in g.edges())
         assert lhs == sum(r * c for r, c in spec.items()) + g.edge_count
-        assert kernel_calls[0][1] == 1 and kernel_calls[1][1] > 1
+        assert kernel_only[0][1] == 1 and kernel_only[1][1] > 1
 
-    def test_paths_at_n12_match_enumeration(self, kernel_calls):
+    def test_paths_at_n12_match_enumeration(self, kernel_only):
         rng = random.Random(61)
         for p in (0.3, 0.4):
             g = random_graph(rng, 12, p)
             x = rng.randrange(12)
             from_x = count_paths_from(g, x)
             assert from_x == {y: c for y in range(12) if y != x if (c := brute_count_paths(g, x, y))}
-        assert kernel_calls == [(12, 1), (12, 1)]
+            assert from_x == {y: c for y, c in enumerate(paths_by_dict_dp(g, x)) if c}
+        assert kernel_only == [(12, 1), (12, 1)]
 
-    def test_paths_at_n13_match_enumeration(self, kernel_calls):
+    def test_paths_at_n13_match_enumeration(self, kernel_only):
         rng = random.Random(89)
         g = random_graph(rng, 13, 0.3)
         for x in (0, 6, 12):
             from_x = count_paths_from(g, x)
             assert from_x == {y: c for y in range(13) if y != x if (c := brute_count_paths(g, x, y))}
-        assert kernel_calls == [(13, 1)] * 3
+            assert from_x == {y: c for y, c in enumerate(paths_by_dict_dp(g, x)) if c}
+        assert kernel_only == [(13, 1)] * 3
 
     def test_dedup_with_repeated_masks(self):
         rng = np.random.default_rng(97)
@@ -414,12 +489,12 @@ class TestKernelSelection:
             assert sorted(distinct.tolist()) == np.unique(keys).tolist()
             assert (distinct[where] == keys).all()
 
-    def test_cycle_22_with_chord(self, kernel_calls):
+    def test_cycle_22_with_chord(self, kernel_only):
         g = cycle_graph(22).with_edge(0, 7)
         assert cycle_spectrum(g) == {8: 1, 16: 1, 22: 1}
         assert count_paths_from(g, 0)[7] == 3
         # anchor 0 alone has two neighbours above it, and x = 0 is the path anchor
-        assert kernel_calls == [(22, 1), (22, 1)]
+        assert kernel_only == [(22, 1), (22, 1)]
 
     def test_twin_free_graph_runs_the_kernel(self, kernel_calls):
         rng = random.Random(71)
@@ -434,9 +509,10 @@ class TestKernelSelection:
         assert kernel_calls == []
 
     def test_small_graphs_keep_the_dict_dp(self, kernel_calls):
-        g = turan_graph(10, 10)
-        assert cycle_spectrum(g) == {i: factorial(i) // (2 * i) * comb(10, i) for i in range(3, 11)}
-        assert count_paths_from(g, 0)
+        # graphs on seven or fewer vertices, even complete ones
+        g = turan_graph(7, 7)
+        assert cycle_spectrum(g) == {i: factorial(i) // (2 * i) * comb(7, i) for i in range(3, 8)}
+        assert count_paths_from(g, 0) == {y: sum(paths_through(7, k) for k in range(6)) for y in range(1, 7)}
         assert kernel_calls == []
 
 
@@ -457,7 +533,7 @@ def blowup_sizes(rng, n, t):
 
 class TestQuotient:
     """The DP over twin classes, which cycle_spectrum runs on graphs with at
-    least _KERNEL_MIN_M vertices and fewer twin classes, and on every graph
+    least _QUOTIENT_MIN_N vertices and fewer twin classes, and on every graph
     past VERTEX_CAP that the state cap admits."""
 
     def test_matches_walk_oracle_on_blowups(self):
@@ -466,7 +542,7 @@ class TestQuotient:
         for n in (11, 11, 12, 12, 13, 13):
             g = random_blowup(rng, blowup_sizes(rng, n, rng.randint(3, 7)), rng.uniform(0.4, 0.9))
             classes = twin_classes(g)
-            assert len(classes) < counting._KERNEL_MIN_M
+            assert len(classes) < counting._QUOTIENT_MIN_N
             kinds |= {g.has_edge(*cls[:2]) for cls in classes if len(cls) > 1}
             assert counting._quotient_spectrum(g, classes) == walk_cycle_spectrum(g)
         assert kinds == {False, True}  # open and clique classes both occur

@@ -287,7 +287,7 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("seed", [0, 17, 2024])
     def test_turan_dominance_matches_reference(self, seed):
-        # n = 11 counts its samples with the numpy kernel, n <= 10 with the dict DP
+        # the samples of n = 8 to 11 take the dict DP or the numpy kernel by their edge count
         for n in range(1, 12):
             for k in range(1, min(n, 4) + 1):
                 for samples in (0, 1, 50):
