@@ -64,7 +64,14 @@ the closure.  The spectrum fixes one slot width for the bivariate product up
 front and keeps one packed int per power of u; each class adds its factor
 by ``grown[r + a] += rows[r] * block[a]``, and each row is unpacked once at
 the end.  Packing the powers of u into the same int instead would pad every
-row to n + 1 slots.
+row to n + 1 slots.  A polynomial is packed once per slot width and kept in
+a bounded memo, so equal classes of a spectrum, and the word counts of a
+suite that meet a class size again at the same width, reuse its pack.
+Slots are read back by shift and mask.  Each shift copies the whole int, so
+a run of more than 32 slots is halved first, which keeps the unpacking
+near-linear in the size of the int.  Before it reads, the unpacking checks
+that the int fits in its slots and raises ``ArithmeticError`` if not: a
+carry out of the top slot means the slot width was too small.
 
 Every exact division (by S, by 2r, by 2n) is checked and raises
 ``ArithmeticError`` on a remainder.  Word counts are memoized on the
@@ -72,8 +79,11 @@ canonical content (sorted counts, and the sorted counts of the two rooted
 letters after the drop) in one bounded cache, sized so that no suite run
 evicts (``verify major --n-max 30 --k-max 5`` asks for 5,324 distinct
 contents, and every suite and ``analytic`` job of one benchmark ``sweep``
-pass together for about 7,400).  The work is polynomial in n,
-so the only size cap is the 64 vertices of a ``ClassVector``.
+pass together for about 7,400).  ``prob_Q_given_P`` is memoized per
+composition, in lowest terms as two ints, in a cache of the same size; a
+composition is validated on its first call, and ``verify major`` compares
+these pairs by cross-multiplication.  The work is polynomial in n, so the
+only size cap is the 64 vertices of a ``ClassVector``.
 
 Class indices are 1-based throughout this module, matching the alphabet.
 """
@@ -83,7 +93,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, perm, prod
 from operator import mul
 from typing import Sequence
 
@@ -128,10 +138,32 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in coeffs]), "little")
 
 
+@lru_cache(maxsize=1024)
+def _packed(coeffs: tuple[int, ...], width: int) -> int:
+    """:func:`_pack` memoized: a block polynomial is packed once per slot
+    width."""
+    return _pack(coeffs, width)
+
+
 def _unpack(packed: int, width: int, length: int) -> list[int]:
-    """The ``length`` slots of ``packed``, inverting :func:`_pack`."""
-    data = packed.to_bytes(width * length, "little")
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * length, width)]
+    """The ``length`` slots of ``packed``, inverting :func:`_pack`; raises
+    ``ArithmeticError`` when ``packed`` does not fit in them."""
+    bits = 8 * width
+    if packed >> (bits * length):
+        raise ArithmeticError(f"packed value exceeds {length} slots of {width} bytes: implementation bug")
+    return _slots(packed, bits, length)
+
+
+def _slots(packed: int, bits: int, length: int) -> list[int]:
+    """The ``length`` slots of ``bits`` bits of ``packed``, read by shift and
+    mask.  Each shift copies the whole int, so a long run is halved first,
+    which keeps the copying near-linear."""
+    if length > 32:
+        half = length // 2
+        low = _slots(packed & ((1 << bits * half) - 1), bits, half)
+        return low + _slots(packed >> bits * half, bits, length - half)
+    mask = (1 << bits) - 1
+    return [packed >> shift & mask for shift in range(0, bits * length, bits)]
 
 
 def _poly_product(polys: Sequence[Sequence[int]]) -> list[int]:
@@ -144,7 +176,7 @@ def _poly_product(polys: Sequence[Sequence[int]]) -> list[int]:
     width = _slot_width(prod(sum(p) for p in polys))
     packed = 1
     for p, run in groupby(polys):
-        packed *= _pack(p, width) ** len(list(run))
+        packed *= _packed(p, width) ** len(list(run))
     return _unpack(packed, width, sum(len(p) - 1 for p in polys) + 1)
 
 
@@ -195,10 +227,12 @@ def _rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
     ci, cj = parts[i - 1], parts[j - 1]
     if ci < 1 or cj < 1:
         raise ValueError("rooted letters exceed content")
-    rest = tuple(sorted(c for idx, c in enumerate(parts) if idx not in (i - 1, j - 1) and c > 0))
+    rest = list(parts)
+    del rest[max(i, j) - 1], rest[min(i, j) - 1]
+    rest.sort()
     # reading a word backwards from its second letter swaps the roles of i and
     # j, so the count is symmetric in the two and the key sorts them
-    return _word_count(rest, tuple(sorted((ci - 1, cj - 1))))
+    return _word_count(tuple(rest), tuple(sorted((ci - 1, cj - 1))))
 
 
 def code_cycle_count(
@@ -213,14 +247,23 @@ def code_cycle_count(
     return _rooted_word_count(cv.parts, *rooted)
 
 
-def prob_Q_given_P(c: ClassVector | Sequence[int]) -> Fraction:
-    """P[cyclically adjacent-distinct | letter content = c] for uniform words."""
-    cv = as_class_vector(c)
-    n = cv.n
-    arrangements = factorial(n)
+@lru_cache(maxsize=8192)
+def reduced_prob_Q_given_P(parts: ClassVector | tuple[int, ...]) -> tuple[int, int]:
+    """:func:`prob_Q_given_P` in lowest terms, as (numerator, denominator),
+    memoized on ``parts``, a class vector or a tuple of class sizes, which
+    is validated on a miss."""
+    cv = as_class_vector(parts)
+    arrangements = factorial(cv.n)
     for ci in cv.parts:
         arrangements //= factorial(ci)
-    return Fraction(_cyclic_word_count(cv.parts), arrangements)
+    words = _cyclic_word_count(cv.parts)
+    common = gcd(words, arrangements)
+    return words // common, arrangements // common
+
+
+def prob_Q_given_P(c: ClassVector | Sequence[int]) -> Fraction:
+    """P[cyclically adjacent-distinct | letter content = c] for uniform words."""
+    return Fraction(*reduced_prob_Q_given_P(as_class_vector(c).parts))
 
 
 def hamilton_multipartite(c: ClassVector | Sequence[int]) -> int:
@@ -247,11 +290,8 @@ def rooted_hamilton_permutations_general(
     """
     cv = as_class_vector(c)
     count = _rooted_word_count(cv.parts, i, j)
-    out = factorial(cv.parts[i - 1] - 1)
-    for idx, ci in enumerate(cv.parts):
-        if idx != i - 1:
-            out *= factorial(ci)
-    return out * count
+    # (c_i - 1)! orders the rest of class i, c! every other class
+    return prod(map(factorial, cv.parts)) // cv.parts[i - 1] * count
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +313,7 @@ def cycle_spectrum_multipartite(c: ClassVector | Sequence[int]) -> dict[int, int
     width = _slot_width(prod(sum(map(sum, blocks)) for blocks in classes))
     rows = [1]
     for blocks in classes:
-        packed = [_pack(block, width) for block in blocks]
+        packed = [_packed(block, width) for block in blocks]
         grown = [0] * (len(rows) + len(packed) - 1)
         for r, row in enumerate(rows):
             for a, block in enumerate(packed):

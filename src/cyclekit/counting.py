@@ -31,33 +31,41 @@ path ends for ``count_paths_from``.
   per end vertex and takes no closing sum.  Only reachable sets are stored,
   so sparse graphs stay cheap.
 
-``_kernel_pays`` picks the form from n and the edge count m: the kernel
-when m >= n + 15, the dict DP otherwise, for cycles and paths alike.  The
-dict DP's states are paths, so its work is bounded by a function of m
-alone, and at a fixed m it falls as n grows and the edges spread thinner.
-The kernel pays a fixed cost of about fifteen numpy calls per layer, so
-its cost grows with n.  Timed per graph on a 2-core x86 VM (numpy 2.4 with
-one OpenBLAS thread, seeded G(n, m), median of 6 graphs,
-host-speed-corrected; ``BENCH_cycle_routing.json``), the two kernel passes
-overtake the once-counting dict DP at about 22, 24.5, 25, 26, 29 and 31
-edges for n = 8, 10, 12, 14, 16 and 19, and past 34 edges for n = 22,
-where the kernel's 2^n slot table dominates.  So:
+``_kernel_pays`` picks the form from n, the edge count m and the number p
+of kernel passes the count takes, two for cycles and one for paths: the
+kernel when m >= max(22, n + 3 + 6p, 3n - 34 + 3p), the dict DP
+otherwise.  The dict DP's states are paths, so its work is bounded by a
+function of m alone, and at a fixed m it falls as n grows and the edges
+spread thinner.
+The kernel pays a fixed cost of about fifteen numpy calls per layer and
+pass, so its cost grows with n and p.  Timed per graph on a 2-core x86 VM
+(numpy 2.4 with one OpenBLAS thread, seeded G(n, m), medians of 3 to 6
+graphs; ``BENCH_cycle_routing.json``, ``BENCH_verify_suites.json``), the
+two kernel passes overtake the once-counting dict DP at about 22, 24.5, 25,
+26, 29, 31, 32, 37.5, 41 and 47 edges for n = 8, 10, 12, 14, 16, 19, 20,
+22, 23 and 24, and the one path pass overtakes the dict DP's path ends at
+about 21 to 23 edges for n = 8 to 14, 24.5 for n = 16, 27.5 for n = 19, 29
+for n = 20 and 21, and 36, 38.5 and 40 for n = 22, 23 and 24.  So:
 
-- every graph on seven or fewer vertices takes the dict DP: at n = 7 the
-  kernel takes 0.19 to 0.85 ms, the dict DP 0.01 to 0.24 ms;
-- sparse graphs take the dict DP: G(11, 0.2) and G(12, 0.2) take 0.05 and
-  0.04 ms on it, and 0.92 and 0.54 ms on the kernel;
-- dense graphs from eight vertices up take the kernel: G(10, 0.8) takes
-  9.0 ms on the dict DP and 1.4 ms on the kernel.
+- the floor of 22 edges is one more than K_7 has, so every graph on seven
+  or fewer vertices takes the dict DP: at n = 7 the kernel takes 0.19 to
+  0.85 ms, the dict DP 0.01 to 0.24 ms;
+- n + 3 + 6p, that is n + 15 for cycles and n + 9 for paths, follows the
+  crossovers from 8 to 20 vertices within about 2 edges: sparse graphs take
+  the dict DP (G(11, 0.2) and G(12, 0.2) take 0.05 and 0.04 ms on it, and
+  0.92 and 0.54 ms on the kernel), and dense graphs from eight vertices up
+  the kernel (G(10, 0.8) takes 9.0 ms on the dict DP and 1.4 ms on the
+  kernel);
+- 3n - 34 + 3p takes over from 21 vertices for paths and 22 for cycles,
+  where the kernel's 2^n slot table dominates its cost: each vertex more
+  moves the crossover by about three edges, and a second pass by about
+  three more.  At n = 21 the path rule asks for 32 edges against a
+  crossover near 29.
 
 The dict DP's once-counting pays on sparse graphs, where dropping a path
 once it can no longer close cuts most states, and loses on dense ones,
 where every run from a second vertex walks nearly all the sets above s;
-the rule sends those to the kernel.  Path counts run one kernel pass, not
-two, so their crossover lies lower, at about 22 to 23 edges for n = 8 to
-14, 25 for n = 16 and 27 for n = 19.  Between that and n + 15 edges the
-rule leaves path counts on the dict DP at up to 3x the kernel's time
-(G(16, 30): 3.8 ms against 1.2 ms).
+the rule sends those to the kernel.
 
 ``count_cycles`` on graphs with ten or fewer vertices sums the vertex
 counts directly instead of building the spectrum dict; the searches and
@@ -165,12 +173,12 @@ QUOTIENT_STATE_CAP = 1 << 21
 _QUOTIENT_MIN_N = 11
 
 
-def _kernel_pays(n: int, m: int) -> bool:
-    """Whether the numpy kernel, rather than the dict DP, counts over the
-    single vertices of a graph with n vertices and m edges: when it has at
-    least n + 15 edges, which no graph on seven or fewer vertices has (see
-    the module docstring)."""
-    return m >= n + 15
+def _kernel_pays(n: int, m: int, passes: int) -> bool:
+    """Whether the numpy kernel in ``passes`` passes, rather than the dict
+    DP, counts over the single vertices of a graph with n vertices and m
+    edges: when m >= max(22, n + 3 + 6 passes, 3n - 34 + 3 passes), which
+    no graph on seven or fewer vertices reaches (see the module docstring)."""
+    return m >= max(22, n + 3 + 6 * passes, 3 * n - 34 + 3 * passes)
 
 
 def _vertex_cycles(adj: Sequence[int]) -> list[int]:
@@ -179,7 +187,7 @@ def _vertex_cycles(adj: Sequence[int]) -> list[int]:
     kernel, as ``_kernel_pays`` picks.  The kernel counts every cycle in both
     directions, so an odd count from it raises ``ArithmeticError``."""
     n = len(adj)
-    if not _kernel_pays(n, sum(row.bit_count() for row in adj) // 2):
+    if not _kernel_pays(n, sum(row.bit_count() for row in adj) // 2, 2):
         return _dict_cycles(adj)
     # anchors with at least two neighbours above them; the lowest runs alone,
     # then every higher one in one pass
@@ -472,6 +480,6 @@ def count_paths_from(g: Graph, x: int) -> dict[int, int]:
     # anchor: flip bits 0 and x of each row where they differ, then swap rows
     adj = [row ^ ((row ^ row >> x) & 1) * (1 | 1 << x) for row in g.adj]
     adj[0], adj[x] = adj[x], adj[0]
-    ends = _path_layers(adj, [0], ends=True) if _kernel_pays(n, g.edge_count) else _dict_ends(adj)
+    ends = _path_layers(adj, [0], ends=True) if _kernel_pays(n, g.edge_count, 1) else _dict_ends(adj)
     ends[0], ends[x] = ends[x], ends[0]
     return {y: c for y, c in enumerate(ends) if c}

@@ -164,7 +164,7 @@ class ClassVector:
     def __post_init__(self) -> None:
         if len(self.parts) < 1:
             raise ValueError("at least one class required")
-        if any(c < 1 for c in self.parts):
+        if min(self.parts) < 1:
             raise ValueError("class sizes must be positive")
         if sum(self.parts) > MAX_VERTICES:
             raise ValueError(f"total size exceeds {MAX_VERTICES}")
@@ -181,7 +181,7 @@ class ClassVector:
 def as_class_vector(c: "ClassVector | Sequence[int]") -> ClassVector:
     if isinstance(c, ClassVector):
         return c
-    return ClassVector(tuple(int(x) for x in c))
+    return ClassVector(tuple(map(int, c)))
 
 
 def turan_class_sizes(n: int, k: int) -> tuple[int, ...]:

@@ -75,7 +75,7 @@ from typing import Iterator
 from .analytic import (
     cycle_spectrum_multipartite,
     hamilton_multipartite,
-    prob_Q_given_P,
+    reduced_prob_Q_given_P,
     rooted_hamilton_permutations_general,
 )
 from .counting import count_cycles, count_paths_from
@@ -103,28 +103,41 @@ CACHE_SCHEMA = 2
 
 
 def partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing tuples of positive ints summing to n, at most k parts."""
-
-    def rec(remaining: int, parts_left: int, cap: int, prefix: tuple[int, ...]):
+    """Nonincreasing tuples of positive ints summing to n, at most k parts,
+    largest first part first and depth first (reverse lexicographic order).
+    A prefix is extended only by first parts that leave a completable rest:
+    at least the remainder over the parts left, at most the last part."""
+    stack = [(n, n, ())]
+    while stack:
+        remaining, cap, prefix = stack.pop()
         if remaining == 0:
             yield prefix
-            return
-        if parts_left == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - first, parts_left - 1, first, prefix + (first,))
-
-    yield from rec(n, k, n, ())
+            continue
+        slots = k - len(prefix)
+        if slots <= 0:
+            continue
+        # pushed smallest first, so the largest first part pops first
+        least = max(1, -(-remaining // slots))
+        for first in range(least, min(cap, remaining) + 1):
+            stack.append((remaining - first, first, prefix + (first,)))
 
 
 def compositions_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of k positive ints summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in compositions_exact(n - first, k - 1):
-            yield (first,) + rest
+    """Ordered tuples of k >= 1 positive ints summing to n, in lexicographic
+    order; a prefix is extended only by first parts that leave each later
+    part at least 1."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    stack = [((), n)]
+    while stack:
+        prefix, remaining = stack.pop()
+        slots = k - len(prefix)
+        if slots == 1:
+            yield prefix + (remaining,)
+            continue
+        # pushed largest first, so the smallest first part pops first
+        for first in range(remaining - slots + 1, 0, -1):
+            stack.append((prefix + (first,), remaining - first))
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +585,9 @@ def verify_balanced_code_probability(n: int, k: int) -> VerifyReport:
 
     Contents with empty letters reduce to fewer-letter instances, so ranging
     over partitions into at most k positive parts covers every content.
+    Each probability is a reduced fraction with a positive denominator,
+    memoized per content across reports, and the two are compared by
+    cross-multiplication.
     """
     report = VerifyReport(name="major", params={"n": n, "k": k})
     if k < 2:
@@ -579,29 +595,18 @@ def verify_balanced_code_probability(n: int, k: int) -> VerifyReport:
         report.cases.append({"note": "k=1 is degenerate; nothing to compare"})
         return report
     kk = min(k, n)  # empty letters reduce k > n to the all-distinct content
-    p_balanced = prob_Q_given_P(turan_class_sizes(n, kk))
+    top, bottom = reduced_prob_Q_given_P(turan_class_sizes(n, kk))
+    balanced = f"{top}/{bottom}"
     for comp in partitions_at_most(n, kk):
-        p = prob_Q_given_P(comp)
-        ok = p_balanced >= p
+        num, den = reduced_prob_Q_given_P(comp)
+        ok = top * den >= num * bottom
         report.cases.append(
-            {
-                "composition": list(comp),
-                "prob": f"{p.numerator}/{p.denominator}",
-                "balanced_prob": f"{p_balanced.numerator}/{p_balanced.denominator}",
-                "ok": ok,
-            }
+            {"composition": list(comp), "prob": f"{num}/{den}", "balanced_prob": balanced, "ok": ok}
         )
         if not ok:
             report.failures += 1
     report.passed = report.failures == 0
     return report
-
-
-def _move(comp: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    out = list(comp)
-    out[i - 1] += 1
-    out[j - 1] -= 1
-    return tuple(out)
 
 
 def verify_rooted_move_inequality(n: int, k: int) -> VerifyReport:
@@ -613,29 +618,28 @@ def verify_rooted_move_inequality(n: int, k: int) -> VerifyReport:
     report = VerifyReport(name="stepcount", params={"n": n, "k": k})
     # every composition is a base once and the moved one of many others
     rooted: dict[tuple[int, ...], int] = {}
-
-    def rooted_count(c: tuple[int, ...]) -> int:
-        if c not in rooted:
-            rooted[c] = rooted_hamilton_permutations_general(c, 1, 2)
-        return rooted[c]
-
     for comp in compositions_exact(n, k):
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if i == j or comp[i - 1] > comp[j - 1] - 2:
+        base = None
+        for i, ci in enumerate(comp, 1):
+            for j, cj in enumerate(comp, 1):
+                # i == j fails this test too
+                if ci > cj - 2:
                     continue
-                base = rooted_count(comp)
-                other = rooted_count(_move(comp, i, j))
-                ci, cj = comp[i - 1], comp[j - 1]
+                if base is None:
+                    if comp not in rooted:
+                        rooted[comp] = rooted_hamilton_permutations_general(comp, 1, 2)
+                    base = rooted[comp]
+                    lhs = str(base)
+                moved = list(comp)
+                moved[i - 1] = ci + 1
+                moved[j - 1] = cj - 1
+                key = tuple(moved)
+                if key not in rooted:
+                    rooted[key] = rooted_hamilton_permutations_general(key, 1, 2)
+                other = rooted[key]
                 ok = base * ci * (cj - 1) <= (ci + 1) * cj * other
                 report.cases.append(
-                    {
-                        "composition": list(comp),
-                        "move": [i, j],
-                        "lhs": str(base),
-                        "rhs_count": str(other),
-                        "ok": ok,
-                    }
+                    {"composition": list(comp), "move": [i, j], "lhs": lhs, "rhs_count": str(other), "ok": ok}
                 )
                 if not ok:
                     report.failures += 1
@@ -645,18 +649,25 @@ def verify_rooted_move_inequality(n: int, k: int) -> VerifyReport:
 
 def _matched_balanced(comp: tuple[int, ...]) -> tuple[int, ...] | None:
     """Balanced sizes arranged so b_i >= b_j exactly when c_i >= c_j, or None
-    when no arrangement satisfies that (ties in c against unequal sizes)."""
+    when no arrangement satisfies that (ties in c against unequal sizes).
+
+    With n = qk + r, 0 <= r < k, the balanced sizes are r copies of q + 1
+    and k - r of q.  The condition says that c and b order the indices the
+    same way, ties included, so c has as many distinct values as b, with as
+    many indices on each level.  So when k divides n, b is constant and a
+    match exists only when c is constant, and it is c itself.  Otherwise
+    c takes exactly two values, the larger exactly r times, and b is q + 1
+    where c has the larger value and q elsewhere.  Conversely such a b
+    matches, so this takes O(k).
+    """
     k = len(comp)
-    sizes = sorted(turan_class_sizes(sum(comp), k), reverse=True)
-    order = sorted(range(k), key=lambda idx: (-comp[idx], idx))
-    b = [0] * k
-    for rank, idx in enumerate(order):
-        b[idx] = sizes[rank]
-    for i in range(k):
-        for j in range(k):
-            if (b[i] >= b[j]) != (comp[i] >= comp[j]):
-                return None
-    return tuple(b)
+    q, r = divmod(sum(comp), k)
+    high = max(comp)
+    if r == 0:
+        return comp if comp.count(high) == k else None
+    if comp.count(high) != r or comp.count(min(comp)) != k - r:
+        return None
+    return tuple(q + 1 if c == high else q for c in comp)
 
 
 def verify_rooted_turan_envelope(n: int, k: int) -> VerifyReport:
@@ -707,11 +718,16 @@ def report_rooted_class_share(n: int, k: int) -> VerifyReport:
     report = VerifyReport(name="turancount", params={"n": n, "k": k})
     sizes = turan_class_sizes(n, k)
     total = hamilton_multipartite(sizes)
+    # the rooted count depends on the two classes' sizes alone
+    rooted: dict[tuple[int, int], int] = {}
     for r in range(1, k + 1):
         for s in range(1, k + 1):
             if r == s:
                 continue
-            hv = rooted_hamilton_permutations_general(sizes, r, s)
+            pair = (sizes[r - 1], sizes[s - 1])
+            if pair not in rooted:
+                rooted[pair] = rooted_hamilton_permutations_general(sizes, r, s)
+            hv = rooted[pair]
             holds = 3 * k * hv >= 2 * total
             report.cases.append(
                 {

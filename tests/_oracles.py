@@ -10,7 +10,14 @@ the twin augmentation with one dedup set per level, and the memoized
 cyclic-word DP with its sub-vector walk (``reference_*_word_count``,
 :func:`reference_cycle_spectrum_multipartite` and, for equal classes,
 :func:`reference_spectrum_equal_classes`), the ``stepcount`` suite without
-its memo (:func:`reference_rooted_move_inequality`), the one-shot Monte Carlo
+its memo (:func:`reference_rooted_move_inequality`), the ``major``,
+``close`` and ``turancount`` suites as they were before they paid per
+distinct content (:func:`reference_balanced_code_probability` with a
+``Fraction`` per case, :func:`reference_rooted_turan_envelope` with the
+pairwise :func:`reference_matched_balanced`, and
+:func:`reference_rooted_class_share` with a rooted count per pair), the
+recursive composition generators (:func:`reference_partitions_at_most`,
+:func:`reference_compositions_exact`), the one-shot Monte Carlo
 draw :func:`reference_estimate_hits`, :func:`reference_cmd_verify`, the
 ``verify`` command with one branch per suite, and
 :func:`reference_turan_dominance`, the ``turanbest`` suite with every
@@ -31,6 +38,7 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -40,7 +48,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cyclekit import bounds, search
-from cyclekit.analytic import cycle_spectrum_multipartite, rooted_hamilton_permutations_general
+from cyclekit.analytic import (
+    code_cycle_count,
+    cycle_spectrum_multipartite,
+    hamilton_multipartite,
+    rooted_hamilton_permutations_general,
+)
 from cyclekit.cli import CHECK_FAILED
 from cyclekit.graph_io import graph_to_graph6
 from cyclekit.counting import cycle_spectrum
@@ -630,6 +643,130 @@ def reference_rooted_move_inequality(n: int, k: int) -> search.VerifyReport:
                 if not ok:
                     report.failures += 1
     report.passed = report.failures == 0
+    return report
+
+
+def reference_partitions_at_most(n: int, k: int) -> list[tuple[int, ...]]:
+    """``search.partitions_at_most`` as the recursion it was: every first
+    part from the largest down, with no pruning of prefixes that cannot
+    complete."""
+
+    def rec(remaining: int, parts_left: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        if parts_left == 0:
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - first, parts_left - 1, first, prefix + (first,))
+
+    return list(rec(n, k, n, ()))
+
+
+def reference_compositions_exact(n: int, k: int) -> list[tuple[int, ...]]:
+    """``search.compositions_exact`` as the recursion it was."""
+    if k == 1:
+        return [(n,)]
+    return [(first,) + rest for first in range(1, n - k + 2) for rest in reference_compositions_exact(n - first, k - 1)]
+
+
+def reference_balanced_code_probability(n: int, k: int) -> search.VerifyReport:
+    """The ``major`` suite with one ``Fraction`` per case, each the word
+    count over the multinomial arrangement count, and no memo."""
+    report = search.VerifyReport(name="major", params={"n": n, "k": k})
+    if k < 2:
+        report.passed = True
+        report.cases.append({"note": "k=1 is degenerate; nothing to compare"})
+        return report
+
+    def prob(parts: Sequence[int]) -> Fraction:
+        arrangements = factorial(sum(parts))
+        for c in parts:
+            arrangements //= factorial(c)
+        return Fraction(code_cycle_count(parts), arrangements)
+
+    kk = min(k, n)
+    p_balanced = prob(turan_class_sizes(n, kk))
+    for comp in reference_partitions_at_most(n, kk):
+        p = prob(comp)
+        ok = p_balanced >= p
+        report.cases.append(
+            {
+                "composition": list(comp),
+                "prob": f"{p.numerator}/{p.denominator}",
+                "balanced_prob": f"{p_balanced.numerator}/{p_balanced.denominator}",
+                "ok": ok,
+            }
+        )
+        if not ok:
+            report.failures += 1
+    report.passed = report.failures == 0
+    return report
+
+
+def reference_matched_balanced(comp: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``search._matched_balanced`` by its definition: the balanced sizes
+    sorted against the composition, then every pair of indices checked."""
+    k = len(comp)
+    sizes = sorted(turan_class_sizes(sum(comp), k), reverse=True)
+    order = sorted(range(k), key=lambda idx: (-comp[idx], idx))
+    b = [0] * k
+    for rank, idx in enumerate(order):
+        b[idx] = sizes[rank]
+    for i in range(k):
+        for j in range(k):
+            if (b[i] >= b[j]) != (comp[i] >= comp[j]):
+                return None
+    return tuple(b)
+
+
+def reference_rooted_turan_envelope(n: int, k: int) -> search.VerifyReport:
+    """The ``close`` suite matched by :func:`reference_matched_balanced`."""
+    report = search.VerifyReport(name="close", params={"n": n, "k": k})
+    for comp in reference_compositions_exact(n, k):
+        b = reference_matched_balanced(comp)
+        if b is None:
+            report.cases.append({"composition": list(comp), "skipped": "no order-matched balanced vector"})
+            continue
+        lhs = rooted_hamilton_permutations_general(comp, 1, 2)
+        rhs = Fraction(rooted_hamilton_permutations_general(b, 1, 2))
+        for ci, bi in zip(comp, b):
+            rhs *= Fraction(max(bi, ci), min(bi, ci))
+        ok = lhs <= rhs
+        report.cases.append(
+            {"composition": list(comp), "matched_balanced": list(b), "lhs": str(lhs), "rhs": str(rhs), "ok": ok}
+        )
+        if not ok:
+            report.failures += 1
+    report.passed = report.failures == 0
+    return report
+
+
+def reference_rooted_class_share(n: int, k: int) -> search.VerifyReport:
+    """The ``turancount`` suite with a rooted count for every ordered pair."""
+    report = search.VerifyReport(name="turancount", params={"n": n, "k": k})
+    sizes = turan_class_sizes(n, k)
+    total = hamilton_multipartite(sizes)
+    for r in range(1, k + 1):
+        for s in range(1, k + 1):
+            if r == s:
+                continue
+            hv = rooted_hamilton_permutations_general(sizes, r, s)
+            holds = 3 * k * hv >= 2 * total
+            report.cases.append(
+                {
+                    "root_class": r,
+                    "second_class": s,
+                    "root_size": sizes[r - 1],
+                    "second_size": sizes[s - 1],
+                    "rooted_count": str(hv),
+                    "hamilton": str(total),
+                    "holds": holds,
+                }
+            )
+            if not holds:
+                report.failures += 1
+    report.passed = None
     return report
 
 

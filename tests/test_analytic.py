@@ -321,6 +321,35 @@ class TestPackedProduct:
             coeffs = [top, 0, 1, top]
             assert analytic._unpack(analytic._pack(coeffs, width), width, 4) == coeffs
 
+    def test_shift_unpacking_inverts_packing(self):
+        # past 32 slots the unpacking halves the run before it shifts
+        rng = random.Random(33)
+        for length in (1, 2, 31, 32, 33, 64, 65, 130):
+            for width in (1, 5, 40):
+                coeffs = [rng.getrandbits(8 * width) for _ in range(length)]
+                assert analytic._unpack(analytic._pack(coeffs, width), width, length) == coeffs
+
+    @pytest.mark.parametrize("width, length", [(1, 1), (2, 3), (40, 33)])
+    def test_too_wide_for_its_slots_raises(self, width, length):
+        full = (1 << 8 * width * length) - 1
+        assert analytic._unpack(full, width, length) == [(1 << 8 * width) - 1] * length
+        with pytest.raises(ArithmeticError):
+            analytic._unpack(full + 1, width, length)
+
+    def test_too_wide_for_its_slots_raises_with_asserts_stripped(self):
+        code = (
+            "from cyclekit.analytic import _unpack\n"
+            "for width, length in ((1, 1), (40, 33)):\n"
+            "    try:\n"
+            "        _unpack(1 << 8 * width * length, width, length)\n"
+            "    except ArithmeticError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(analytic.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
+
 
 # n = 64 with few large classes, whose slots are the widest; seeded contents
 # keep to four classes so that the sub-vector walk stays small, and equal
@@ -377,11 +406,14 @@ class TestWordCountMemo:
         # distinct contents: 968 counts were computed again after eviction
         from cyclekit.cli import main
 
+        # and each reduced probability once, though 9,455 cases ask for one
         analytic._word_count.cache_clear()
+        analytic.reduced_prob_Q_given_P.cache_clear()
         assert main(["verify", "major", "--n-max", "30", "--k-max", "5"]) == 0
         capsys.readouterr()
-        info = analytic._word_count.cache_info()
-        assert info.misses == info.currsize == 5324
+        for memo in (analytic._word_count, analytic.reduced_prob_Q_given_P):
+            info = memo.cache_info()
+            assert info.misses == info.currsize == 5324
 
 
 class TestDivisionChecks:

@@ -142,7 +142,7 @@ class TestCycleSpectrum:
     def test_odd_directed_count_raises(self, monkeypatch):
         # the rule sends K_10 to the kernel, whose counts are doubled; a doubled
         # count of 1 from the lowest anchor's pass is half a triangle
-        assert counting._kernel_pays(10, 45)
+        assert counting._kernel_pays(10, 45, 2)
         monkeypatch.setattr(counting, "_path_layers", odd_closings)
         with pytest.raises(ArithmeticError):
             count_cycles(turan_graph(10, 10))
@@ -267,7 +267,7 @@ def kernel_calls(monkeypatch):
 def kernel_only(monkeypatch, kernel_calls):
     """Send every vertex count to the numpy kernel, whatever its size, and
     record its calls as ``kernel_calls`` does."""
-    monkeypatch.setattr(counting, "_kernel_pays", lambda n, m: True)
+    monkeypatch.setattr(counting, "_kernel_pays", lambda n, m, passes: True)
     return kernel_calls
 
 
@@ -393,9 +393,9 @@ class TestTwoForms:
 
 class TestKernelSelection:
     """``_kernel_pays`` sends a vertex count to the numpy kernel or to the
-    dict DP by n and the edge count; the kernel counts cycles in two passes,
-    the lowest anchor alone and every higher anchor together.  All forms must
-    agree."""
+    dict DP by n, the edge count and the number of kernel passes; the kernel
+    counts cycles in two passes, the lowest anchor alone and every higher
+    anchor together, and paths in one.  All forms must agree."""
 
     def test_routing_by_density(self, kernel_calls):
         rng = random.Random(113)
@@ -414,6 +414,37 @@ class TestKernelSelection:
                 del kernel_calls[:]
                 count_paths_from(g, g.n - 1)
                 assert bool(kernel_calls) == kernel, (g.n, g.edge_count)
+
+    @pytest.mark.parametrize(
+        "n, m, cycles_on_kernel, paths_on_kernel",
+        [
+            (8, 21, False, False),  # below the floor of 22 edges
+            (14, 23, False, True),  # n + 9 <= m < n + 15
+            (16, 30, False, True),
+            (19, 28, False, True),
+            (20, 34, False, True),
+            (20, 35, True, True),  # n + 15
+            (22, 34, False, False),  # 3n - 31 = 35 for paths
+            (22, 37, False, True),  # 3n - 28 = 38 > n + 15 for cycles
+            (22, 38, True, True),
+            (24, 40, False, False),
+            (24, 41, False, True),
+            (24, 44, True, True),
+        ],
+    )
+    def test_routing_by_passes(self, kernel_calls, n, m, cycles_on_kernel, paths_on_kernel):
+        # one kernel pass for paths overtakes the dict DP before two passes
+        # for cycles do; from 21 vertices on, the 2^n slot table sets the rule
+        g = make_graph(n, random.Random(n * 100 + m).sample(list(combinations(range(n), 2)), m))
+        del kernel_calls[:]
+        cycles = counting._vertex_cycles(g.adj)
+        assert bool(kernel_calls) == cycles_on_kernel
+        if cycles_on_kernel:
+            assert cycles == counting._dict_cycles(g.adj)
+        del kernel_calls[:]
+        paths = count_paths_from(g, 0)
+        assert bool(kernel_calls) == paths_on_kernel
+        assert paths == {y: c for y, c in enumerate(counting._dict_ends(g.adj)) if c}
 
     def test_both_forms_in_one_call_match_walk_oracle(self, kernel_only):
         # "both forms": the lone pass and the pass over the higher anchors

@@ -32,7 +32,13 @@ from _oracles import (
     partitions_exact,
     random_graph,
     reference_enumerate_graphs,
+    reference_balanced_code_probability,
+    reference_compositions_exact,
+    reference_matched_balanced,
+    reference_partitions_at_most,
+    reference_rooted_class_share,
     reference_rooted_move_inequality,
+    reference_rooted_turan_envelope,
     reference_turan_dominance,
 )
 
@@ -355,3 +361,52 @@ class TestVerifySuites:
     def test_class_share_rejects_k2(self):
         with pytest.raises(ValueError):
             report_rooted_class_share(8, 2)
+
+
+class TestSuitesMatchOracles:
+    """The suites and generators that pay per distinct content against the
+    bodies they replaced, kept in ``_oracles``: over k <= 6 and n <= 20, and
+    over the ranges of the benchmark's sweep."""
+
+    def test_partitions_keep_the_recursive_order(self):
+        # the order of the cases in a report is the generator's order
+        for n in range(15):
+            for k in range(7):
+                assert list(partitions_at_most(n, k)) == reference_partitions_at_most(n, k), (n, k)
+
+    def test_compositions_keep_the_recursive_order(self):
+        for n in range(15):
+            for k in range(1, 7):
+                assert list(compositions_exact(n, k)) == reference_compositions_exact(n, k), (n, k)
+        with pytest.raises(ValueError):
+            next(compositions_exact(3, 0))
+
+    def test_matched_balanced(self):
+        matched = 0
+        for k in range(1, 7):
+            for n in range(k, 21):
+                for comp in compositions_exact(n, k):
+                    b = search._matched_balanced(comp)
+                    assert b == reference_matched_balanced(comp), comp
+                    matched += b is not None
+        assert matched == 700
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_major(self, k):
+        for n in range(2, 21):
+            assert verify_balanced_code_probability(n, k) == reference_balanced_code_probability(n, k), n
+
+    def test_major_over_the_sweep_range(self):
+        for k in range(2, 6):
+            for n in range(21, 31):
+                assert verify_balanced_code_probability(n, k) == reference_balanced_code_probability(n, k), (n, k)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_close(self, k):
+        for n in range(k, 21):
+            assert verify_rooted_turan_envelope(n, k) == reference_rooted_turan_envelope(n, k), n
+
+    def test_turancount_over_the_sweep_range(self):
+        for k in range(3, 8):
+            for n in range(k, 45):
+                assert report_rooted_class_share(n, k) == reference_rooted_class_share(n, k), (n, k)
