@@ -6,8 +6,8 @@ that start at s and visit only vertices above s; a path closes to a cycle
 through the edge from its end back to s.  Path counts from x swap x with
 vertex 0 and count the paths from 0.
 
-Over single vertices there are two forms, and each returns only what its
-caller reads: per-length cycle counts for the cycle spectrum, per-vertex
+Over single vertices there are three forms, and each returns only what
+its caller reads: per-length cycle counts for the cycle spectrum, per-vertex
 path ends for ``count_paths_from``.
 
 - The dict DP keeps a ``dict[(mask, v)] -> int`` frontier of Python ints.
@@ -19,7 +19,7 @@ path ends for ``count_paths_from``.
   starts no run.  A cycle whose neighbours of s are a < b is counted by the
   run from a alone.  ``_dict_ends`` is the one frontier from vertex 0 over
   every vertex, and serves path counts only.
-- ``_path_layers`` is a numpy kernel.  Layer p holds the paths through p
+- ``_path_layers`` is the sparse numpy kernel.  Layer p holds the paths through p
   vertices as their vertex sets and a matrix of counts per (set, end
   vertex); the anchor of a set is its lowest vertex.  One matrix product
   with the adjacency extends every path by one vertex.  For cycles, the
@@ -30,6 +30,22 @@ path ends for ``count_paths_from``.
   raises ``ArithmeticError``.  For paths, the kernel sums each layer's rows
   per end vertex and takes no closing sum.  Only reachable sets are stored,
   so sparse graphs stay cheap.
+- ``_dense_layers`` is the kernel's dense form, for graphs with at most
+  ``_DENSE_MAX_N`` = 14 vertices.  Layer p is a float64 table of every
+  vertex set of size p by the n end vertices, with the sets in a fixed
+  order, so no set needs to be found.  For cycles every anchor runs in one
+  pass, and for paths the table holds only the sets that hold vertex 0.  A
+  plan, built once per (n, cycles or paths) and kept in a bounded
+  ``lru_cache``, holds for each (set T of layer p + 1, vertex u) the flat
+  position of (T - u, u) in layer p's product, or of a zero entry past the
+  product when u is not in T or is T's anchor, and for each set its closing
+  entry (set, anchor).  Each layer is then one product, one gather and, for
+  cycles, one gather-sum of the closings, where the sparse kernel pays
+  about 25 numpy calls per layer on its masks, bit rows and dedup.  The
+  plan's indices take 2 bytes each (the largest, at n = 14, is
+  3432 * 14 = 48,048), and the plans for every n up to 14 take 1.4 MB; they
+  are widened into one intp scratch array before each gather, since numpy
+  gathers by 2-byte indices about three times as slowly.
 
 ``_kernel_pays`` picks the form from n, the edge count m and the number p
 of kernel passes the count takes, two for cycles and one for paths: the
@@ -61,6 +77,20 @@ for n = 20 and 21, and 36, 38.5 and 40 for n = 22, 23 and 24.  So:
   moves the crossover by about three edges, and a second pass by about
   three more.  At n = 21 the path rule asks for 32 edges against a
   crossover near 29.
+
+The kernel is the dense form up to ``_DENSE_MAX_N`` vertices and the
+sparse kernel above.  The dense form does the same work at every edge
+count, about 2^n n^2 multiply-adds, where the sparse kernel's work follows
+the reachable sets.  Timed the same way (``BENCH_dense_layers.json``), the
+dense form takes 0.09 to 0.31 ms for cycles at n = 8 to 12 over the
+kernel's whole range of edge counts, against 0.6 to 2.0 ms on the sparse
+kernel, and 0.9 ms at n = 13 against 1.3 to 3.4 ms.  At n = 14 it takes
+1.9 ms: the sparse kernel is ahead at the rule's lowest 29 edges (1.7 ms)
+and behind from about 34 (2.6 ms at 34 edges, 6.2 ms at 56).  At n = 15
+the sparse kernel is ahead up to about 40 edges, and at n = 16 up to about
+48, so the cap is 14.  The dense form overtakes the dict DP well below the
+rule, at about 16 to 20 edges for n = 8 to 12, but the rule stays as the
+sparse kernel's timings set it.
 
 The dict DP's once-counting pays on sparse graphs, where dropping a path
 once it can no longer close cuts most states, and loses on dense ones,
@@ -101,6 +131,10 @@ Strassen-type one.  From layer 20 on the rows go through int64 to object
 dtype (Python ints) and the matrix to int64; at n = 24 those layers hold at
 most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.
 
+The dense form is exact by the same bound: up to n = 14 every entry is at
+most 13! < 2^53, so the whole pass runs in float64, and its closing and end
+sums, taken in int64, stay below 2 (n - 1)!.
+
 A closing or end sum adds one layer's counts over every anchor of a pass,
 in int64: float64 counts are cast as they are summed.  The anchors have
 distinct numbers j <= n - 1 of vertices above them, so such a sum is at most
@@ -132,13 +166,20 @@ have k classes: T_3(24) costs about 1 ms and T_8(24) about 0.4 s, where the
 vertex forms walk 2^23 vertex sets from one anchor.
 
 ``cycle_spectrum`` routes by n before ``_kernel_pays`` does.  Graphs on ten
-or fewer vertices take the vertex forms.  Up to ``VERTEX_CAP`` a graph takes
-the quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11 twin classes,
-and the vertex forms otherwise.  Against the two-pass kernel the crossover
-depends on n: timed on the same VM on seeded random blow-ups (6 per cell,
-quotient over vertex forms, median), the ratio is 0.66 at 7 classes and
-1.18 at 8 for n = 11, 0.67 at 7 and 1.29 at 8 for n = 13, 0.59 at 8 and
-1.32 at 9 for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.
+or fewer vertices take the vertex forms.  From 11 to ``_DENSE_MAX_N``
+vertices a graph with t twin classes takes the quotient when
+3 t prod(|w| + 1) < 2^n, its states and end classes against the dense
+form's vertex sets, and the vertex forms otherwise.  Timed on seeded random
+blow-ups with n = 11 to 14 and 3 to 9 classes (6 per cell, 168 graphs,
+``BENCH_dense_layers.json``), the rule's picks take 51 ms in total against
+44 ms for the faster form of each graph and 164 ms for the class-count rule
+below; the quotient wins at T_5(14) and (5, 5, 4) and loses from about 7
+classes at n = 13.  From ``_DENSE_MAX_N`` + 1 to ``VERTEX_CAP`` vertices a
+graph takes the quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11
+twin classes.  Against the two-pass sparse kernel that crossover depends on
+n: timed on the same VM on seeded random blow-ups (6 per cell, quotient
+over vertex forms, median), the ratio is 0.59 at 8 classes and 1.32 at 9
+for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.
 
 Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
 frontier from one anchor class holds at most prod(|w| + 1) vectors of used
@@ -155,6 +196,7 @@ such as G(25, m), is refused.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
@@ -172,6 +214,10 @@ QUOTIENT_STATE_CAP = 1 << 21
 # quotient DP (see the module docstring).
 _QUOTIENT_MIN_N = 11
 
+# Graphs with at most this many vertices that the kernel counts take its
+# dense form (see the module docstring).
+_DENSE_MAX_N = 14
+
 
 def _kernel_pays(n: int, m: int, passes: int) -> bool:
     """Whether the numpy kernel in ``passes`` passes, rather than the dict
@@ -184,18 +230,22 @@ def _kernel_pays(n: int, m: int, passes: int) -> bool:
 def _vertex_cycles(adj: Sequence[int]) -> list[int]:
     """The cycles of each length r (entry r) of the graph with bit rows
     ``adj``, from the anchored DP over single vertices: the dict DP or the
-    kernel, as ``_kernel_pays`` picks.  The kernel counts every cycle in both
-    directions, so an odd count from it raises ``ArithmeticError``."""
+    kernel, as ``_kernel_pays`` picks, and the kernel in its dense form up to
+    ``_DENSE_MAX_N`` vertices.  Both kernel forms count every cycle in both
+    directions, so an odd count from them raises ``ArithmeticError``."""
     n = len(adj)
     if not _kernel_pays(n, sum(row.bit_count() for row in adj) // 2, 2):
         return _dict_cycles(adj)
-    # anchors with at least two neighbours above them; the lowest runs alone,
-    # then every higher one in one pass
-    anchors = [s for s in range(n - 2) if (adj[s] >> (s + 1)).bit_count() >= 2]
-    doubled = [0] * (n + 1)
-    for part in (anchors[:1], anchors[1:]):
-        if part:
-            doubled = [a + b for a, b in zip(doubled, _path_layers(adj, part))]
+    if n <= _DENSE_MAX_N:
+        doubled = _dense_layers(adj)
+    else:
+        # anchors with at least two neighbours above them; the lowest runs
+        # alone, then every higher one in one pass
+        anchors = [s for s in range(n - 2) if (adj[s] >> (s + 1)).bit_count() >= 2]
+        doubled = [0] * (n + 1)
+        for part in (anchors[:1], anchors[1:]):
+            if part:
+                doubled = [a + b for a, b in zip(doubled, _path_layers(adj, part))]
     if any(c % 2 for c in doubled):
         raise ArithmeticError("directed cycle counts are not all even: implementation bug")
     return [c // 2 for c in doubled]
@@ -320,6 +370,90 @@ def _path_layers(adj: Sequence[int], anchors: list[int], *, ends: bool = False) 
     return out
 
 
+def _dense_layers(adj: Sequence[int], *, ends: bool = False) -> list[int]:
+    """The dense form of the kernel, for at most ``_DENSE_MAX_N`` vertices
+    (see the module docstring): twice the cycles of each length r (entry r)
+    over every anchor in one pass, or with ``ends`` the paths from vertex 0
+    with at least one edge per end vertex (entry v)."""
+    n = len(adj)
+    plan = _dense_plan(n, not ends)
+    cols = np.arange(n)
+    matrix = ((np.array(adj, dtype=np.int64)[:, None] >> cols) & 1).astype(np.float64)
+    # the plan's indices, widened into one scratch array: numpy indexes far
+    # faster by intp than by 2-byte indices
+    at = np.empty(max((len(gather) for gather, _ in plan), default=0), dtype=np.intp)
+    if ends:
+        rows = np.zeros((1, n))
+        rows[0, 0] = 1.0  # the one path through the set {0}
+        total = np.zeros(n, dtype=np.int64)
+    else:
+        rows = np.eye(n)  # the sets {s}, in rank order s
+        out = [0] * (n + 1)
+    for p, (gather, closing) in enumerate(plan, 1):
+        if ends and p > 1:  # one-vertex paths have no edge
+            total += rows.sum(axis=0, dtype=np.int64)
+        ext = np.empty(rows.size + 1)
+        ext[-1] = 0.0  # the zero entry that every missing predecessor reads
+        np.matmul(rows, matrix, out=ext[:-1].reshape(rows.shape))
+        if not ends and p >= 3:
+            here = at[: len(closing)]
+            np.copyto(here, closing)
+            out[p] = int(ext.take(here).sum(dtype=np.int64))
+        if p == n:
+            break
+        here = at[: len(gather)]
+        np.copyto(here, gather)
+        rows = ext.take(here).reshape(-1, n)
+    return total.tolist() if ends else out
+
+
+@lru_cache(maxsize=2 * _DENSE_MAX_N)
+def _dense_plan(n: int, cycles: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The index arrays of the dense form over n vertices, for cycles (every
+    vertex set) or for paths (the sets that hold vertex 0), one pair per
+    layer p = 1..n, of which the last has no ``gather``.  Layer p holds its
+    sets by size and then by mask, a row each.  ``gather`` maps each flat
+    (set T of layer p + 1, vertex u) to the flat (T - u, u) of layer p's
+    product, or, when u is not in T or is T's anchor, to the zero entry one
+    past that product's last.  ``closing`` maps each set S of layer p to its
+    flat (S, anchor of S).  The arrays are read-only, as every caller shares
+    them, and 2-byte where their indices fit."""
+    size = 1 << n
+    weight = np.zeros(size, dtype=np.int32)  # the number of vertices per set
+    for b in range(n):
+        weight[1 << b: 2 << b] = weight[: 1 << b] + 1
+    masks = np.arange(size, dtype=np.int32)
+    if not cycles:
+        masks = masks[1::2]  # the sets that hold vertex 0
+    masks = masks[np.argsort(weight[masks], kind="stable")]
+    sizes = np.bincount(weight[masks], minlength=n + 1).tolist()
+    dtype = np.uint16 if max(sizes) * n < 1 << 16 else np.int32
+    rank = np.zeros(size, dtype=np.int32)  # each set's row in its layer
+    layers = np.split(masks, np.cumsum(sizes)[:-1])
+    for sets in layers:
+        rank[sets] = np.arange(len(sets))
+    cols = np.arange(n, dtype=np.int32)
+    bits = np.int32(1) << cols
+    plan = []
+    for p in range(1, n + 1):
+        low = layers[p] & -layers[p]
+        closing = np.arange(sizes[p]) * n + weight[low - 1]
+        gather = np.empty(0)
+        if p < n:
+            sets = layers[p + 1][:, None]
+            gather = rank[sets & ~bits] * n + cols
+            gather[((sets & bits) == 0) | (bits <= (sets & -sets))] = sizes[p] * n
+        plan.append((_frozen(gather.ravel(), dtype), _frozen(closing, dtype)))
+    return plan
+
+
+def _frozen(values: np.ndarray, dtype: type) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``."""
+    out = values.astype(dtype)
+    out.flags.writeable = False
+    return out
+
+
 def _exact_sum(values: np.ndarray, split: bool, axis: int | None = None) -> int | np.ndarray:
     """``values.sum(axis)`` for nonnegative integer counts held as float64
     (below 2^53) or as Python ints.  Float64 counts are summed in int64,
@@ -369,12 +503,15 @@ def cycle_spectrum(g: Graph) -> dict[int, int]:
     if n < _QUOTIENT_MIN_N:
         return _vertex_spectrum(g)
     classes = twin_classes(g)
-    if n <= VERTEX_CAP:
-        if len(classes) < _QUOTIENT_MIN_N:
-            return _quotient_spectrum(g, classes)
-        return _vertex_spectrum(g)
     states = prod(len(cls) + 1 for cls in classes)
-    if states > QUOTIENT_STATE_CAP:
+    if n <= _DENSE_MAX_N:
+        # the quotient's states and end classes against the dense form's sets
+        if 3 * states * len(classes) >= 1 << n:
+            return _vertex_spectrum(g)
+    elif n <= VERTEX_CAP:
+        if len(classes) >= _QUOTIENT_MIN_N:
+            return _vertex_spectrum(g)
+    elif states > QUOTIENT_STATE_CAP:
         raise ValueError(
             f"cycle counting refused: n={n} is above the vertex cap {VERTEX_CAP}, and its "
             f"{len(classes)} twin classes bound the quotient at {states} states, above the "
@@ -480,6 +617,11 @@ def count_paths_from(g: Graph, x: int) -> dict[int, int]:
     # anchor: flip bits 0 and x of each row where they differ, then swap rows
     adj = [row ^ ((row ^ row >> x) & 1) * (1 | 1 << x) for row in g.adj]
     adj[0], adj[x] = adj[x], adj[0]
-    ends = _path_layers(adj, [0], ends=True) if _kernel_pays(n, g.edge_count, 1) else _dict_ends(adj)
+    if not _kernel_pays(n, g.edge_count, 1):
+        ends = _dict_ends(adj)
+    elif n <= _DENSE_MAX_N:
+        ends = _dense_layers(adj, ends=True)
+    else:
+        ends = _path_layers(adj, [0], ends=True)
     ends[0], ends[x] = ends[x], ends[0]
     return {y: c for y, c in enumerate(ends) if c}

@@ -64,6 +64,11 @@ def odd_closings(adj, anchors, **options):
     return [0, 0, 0, int(anchors == [0])] + [0] * (len(adj) - 3)
 
 
+def odd_dense_closings(adj, **options):
+    """A stand-in dense form whose doubled triangle count is 1."""
+    return [0, 0, 0, 1] + [0] * (len(adj) - 3)
+
+
 @st.composite
 def graphs(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -140,26 +145,34 @@ class TestCycleSpectrum:
                 assert count_cycles(g) == sum(cycle_spectrum(g).values()), n
 
     def test_odd_directed_count_raises(self, monkeypatch):
-        # the rule sends K_10 to the kernel, whose counts are doubled; a doubled
-        # count of 1 from the lowest anchor's pass is half a triangle
-        assert counting._kernel_pays(10, 45, 2)
+        # the rule sends K_10 to the dense form and the twin-free vertex form
+        # of K_15 to the sparse kernel, whose counts are doubled; a doubled
+        # count of 1 is half a triangle
+        assert counting._kernel_pays(10, 45, 2) and counting._kernel_pays(15, 105, 2)
+        assert 10 <= counting._DENSE_MAX_N < 15
+        monkeypatch.setattr(counting, "_dense_layers", odd_dense_closings)
         monkeypatch.setattr(counting, "_path_layers", odd_closings)
         with pytest.raises(ArithmeticError):
             count_cycles(turan_graph(10, 10))
         with pytest.raises(ArithmeticError):
             cycle_spectrum(turan_graph(10, 10))
+        with pytest.raises(ArithmeticError):
+            counting._vertex_cycles(turan_graph(15, 15).adj)
 
     def test_odd_directed_count_raises_with_asserts_stripped(self):
         code = (
             "from cyclekit import counting\n"
             "from cyclekit.graphs import turan_graph\n"
+            "counting._dense_layers = lambda adj, **options: [0, 0, 0, 1] + [0] * (len(adj) - 3)\n"
             "counting._path_layers = lambda adj, anchors, **options: "
             "[0, 0, 0, int(anchors == [0])] + [0] * (len(adj) - 3)\n"
-            "try:\n"
-            "    counting.count_cycles(turan_graph(10, 10))\n"
-            "except ArithmeticError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n"
+            "for count in (lambda: counting.count_cycles(turan_graph(10, 10)),\n"
+            "              lambda: counting._vertex_cycles(turan_graph(15, 15).adj)):\n"
+            "    try:\n"
+            "        count()\n"
+            "    except ArithmeticError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(counting.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
@@ -264,10 +277,26 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.fixture
+def dense_calls(monkeypatch):
+    """Record (vertices, ends) of every call of the kernel's dense form."""
+    calls = []
+    dense = counting._dense_layers
+
+    def recording(adj, *, ends=False):
+        calls.append((len(adj), ends))
+        return dense(adj, ends=ends)
+
+    monkeypatch.setattr(counting, "_dense_layers", recording)
+    return calls
+
+
+@pytest.fixture
 def kernel_only(monkeypatch, kernel_calls):
-    """Send every vertex count to the numpy kernel, whatever its size, and
-    record its calls as ``kernel_calls`` does."""
+    """Send every vertex count to the sparse numpy kernel, whatever its size
+    (the dense form takes none), and record its calls as ``kernel_calls``
+    does."""
     monkeypatch.setattr(counting, "_kernel_pays", lambda n, m, passes: True)
+    monkeypatch.setattr(counting, "_DENSE_MAX_N", 0)
     return kernel_calls
 
 
@@ -391,29 +420,92 @@ class TestTwoForms:
                 count_paths_from(g, 0)
 
 
+class TestDense:
+    """The kernel's dense form, which takes every graph with at most
+    _DENSE_MAX_N vertices that _kernel_pays sends to the kernel, against the
+    dict DP: its closings are twice the dict DP's cycle counts, and its path
+    ends from every source are the dict DP's."""
+
+    @staticmethod
+    def check(g):
+        assert counting._dense_layers(g.adj) == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
+        for x in range(g.n):
+            # the source x as vertex 0, as count_paths_from places it
+            perm = list(range(g.n))
+            perm[0], perm[x] = x, 0
+            rows = g.relabel(perm).adj
+            assert counting._dense_layers(rows, ends=True) == counting._dict_ends(rows), (g.adj, x)
+
+    def test_every_small_class(self):
+        classes = [g for n in range(1, 8) for g in reference_enumerate_graphs(n)]
+        assert len(classes) == 1 + 2 + 4 + 11 + 34 + 156 + 1044
+        for g in classes:
+            self.check(g)
+
+    def test_random_graphs_up_to_the_cap(self):
+        rng = random.Random(127)
+        for n in range(8, counting._DENSE_MAX_N + 1):
+            pairs = list(combinations(range(n), 2))
+            for m in (n, 2 * n, n + 15, 3 * n, 4 * n):
+                self.check(make_graph(n, rng.sample(pairs, min(m, len(pairs) - 2))))
+
+    def test_complete_graph_at_the_cap(self):
+        n = counting._DENSE_MAX_N
+        doubled = counting._dense_layers(turan_graph(n, n).adj)
+        assert doubled == [0, 0, 0] + [comb(n, r) * factorial(r - 1) for r in range(3, n + 1)]
+        each = sum(paths_through(n, k) for k in range(n - 1))
+        assert counting._dense_layers(turan_graph(n, n).adj, ends=True) == [0] + [each] * (n - 1)
+        # Python ints, never floats, so that JSON prints 2, not 2.0
+        assert all(type(c) is int for c in doubled)
+
+    def test_edgeless_graphs(self):
+        for n in range(1, counting._DENSE_MAX_N + 1):
+            assert counting._dense_layers((0,) * n) == [0] * (n + 1)
+            assert counting._dense_layers((0,) * n, ends=True) == [0] * n
+
+    def test_plan_cache_is_bounded(self):
+        plan = counting._dense_plan
+        assert plan.cache_info().maxsize == 2 * counting._DENSE_MAX_N
+        for n in range(1, counting._DENSE_MAX_N + 1):
+            for cycles in (True, False):
+                layers = plan(n, cycles)
+                assert len(layers) == n
+                for gather, closing in layers:
+                    # shared by every caller, and 2-byte up to the cap
+                    assert not gather.flags.writeable and not closing.flags.writeable
+                    assert gather.dtype == closing.dtype == np.uint16
+        assert plan.cache_info().currsize <= plan.cache_info().maxsize
+        # every plan up to the cap takes about 1.4 MB
+        assert sum(a.nbytes + b.nbytes for n in range(1, counting._DENSE_MAX_N + 1)
+                   for c in (True, False) for a, b in plan(n, c)) < 2 << 20
+
+
 class TestKernelSelection:
     """``_kernel_pays`` sends a vertex count to the numpy kernel or to the
     dict DP by n, the edge count and the number of kernel passes; the kernel
     counts cycles in two passes, the lowest anchor alone and every higher
     anchor together, and paths in one.  All forms must agree."""
 
-    def test_routing_by_density(self, kernel_calls):
+    def test_routing_by_density(self, kernel_calls, dense_calls):
         rng = random.Random(113)
         dense = [random_graph(rng, n, p) for n in (9, 10) for p in (0.75, 0.9)]
         dense += [turan_graph(10, 10), turan_graph(10, 3)]
-        # the shapes of the oracle workload's graphs
+        # the shapes of the oracle workload's graphs, and twin-free ones past
+        # the dense form's cap, which the sparse kernel takes
         dense += [make_graph(n, rng.sample(list(combinations(range(n), 2)), m))
-                  for n, m in ((13, 39), (14, 48)) for _ in range(3)]
+                  for n, m in ((13, 39), (14, 48), (15, 45), (16, 48)) for _ in range(2)]
         sparse = [random_graph(rng, n, p) for n in (11, 12) for p in (0.2, 0.25)]
         small = [random_graph(rng, n, p) for n in range(3, 8) for p in (0.3, 0.6, 1.0)]
         for kernel, group in ((True, dense), (False, sparse + small)):
             for g in group:
-                del kernel_calls[:]
+                # the dense form up to its cap, the sparse kernel above it
+                expected = (kernel and g.n <= counting._DENSE_MAX_N, kernel and g.n > counting._DENSE_MAX_N)
+                del kernel_calls[:], dense_calls[:]
                 assert count_cycles(g) == sum(walk_cycle_spectrum(g).values())
-                assert bool(kernel_calls) == kernel, (g.n, g.edge_count)
-                del kernel_calls[:]
+                assert (bool(dense_calls), bool(kernel_calls)) == expected, (g.n, g.edge_count)
+                del kernel_calls[:], dense_calls[:]
                 count_paths_from(g, g.n - 1)
-                assert bool(kernel_calls) == kernel, (g.n, g.edge_count)
+                assert (bool(dense_calls), bool(kernel_calls)) == expected, (g.n, g.edge_count)
 
     @pytest.mark.parametrize(
         "n, m, cycles_on_kernel, paths_on_kernel",
@@ -432,18 +524,20 @@ class TestKernelSelection:
             (24, 44, True, True),
         ],
     )
-    def test_routing_by_passes(self, kernel_calls, n, m, cycles_on_kernel, paths_on_kernel):
+    def test_routing_by_passes(self, kernel_calls, dense_calls, n, m, cycles_on_kernel, paths_on_kernel):
         # one kernel pass for paths overtakes the dict DP before two passes
-        # for cycles do; from 21 vertices on, the 2^n slot table sets the rule
+        # for cycles do; from 21 vertices on, the 2^n slot table sets the
+        # rule.  The kernel is its dense form up to _DENSE_MAX_N vertices.
         g = make_graph(n, random.Random(n * 100 + m).sample(list(combinations(range(n), 2)), m))
-        del kernel_calls[:]
+        dense = n <= counting._DENSE_MAX_N
+        del kernel_calls[:], dense_calls[:]
         cycles = counting._vertex_cycles(g.adj)
-        assert bool(kernel_calls) == cycles_on_kernel
+        assert (bool(dense_calls), bool(kernel_calls)) == (cycles_on_kernel and dense, cycles_on_kernel and not dense)
         if cycles_on_kernel:
             assert cycles == counting._dict_cycles(g.adj)
-        del kernel_calls[:]
+        del kernel_calls[:], dense_calls[:]
         paths = count_paths_from(g, 0)
-        assert bool(kernel_calls) == paths_on_kernel
+        assert (bool(dense_calls), bool(kernel_calls)) == (paths_on_kernel and dense, paths_on_kernel and not dense)
         assert paths == {y: c for y, c in enumerate(counting._dict_ends(g.adj)) if c}
 
     def test_both_forms_in_one_call_match_walk_oracle(self, kernel_only):
@@ -527,13 +621,20 @@ class TestKernelSelection:
         # anchor 0 alone has two neighbours above it, and x = 0 is the path anchor
         assert kernel_only == [(22, 1), (22, 1)]
 
-    def test_twin_free_graph_runs_the_kernel(self, kernel_calls):
+    def test_twin_free_graph_runs_the_kernel(self, kernel_calls, dense_calls):
+        # the dense form in one pass up to its cap, the sparse kernel in two
+        # passes above it
         rng = random.Random(71)
-        pairs = [(u, v) for u in range(13) for v in range(u + 1, 13)]
-        g = make_graph(13, rng.sample(pairs, 40))
-        assert len(twin_classes(g)) == 13
-        cycle_spectrum(g)
-        assert len(kernel_calls) == 2 and kernel_calls[0][1] == 1
+        for n, m in ((13, 40), (16, 48)):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = make_graph(n, rng.sample(pairs, m))
+            assert len(twin_classes(g)) == n
+            del kernel_calls[:], dense_calls[:]
+            assert cycle_spectrum(g) == dict_spectrum(g)
+            if n <= counting._DENSE_MAX_N:
+                assert dense_calls == [(n, False)] and kernel_calls == []
+            else:
+                assert dense_calls == [] and len(kernel_calls) == 2 and kernel_calls[0] == (n, 1)
 
     def test_twin_rich_graph_skips_the_kernel(self, kernel_calls):
         assert cycle_spectrum(complete_multipartite((8, 8))) == cycle_spectrum_multipartite((8, 8))
@@ -611,6 +712,27 @@ class TestQuotient:
         g = without_edge_between(sizes, 0, k - 1, random.Random(n))
         assert len(twin_classes(g)) == k + 2
         assert cycle_spectrum(g) == minus_edge_spectrum(sizes, 0, k - 1)
+
+    @pytest.mark.parametrize(
+        "parts, quotient",
+        [
+            ((1, 2, 2, 2, 2, 2, 2), False),  # 3 * 2 * 3^6 * 7 >= 2^13
+            ((5, 5, 4), True),
+            ((3, 3, 3, 3, 2), True),  # T_5(14): 3 * 4^4 * 3 * 5 < 2^14
+            ((2,) * 7, False),
+            ((3, 3, 3, 3, 3), True),  # past the dense cap: fewer than 11 classes
+            ((2,) * 8, True),
+        ],
+    )
+    def test_routing_by_states(self, monkeypatch, parts, quotient):
+        # up to _DENSE_MAX_N vertices the quotient runs when three times its
+        # states and end classes stay below the dense form's 2^n sets; above
+        # that, when there are fewer than _QUOTIENT_MIN_N classes
+        calls = []
+        spectrum = counting._quotient_spectrum
+        monkeypatch.setattr(counting, "_quotient_spectrum", lambda g, classes: calls.append(g) or spectrum(g, classes))
+        assert cycle_spectrum(complete_multipartite(parts)) == cycle_spectrum_multipartite(parts)
+        assert bool(calls) == quotient
 
     def test_remainder_raises(self):
         assert counting._divide_rootings({(3, 1): 4, (4, 2): 8, (4, 1): 2}) == {3: 2, 4: 3}
