@@ -37,15 +37,24 @@ path ends for ``count_paths_from``.
   pass, and for paths the table holds only the sets that hold vertex 0.  A
   plan, built once per (n, cycles or paths) and kept in a bounded
   ``lru_cache``, holds for each (set T of layer p + 1, vertex u) the flat
-  position of (T - u, u) in layer p's product, or of a zero entry past the
-  product when u is not in T or is T's anchor, and for each set its closing
-  entry (set, anchor).  Each layer is then one product, one gather and, for
-  cycles, one gather-sum of the closings, where the sparse kernel pays
-  about 25 numpy calls per layer on its masks, bit rows and dedup.  The
-  plan's indices take 2 bytes each (the largest, at n = 14, is
-  3432 * 14 = 48,048), and the plans for every n up to 14 take 1.4 MB; they
-  are widened into one intp scratch array before each gather, since numpy
-  gathers by 2-byte indices about three times as slowly.
+  position of (T - u, u) in layer p's product, or of a zero entry just past
+  the product when u is not in T or is T's anchor, and for each set its
+  closing entry (set, anchor).  A pass allocates two buffers, each as wide
+  as the widest layer: the rows, and the product with one entry more, as
+  the entry just past each layer's product is set to 0 as its zero entry.
+  Each layer is then one product into the one buffer, one gather back into
+  the other and, for cycles, one gather-sum of the closings; for paths a
+  row of ones times the layer sums its path ends on the BLAS.  The sparse
+  kernel pays about 25 numpy calls per layer on its masks, bit rows and
+  dedup.  The gathers run in numpy's "clip" mode, since under the default
+  "raise" numpy copies every gather into ``out`` through a buffer of its
+  own.  So that clipping never hides a bad index, ``_dense_plan`` checks
+  once per plan that every gather index is at most its layer's zero entry
+  and every closing index lies inside its layer, and raises ``IndexError``
+  otherwise.  The plan's indices take 2 bytes each (the largest, at
+  n = 14, is 3432 * 14 = 48,048), and the plans for every n up to 14 take
+  1.4 MB; numpy gathers by them in "clip" mode about as fast as by intp
+  indices.
 
 ``_kernel_pays`` picks the form from n, the edge count m and the number p
 of kernel passes the count takes, two for cycles and one for paths: the
@@ -82,15 +91,18 @@ The kernel is the dense form up to ``_DENSE_MAX_N`` vertices and the
 sparse kernel above.  The dense form does the same work at every edge
 count, about 2^n n^2 multiply-adds, where the sparse kernel's work follows
 the reachable sets.  Timed the same way (``BENCH_dense_layers.json``), the
-dense form takes 0.09 to 0.31 ms for cycles at n = 8 to 12 over the
+dense form took 0.09 to 0.31 ms for cycles at n = 8 to 12 over the
 kernel's whole range of edge counts, against 0.6 to 2.0 ms on the sparse
-kernel, and 0.9 ms at n = 13 against 1.3 to 3.4 ms.  At n = 14 it takes
-1.9 ms: the sparse kernel is ahead at the rule's lowest 29 edges (1.7 ms)
-and behind from about 34 (2.6 ms at 34 edges, 6.2 ms at 56).  At n = 15
-the sparse kernel is ahead up to about 40 edges, and at n = 16 up to about
-48, so the cap is 14.  The dense form overtakes the dict DP well below the
-rule, at about 16 to 20 edges for n = 8 to 12, but the rule stays as the
-sparse kernel's timings set it.
+kernel.  Its two reused buffers and its sums on the BLAS then cut a cycle
+pass by 14 to 32% and a path pass by 19 to 59% at n = 8 to 14
+(``BENCH_dense_buffers.json``).  So reworked, it is ahead of the sparse
+kernel on every graph timed at n = 13 and 14, from the rule's lowest edge
+counts up: 0.33 ms for cycles at n = 13 against 1.0 to 2.2 ms, and 0.7 ms
+at n = 14 against 1.0 ms at 29 edges and 4.1 ms at 56.  Before the rework
+the sparse kernel was ahead at n = 15 up to about 40 edges and at n = 16
+up to about 48, so the cap is 14.  The dense form overtook the dict DP
+well below the rule even before the rework, at about 16 to 20 edges for
+n = 8 to 12, but the rule stays as the sparse kernel's timings set it.
 
 The dict DP's once-counting pays on sparse graphs, where dropping a path
 once it can no longer close cuts most states, and loses on dense ones,
@@ -131,18 +143,23 @@ Strassen-type one.  From layer 20 on the rows go through int64 to object
 dtype (Python ints) and the matrix to int64; at n = 24 those layers hold at
 most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.
 
-The dense form is exact by the same bound: up to n = 14 every entry is at
-most 13! < 2^53, so the whole pass runs in float64, and its closing and end
-sums, taken in int64, stay below 2 (n - 1)!.
+The dense form is exact by the same bound, and takes its sums in float64
+too.  Up to n = 14 every entry of a product is at most 13! < 2^53, so the
+whole pass runs in float64.  A closing sum is twice the cycles of one
+length, at most C(14, 13) 12! <= 2 * 13!, and the path ends summed over
+every layer are at most the paths from vertex 0 to one end vertex,
+sum_{j <= 12} 12! / (12 - j)! <= e * 12!, about 1.3 * 10^9.  Every term is
+a nonnegative integer, so every partial sum lies between 0 and the total,
+below 2^53, and is exact in any order of summation.
 
-A closing or end sum adds one layer's counts over every anchor of a pass,
-in int64: float64 counts are cast as they are summed.  The anchors have
-distinct numbers j <= n - 1 of vertices above them, so such a sum is at most
-sum_{j < n} j! <= 2 (n - 1)!, which fits int64 for n <= 21; larger passes
-take each sum as the sums of the counts' high and low 32-bit halves, split
-exactly in float64 and summed in int64, joined as Python ints.  All
-reported counts are Python ints; ``VERTEX_CAP`` and ``QUOTIENT_STATE_CAP``
-bound runtime and memory, not exactness.
+In the sparse kernel a closing or end sum adds one layer's counts over every
+anchor of a pass in int64: float64 counts are cast as they are summed.  The
+anchors have distinct numbers j <= n - 1 of vertices above them, so such a
+sum is at most sum_{j < n} j! <= 2 (n - 1)!, which fits int64 for n <= 21;
+larger passes take each sum as the sums of the counts' high and low 32-bit
+halves, split exactly in float64 and summed in int64, joined as Python ints.
+All reported counts are Python ints; ``VERTEX_CAP`` and
+``QUOTIENT_STATE_CAP`` bound runtime and memory, not exactness.
 
 Near ``VERTEX_CAP`` the kernel is the only practical vertex form.  On the
 same VM a dense twin-free G(22, 0.75) takes 3.8 to 5.1 s and about 390 MB
@@ -379,32 +396,35 @@ def _dense_layers(adj: Sequence[int], *, ends: bool = False) -> list[int]:
     plan = _dense_plan(n, not ends)
     cols = np.arange(n)
     matrix = ((np.array(adj, dtype=np.int64)[:, None] >> cols) & 1).astype(np.float64)
-    # the plan's indices, widened into one scratch array: numpy indexes far
-    # faster by intp than by 2-byte indices
-    at = np.empty(max((len(gather) for gather, _ in plan), default=0), dtype=np.intp)
+    # two buffers serve every layer: the rows, and the product with one
+    # entry more, as each layer's zero entry sits just past its product
+    width = max((len(closing) for _, closing in plan), default=0)  # the widest layer's sets
+    rows = np.zeros((width, n))
+    flat_rows = rows.ravel()
+    flat_product = np.empty(width * n + 1)
+    product = flat_product[:-1].reshape(width, n)
     if ends:
-        rows = np.zeros((1, n))
         rows[0, 0] = 1.0  # the one path through the set {0}
-        total = np.zeros(n, dtype=np.int64)
+        ones = np.ones(width)
+        total = np.zeros(n)
     else:
-        rows = np.eye(n)  # the sets {s}, in rank order s
+        flat_rows[: n * n: n + 1] = 1.0  # the sets {s}, in rank order s: row s is e_s
         out = [0] * (n + 1)
     for p, (gather, closing) in enumerate(plan, 1):
+        k = len(closing)  # the sets of layer p
+        layer = rows[:k]
         if ends and p > 1:  # one-vertex paths have no edge
-            total += rows.sum(axis=0, dtype=np.int64)
-        ext = np.empty(rows.size + 1)
-        ext[-1] = 0.0  # the zero entry that every missing predecessor reads
-        np.matmul(rows, matrix, out=ext[:-1].reshape(rows.shape))
+            total += ones[:k] @ layer
+        np.matmul(layer, matrix, out=product[:k])
+        flat_product[k * n] = 0.0  # the zero entry that every missing predecessor reads
         if not ends and p >= 3:
-            here = at[: len(closing)]
-            np.copyto(here, closing)
-            out[p] = int(ext.take(here).sum(dtype=np.int64))
+            out[p] = int(flat_product.take(closing).sum())
         if p == n:
             break
-        here = at[: len(gather)]
-        np.copyto(here, gather)
-        rows = ext.take(here).reshape(-1, n)
-    return total.tolist() if ends else out
+        # "clip" spares numpy the copy it makes of every gather into ``out``
+        # under the default "raise"; _dense_plan checked every index
+        flat_product.take(gather, out=flat_rows[: len(gather)], mode="clip")
+    return total.astype(np.int64).tolist() if ends else out
 
 
 @lru_cache(maxsize=2 * _DENSE_MAX_N)
@@ -417,7 +437,7 @@ def _dense_plan(n: int, cycles: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     product, or, when u is not in T or is T's anchor, to the zero entry one
     past that product's last.  ``closing`` maps each set S of layer p to its
     flat (S, anchor of S).  The arrays are read-only, as every caller shares
-    them, and 2-byte where their indices fit."""
+    them, 2-byte where their indices fit, and checked by ``_check_plan``."""
     size = 1 << n
     weight = np.zeros(size, dtype=np.int32)  # the number of vertices per set
     for b in range(n):
@@ -444,7 +464,22 @@ def _dense_plan(n: int, cycles: bool) -> list[tuple[np.ndarray, np.ndarray]]:
             gather = rank[sets & ~bits] * n + cols
             gather[((sets & bits) == 0) | (bits <= (sets & -sets))] = sizes[p] * n
         plan.append((_frozen(gather.ravel(), dtype), _frozen(closing, dtype)))
+    _check_plan(plan, n)
     return plan
+
+
+def _check_plan(plan: list[tuple[np.ndarray, np.ndarray]], n: int) -> None:
+    """Raise ``IndexError`` unless every index of the dense ``plan`` over n
+    vertices reads its own layer's product: each closing index lies inside
+    the layer, each gather index at most at its zero entry.  The dense form
+    gathers in numpy's "clip" mode, which would read a bad index as another
+    entry instead of raising."""
+    for p, (gather, closing) in enumerate(plan, 1):
+        zero = len(closing) * n  # the zero entry, one past the layer's product
+        for name, index, top in (("closing", closing, zero - 1), ("gather", gather, zero)):
+            if len(index) and not 0 <= int(index.min()) <= int(index.max()) <= top:
+                raise IndexError(f"dense plan over {n} vertices: a {name} index of layer {p} "
+                                 f"lies outside 0..{top}")
 
 
 def _frozen(values: np.ndarray, dtype: type) -> np.ndarray:

@@ -428,13 +428,18 @@ class TestDense:
 
     @staticmethod
     def check(g):
-        assert counting._dense_layers(g.adj) == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
+        doubled = counting._dense_layers(g.adj)
+        assert doubled == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
+        # Python ints, never floats: a float64 count would compare equal
+        assert all(type(c) is int for c in doubled), g.adj
         for x in range(g.n):
             # the source x as vertex 0, as count_paths_from places it
             perm = list(range(g.n))
             perm[0], perm[x] = x, 0
             rows = g.relabel(perm).adj
-            assert counting._dense_layers(rows, ends=True) == counting._dict_ends(rows), (g.adj, x)
+            ends = counting._dense_layers(rows, ends=True)
+            assert ends == counting._dict_ends(rows), (g.adj, x)
+            assert all(type(c) is int for c in ends), (g.adj, x)
 
     def test_every_small_class(self):
         classes = [g for n in range(1, 8) for g in reference_enumerate_graphs(n)]
@@ -454,9 +459,25 @@ class TestDense:
         doubled = counting._dense_layers(turan_graph(n, n).adj)
         assert doubled == [0, 0, 0] + [comb(n, r) * factorial(r - 1) for r in range(3, n + 1)]
         each = sum(paths_through(n, k) for k in range(n - 1))
-        assert counting._dense_layers(turan_graph(n, n).adj, ends=True) == [0] + [each] * (n - 1)
+        ends = counting._dense_layers(turan_graph(n, n).adj, ends=True)
+        assert ends == [0] + [each] * (n - 1)
         # Python ints, never floats, so that JSON prints 2, not 2.0
-        assert all(type(c) is int for c in doubled)
+        assert all(type(c) is int for c in doubled + ends)
+
+    def test_interleaved_forms(self):
+        # each call fills its own buffers: no row, product or zero entry of
+        # one call or layer may reach the next, whichever form or n came first
+        rng = random.Random(131)
+        order = [(13, True), (14, False), (10, False), (13, False), (8, True), (14, True),
+                 (11, False), (9, True), (12, False), (8, False), (12, True), (10, True),
+                 (9, False), (11, True)]
+        assert sorted(order) == [(n, e) for n in range(8, 15) for e in (False, True)]
+        for n, ends in order + order[::-1]:
+            g = make_graph(n, rng.sample(list(combinations(range(n), 2)), 3 * n))
+            if ends:
+                assert counting._dense_layers(g.adj, ends=True) == counting._dict_ends(g.adj), g.adj
+            else:
+                assert counting._dense_layers(g.adj) == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
 
     def test_edgeless_graphs(self):
         for n in range(1, counting._DENSE_MAX_N + 1):
@@ -478,6 +499,50 @@ class TestDense:
         # every plan up to the cap takes about 1.4 MB
         assert sum(a.nbytes + b.nbytes for n in range(1, counting._DENSE_MAX_N + 1)
                    for c in (True, False) for a, b in plan(n, c)) < 2 << 20
+
+    @staticmethod
+    def corrupted(n, cycles, layer, which, value, dtype=None):
+        """A writable copy of _dense_plan(n, cycles), as ``dtype`` if given,
+        with the last index of one array of one layer (``which`` 0 for the
+        gather, 1 for the closings) set to ``value``."""
+        plan = [[a.astype(dtype or a.dtype) for a in pair] for pair in counting._dense_plan(n, cycles)]
+        plan[layer][which][-1] = value
+        return plan
+
+    def test_plan_indices_are_checked(self):
+        # the dense form gathers in "clip" mode, which reads a bad index as
+        # another entry, so every built plan is checked for one
+        for n in (8, counting._DENSE_MAX_N):
+            for cycles in (True, False):
+                plan = counting._dense_plan(n, cycles)
+                counting._check_plan(plan, n)
+                for p, (_, closing) in enumerate(plan[:-1]):
+                    zero = len(closing) * n
+                    # the zero entry is a gather's last valid index
+                    counting._check_plan(self.corrupted(n, cycles, p, 0, zero), n)
+                    with pytest.raises(IndexError, match=f"gather index of layer {p + 1} "):
+                        counting._check_plan(self.corrupted(n, cycles, p, 0, zero + 1), n)
+                    with pytest.raises(IndexError, match=f"closing index of layer {p + 1} "):
+                        counting._check_plan(self.corrupted(n, cycles, p, 1, zero), n)
+                # 4-byte plans (past the cap) could hold a negative index
+                for which in (0, 1):
+                    with pytest.raises(IndexError):
+                        counting._check_plan(self.corrupted(n, cycles, 2, which, -1, np.int32), n)
+
+    def test_plan_check_with_asserts_stripped(self):
+        code = (
+            "from cyclekit import counting\n"
+            "plan = [[a.copy() for a in pair] for pair in counting._dense_plan(10, True)]\n"
+            "plan[4][0][-1] = len(plan[4][1]) * 10 + 1\n"
+            "try:\n"
+            "    counting._check_plan(plan, 10)\n"
+            "except IndexError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(counting.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
 
 
 class TestKernelSelection:
