@@ -1,7 +1,17 @@
 """Subgraph containment and canonical labeling.
 
 Containment is non-induced: an injective map of H's vertices into G sending
-every H-edge to a G-edge, found by backtracking with degree pruning.
+every H-edge to a G-edge, found by backtracking with degree pruning.  The
+search is rooted at a vertex r of H and orders H's vertices outward from r,
+each touching the already-ordered prefix where it can, so that in a
+connected H every image after r's lies in the neighbourhood of an earlier
+one.  Without ``require_vertex`` one root is tried at every vertex of G.
+With ``require_vertex=m``, the test of a graph grown by a new vertex m, r
+is fixed at m, so from the second slot on the images lie in N(m), and one
+root is taken from each orbit of Aut(H).  That stays exact: an embedding
+phi whose image holds m maps some vertex v of H to m, an automorphism a of
+H carries v's orbit root r onto v, and phi after a is an embedding with r
+at m.  Only the rooted test labels H, once per H.
 
 Isomorphism is equality of canonical forms.  :func:`canonical_orbits` tries
 every vertex ordering inside each refinement-color class and keeps the first
@@ -29,25 +39,45 @@ from functools import lru_cache
 from .graphs import Graph, _bits, _relabeled_rows, _unchecked_graph, twin_classes
 
 
+# per position of a search: the degree of H's vertex there, and the earlier
+# positions adjacent to it
+_Slots = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 @lru_cache(maxsize=64)
-def _h_plan(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """H's vertices ordered so each one touches the already-ordered prefix,
-    H's degrees and its edge count.  A search tests one H against every
-    candidate, so they are computed once per H (``Graph`` is frozen and
-    hashable)."""
-    order: list[int] = []
-    placed = 0
-    remaining = set(range(h.n))
-    while remaining:
-        best = best_key = None
-        for v in remaining:
-            key = ((h.adj[v] & placed).bit_count(), h.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed |= 1 << best
-        remaining.discard(best)
-    return tuple(order), tuple(h.degree(v) for v in range(h.n)), h.edge_count
+def _h_plan(h: Graph, rooted: bool) -> tuple[tuple[_Slots, ...], int]:
+    """The searches that test H, one per root, and H's edge count.  A search
+    tests one H against every candidate, so the plan is computed once per H
+    (``Graph`` is frozen and hashable).
+
+    A search orders H's vertices outward from its root, each touching the
+    already-ordered prefix where it can.  A ``rooted`` plan has one root per
+    orbit of Aut(H); the other has one root, the lowest vertex of the
+    highest degree, and labels nothing.
+    """
+    if rooted:
+        orbits = canonical_orbits(h)[2]
+        roots = [v for v in range(h.n) if orbits[v] == v]
+    else:
+        roots = [max(range(h.n), key=lambda v: (h.degree(v), -v))]
+    searches = []
+    for root in roots:
+        order = [root]
+        placed = 1 << root
+        while len(order) < h.n:
+            best = max(
+                (v for v in range(h.n) if not placed >> v & 1),
+                key=lambda v: ((h.adj[v] & placed).bit_count(), h.degree(v), -v),
+            )
+            order.append(best)
+            placed |= 1 << best
+        searches.append(
+            tuple(
+                (h.degree(v), tuple(j for j in range(i) if h.has_edge(order[j], v)))
+                for i, v in enumerate(order)
+            )
+        )
+    return tuple(searches), h.edge_count
 
 
 def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) -> bool:
@@ -56,42 +86,46 @@ def contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) 
     With ``require_vertex`` set, only embeddings whose image contains that
     g-vertex count (used to test augmented graphs incrementally).
     """
+    if require_vertex is not None and not 0 <= require_vertex < g.n:
+        raise ValueError(f"require_vertex {require_vertex} is not a vertex of g (0..{g.n - 1})")
     if h.n > g.n:
         return False
-    order, h_deg, h_edges = _h_plan(h)
-    g_deg = [row.bit_count() for row in g.adj]
+    searches, h_edges = _h_plan(h, require_vertex is not None)
+    g_adj = g.adj
+    g_deg = [row.bit_count() for row in g_adj]
     if h_edges > sum(g_deg) // 2:
         return False
-    image = [-1] * h.n
     g_all = (1 << g.n) - 1
+    starts = g_all if require_vertex is None else 1 << require_vertex
+    hn = h.n
+    image = [0] * hn  # image[i]: the g-vertex of H's vertex at position i
 
-    def extend(pos: int, used: int, hit: bool) -> bool:
-        if pos == h.n:
-            return hit
-        hv = order[pos]
+    def extend(slots: _Slots, pos: int, used: int) -> bool:
+        if pos == hn:
+            return True
+        need, back = slots[pos]
         candidates = g_all & ~used
-        placed = h.adj[hv]
-        while placed:
-            low = placed & -placed
-            placed ^= low
-            gu = image[low.bit_length() - 1]
-            if gu >= 0:
-                candidates &= g.adj[gu]
-        if not hit and pos == h.n - 1:
-            candidates &= 1 << require_vertex  # last slot must cover it
+        for j in back:
+            candidates &= g_adj[image[j]]
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             gv = low.bit_length() - 1
-            if g_deg[gv] < h_deg[hv]:
+            if g_deg[gv] < need:
                 continue
-            image[hv] = gv
-            if extend(pos + 1, used | low, hit or gv == require_vertex):
+            image[pos] = gv
+            if extend(slots, pos + 1, used | low):
                 return True
-            image[hv] = -1
         return False
 
-    return extend(0, 0, require_vertex is None)
+    for slots in searches:
+        need = slots[0][0]
+        for gv in _bits(starts):
+            if g_deg[gv] >= need:
+                image[0] = gv
+                if extend(slots, 1, 1 << gv):
+                    return True
+    return False
 
 
 def refinement_colors(g: Graph) -> tuple[int, ...]:

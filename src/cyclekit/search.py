@@ -48,11 +48,17 @@ through the new vertex m is m, a u-w path of the parent and m again, so
 c(child) = c(parent) + sum over u < w in N(m) of p_parent(u, w).  The
 parent's path counts come from ``count_paths_from``, once per vertex that
 some child needs.  Against recounting every child, timed on a 2-core x86 VM
-over the last levels alone: K4-free n = 8 (6431 children of 685 parents)
-1.00 s -> 0.11 s, all graphs n = 8 (12346 of 1044) 2.79 s -> 0.31 s, K3-free
-n = 9 0.20 s -> 0.034 s, and K3-free n = 6 0.87 ms -> 0.21 ms.  Path counts
-from every vertex of each parent instead took 0.21, 0.51, 0.094 s and
-0.52 ms.
+over the last levels alone (best of 3): K4-free n = 8 (6431 children of 685
+parents) 0.26 s -> 0.062 s, all graphs n = 8 (12346 of 1044) 0.90 s ->
+0.15 s, K3-free n = 9 0.050 s -> 0.016 s, and K3-free n = 6 0.45 ms ->
+0.19 ms.  Path counts from every vertex of each parent instead took 0.11,
+0.23, 0.055 s and 0.67 ms.
+
+A child is tested for the forbidden graph through its new vertex m only,
+by the containment search rooted at m (see ``morphisms``).  Against
+embedding H anywhere with m forced into H's last slot, whole searches on
+the same VM took: K4-free n = 9 13.2 s -> 8.1 s, K5-free n = 9 41.4 s ->
+16.5 s, and B_3-free n = 9 6.7 s -> 5.2 s.
 
 The verify_* suites check the counting inequalities exactly, in integer or
 rational arithmetic, across every composition in range.

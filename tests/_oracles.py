@@ -5,7 +5,8 @@ avoiding the algorithms under test (no subset DP, no multiset-state word DP,
 no pruned backtracking).  Exponential everywhere; keep inputs tiny.  The
 exceptions are reference implementations that the package once used and that
 its replacements must match bit for bit: :func:`reference_canonical_label`,
-the canonical labelling without twin pruning, :func:`reference_enumerate_graphs`,
+the canonical labelling without twin pruning, :func:`reference_contains_subgraph`,
+containment by one search from anywhere in G, :func:`reference_enumerate_graphs`,
 the twin augmentation with one dedup set per level, and the memoized
 cyclic-word DP with its sub-vector walk (``reference_*_word_count``,
 :func:`reference_cycle_spectrum_multipartite` and, for equal classes,
@@ -143,16 +144,67 @@ def brute_code_count(
     return total
 
 
-def brute_contains(g: Graph, h: Graph) -> bool:
-    """Subgraph containment by scanning all vertex subsets and bijections."""
+def brute_contains(g: Graph, h: Graph, through: int | None = None) -> bool:
+    """Subgraph containment by scanning all vertex subsets and bijections;
+    with ``through`` set, only subsets holding that g-vertex count."""
     if h.n > g.n:
         return False
     h_edges = list(h.edges())
     for subset in combinations(range(g.n), h.n):
+        if through is not None and through not in subset:
+            continue
         for image in permutations(subset):
             if all(g.has_edge(image[u], image[v]) for u, v in h_edges):
                 return True
     return False
+
+
+def reference_contains_subgraph(g: Graph, h: Graph, *, require_vertex: int | None = None) -> bool:
+    """Containment as the package tested it before its search was rooted:
+    one backtracking search over H's vertices, each touching the prefix where
+    it can, from anywhere in g, with ``require_vertex`` forced into H's last
+    slot when no earlier image covers it."""
+    if h.n > g.n:
+        return False
+    order: list[int] = []
+    placed = 0
+    remaining = set(range(h.n))
+    while remaining:
+        best = best_key = None
+        for v in remaining:
+            key = ((h.adj[v] & placed).bit_count(), h.degree(v), -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        order.append(best)
+        placed |= 1 << best
+        remaining.discard(best)
+    h_deg = [h.degree(v) for v in range(h.n)]
+    g_deg = [row.bit_count() for row in g.adj]
+    if h.edge_count > sum(g_deg) // 2:
+        return False
+    image = [-1] * h.n
+    g_all = (1 << g.n) - 1
+
+    def extend(pos: int, used: int, hit: bool) -> bool:
+        if pos == h.n:
+            return hit
+        hv = order[pos]
+        candidates = g_all & ~used
+        for hu in _bits(h.adj[hv]):
+            if image[hu] >= 0:
+                candidates &= g.adj[image[hu]]
+        if not hit and pos == h.n - 1:
+            candidates &= 1 << require_vertex  # last slot must cover it
+        for gv in _bits(candidates):
+            if g_deg[gv] < h_deg[hv]:
+                continue
+            image[hv] = gv
+            if extend(pos + 1, used | 1 << gv, hit or gv == require_vertex):
+                return True
+            image[hv] = -1
+        return False
+
+    return extend(0, 0, require_vertex is None)
 
 
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -402,7 +454,7 @@ def reference_enumerate_graphs(n: int, forbid: Graph | None = None) -> list[Grap
     level: each parent gets one child per vector of counts over its twin
     classes, and one set of canonical forms per level removes duplicates."""
     from cyclekit.graphs import twin_classes
-    from cyclekit.morphisms import canonical_label, contains_subgraph
+    from cyclekit.morphisms import canonical_label
 
     level = [Graph(1, (0,))]
     for m in range(1, n):
@@ -415,7 +467,7 @@ def reference_enumerate_graphs(n: int, forbid: Graph | None = None) -> list[Grap
                 nb = sum(picks)
                 adj = [row | ((nb >> v & 1) << m) for v, row in enumerate(parent.adj)]
                 child = Graph(m + 1, tuple(adj) + (nb,))
-                if forbid is not None and contains_subgraph(child, forbid, require_vertex=m):
+                if forbid is not None and reference_contains_subgraph(child, forbid, require_vertex=m):
                     continue
                 canon, _ = canonical_label(child)
                 if canon.adj not in seen:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from cyclekit.graphs import Graph, complete_multipartite, make_graph, turan_graph, twin_classes
 from cyclekit.morphisms import (
     canonical_label,
@@ -22,6 +24,7 @@ from _oracles import (
     generated_group,
     random_graph,
     reference_canonical_label,
+    reference_contains_subgraph,
 )
 
 
@@ -39,6 +42,8 @@ def cycle_graph(n):
 
 K3 = turan_graph(3, 3)
 K4 = turan_graph(4, 4)
+# a path 0-1-2-3-4 with the triangle 1-2-5: no automorphism but the identity
+ASYMMETRIC6 = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
 
 
 class TestContainment:
@@ -72,6 +77,39 @@ class TestContainment:
         g = make_graph(4, [(0, 1), (1, 2), (2, 0)])
         assert contains_subgraph(g, K3, require_vertex=0)
         assert not contains_subgraph(g, K3, require_vertex=3)
+
+    def test_require_vertex_outside_g_names_the_range(self):
+        for v in (7, -1):
+            with pytest.raises(ValueError, match=rf"require_vertex {v} .*\(0\.\.3\)"):
+                contains_subgraph(K4, K3, require_vertex=v)
+
+    def test_unrooted_test_labels_nothing(self, monkeypatch):
+        # labelling is exponential on twin-free symmetric H such as cycles
+        def refuse(g):
+            raise AssertionError("H was labelled")
+
+        monkeypatch.setattr("cyclekit.morphisms.canonical_orbits", refuse)
+        c11 = cycle_graph(11)
+        assert contains_subgraph(c11, c11)
+        assert not contains_subgraph(c11, K3)
+
+    def test_rooted_against_reference_and_brute_force(self):
+        # H with several orbits of Aut(H), so that several roots run
+        assert len(brute_automorphisms(ASYMMETRIC6)) == 1
+        shapes = [
+            make_graph(5, [(0, 1), (1, 2), (3, 4)]),  # disconnected: P3 and K2
+            make_graph(4, [(0, 1), (1, 2), (2, 0)]),  # a triangle and an isolated vertex
+            make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),  # C4 with a pendant edge
+            ASYMMETRIC6,
+        ]
+        rng = random.Random(41)
+        for trial in range(300):
+            g = random_graph(rng, rng.randint(1, 7), rng.random())
+            h = shapes[trial % 4] if trial % 5 else random_graph(rng, rng.randint(1, 5), rng.random())
+            for v in range(g.n):
+                expected = brute_contains(g, h, through=v)
+                assert reference_contains_subgraph(g, h, require_vertex=v) == expected
+                assert contains_subgraph(g, h, require_vertex=v) == expected
 
 
 class TestIsomorphism:

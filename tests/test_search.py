@@ -239,6 +239,23 @@ class TestMaxCyclesSearch:
         assert result.max_cycles >= count_cycles(t34)
         assert isinstance(attained, bool)
 
+    @pytest.mark.parametrize(
+        "h6, n, most, extremal, examined",
+        [
+            ("D`{", 7, 69, "F]oxw", 400),  # the bowtie
+            ("D`{", 8, 280, "G]r@x{", 2290),
+            ("DF{", 7, 151, "Fhf~o", 605),  # B_3, three triangles on one edge
+            ("DF{", 8, 363, "G`^\\nS", 4771),
+        ],
+    )
+    def test_forbidden_graphs_with_several_orbits(self, h6, n, most, extremal, examined):
+        # H has more than one orbit of Aut(H), so the rooted containment test
+        # runs more than one root
+        result = max_cycles_h_free(n, graph_from_graph6(h6))
+        assert result.max_cycles == most
+        assert result.extremal_graphs == (extremal,)
+        assert result.graphs_examined == examined
+
     def test_cache_roundtrip(self, tmp_path):
         first = max_cycles_h_free(5, K3, cache_dir=tmp_path)
         assert not first.from_cache
