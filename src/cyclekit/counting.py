@@ -178,9 +178,28 @@ only when w is a clique.  Anchor class a starts with weight |a| and uses
 only classes >= a.  A directed closed walk from class a that meets class a j
 times is one of the 2j rootings and directions of its cycle, so the sums are
 kept per (length, j) and each is divided by 2j; the division must be exact,
-and a remainder raises ``ArithmeticError``.  The paper's extremal graphs T_k(n)
-have k classes: T_3(24) costs about 1 ms and T_8(24) about 0.4 s, where the
-vertex forms walk 2^23 vertex sets from one anchor.
+and a remainder raises ``ArithmeticError``.
+
+Classes can be interchangeable in turn.  Two classes are peers when they
+have equal sizes, are both cliques or both independent, and see the same
+other classes, so that swapping them is an automorphism; ``_class_graph``
+groups them once per graph, and the k classes of T_k(n) are all peers.  A
+swap of two peers above the anchor class fixes the start and the closings
+and maps each step to one of the same weight, so the frontier keeps one
+state per orbit of the peers above a.  Within each group the used counts are
+nonincreasing in class order, and a step into class w goes to the lowest
+peer of w with the same used count, at the same weight |w| - used_w; that
+peer is then the highest with its new count, so each orbit has one
+representative.  The rooted (length, j) sums, their exact division by 2j
+and the Python-int counts are as before.  A class with no peer above a
+steps without any scan for peers, and the groups scan the frontier apart
+from it, so an anchor with no group above it runs as before.  The paper's
+extremal graphs T_k(n) have k classes.  Timed on a 2-core x86 VM
+(``BENCH_quotient_orbits.json``), T_3(24) costs 0.42 ms and T_8(24)
+5.6 ms, against 0.59 ms and 0.34 s with one state per vector of used
+vertices, where the vertex forms walk 2^23 vertex sets from one anchor.
+Graphs with no peers, such as the complete multipartite graph on (6, 5, 4),
+cost what they did.
 
 ``cycle_spectrum`` routes by n before ``_kernel_pays`` does.  Graphs on ten
 or fewer vertices take the vertex forms.  From 11 to ``_DENSE_MAX_N``
@@ -196,25 +215,37 @@ graph takes the quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11
 twin classes.  Against the two-pass sparse kernel that crossover depends on
 n: timed on the same VM on seeded random blow-ups (6 per cell, quotient
 over vertex forms, median), the ratio is 0.59 at 8 classes and 1.32 at 9
-for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.
+for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.  Both rules were
+calibrated with one state per vector of used vertices.  The orbit states
+make the quotient cheaper wherever classes have peers, and the rules have
+not been recalibrated for that: the dense form, which the states rule
+picks, takes (2, 2, 2, 2, 2, 2, 2) in 0.74 ms against 0.42 ms on the
+quotient, and (1, 2, 2, 2, 2, 2, 2) in 0.35 ms against 0.34 ms.
 
 Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
-frontier from one anchor class holds at most prod(|w| + 1) vectors of used
-vertices, over the twin classes w, and a graph whose product exceeds
-``QUOTIENT_STATE_CAP`` = 2^21 raises ``ValueError`` before any counting.  The
-cap admits about the work that K_24 costs the kernel (20 s, 1.1 GB): on the
-same VM T_6(48), with 3^12 = 531,441 states, takes about 3 s, and T_9(36),
-with 5^9 = 1,953,125, about 20 s and 190 MB, while T_3(45), T_4(40) and
-T_5(30) less one edge take 0.03 to 0.24 s.  Up to ``VERTEX_CAP`` no state cap is
-needed: a graph with at most 24 vertices and at most ten classes has a
-product of at most 4^4 3^6 = 186,624.  A twin-poor graph above 24 vertices,
-such as G(25, m), is refused.
+frontier from anchor class a holds at most |a| + 1 times, over each group
+of m peers of size s above a, C(m + s, m) vectors of used vertices, a class
+with no peer being a group of one (``_quotient_states``).  With no peers
+that is prod(|w| + 1) over the twin classes w.  A graph whose largest such
+bound over its anchor classes exceeds ``QUOTIENT_STATE_CAP`` = 2^21 raises
+``ValueError`` before any counting.  A state costs about what it did with
+one state per vector, when T_9(36)'s 5^9 = 1,953,125 vectors took about
+20 s and 190 MB, so the cap still admits about the work that K_24 costs
+the kernel (20 s, 1.1 GB).  On the same VM T_9(36), bounded at 2,475
+states, takes 0.023 s against 13.4 s with one state per vector, and
+T_6(48) 0.048 s against 1.9 s.  T_10(40) and T_8(64), whose 5^10 and 9^8
+vectors were refused, take 0.044 and 0.50 s, bounded at 3,575 and 57,915
+states, and T_3(45), T_4(40) and T_5(30) less one edge 0.015 to 0.06 s.
+Up to ``VERTEX_CAP`` no state cap is needed: a graph with at most 24
+vertices and at most ten classes has a product of at most
+4^4 3^6 = 186,624.  A twin-poor graph above 24 vertices, such as G(25, m),
+is refused.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Sequence
 
 import numpy as np
@@ -222,8 +253,8 @@ import numpy as np
 from .graphs import Graph, twin_classes
 
 # The most vertices the vertex forms count (the kernel's slot table has 2^n
-# entries), and the most states, prod(|w| + 1) over the twin classes w, that
-# the quotient may take on above that (see the module docstring).
+# entries), and the most states from one anchor class, ``_quotient_states``,
+# that the quotient may take on above that (see the module docstring).
 VERTEX_CAP = 24
 QUOTIENT_STATE_CAP = 1 << 21
 
@@ -538,15 +569,14 @@ def cycle_spectrum(g: Graph) -> dict[int, int]:
     if n < _QUOTIENT_MIN_N:
         return _vertex_spectrum(g)
     classes = twin_classes(g)
-    states = prod(len(cls) + 1 for cls in classes)
     if n <= _DENSE_MAX_N:
         # the quotient's states and end classes against the dense form's sets
-        if 3 * states * len(classes) >= 1 << n:
+        if 3 * prod(len(cls) + 1 for cls in classes) * len(classes) >= 1 << n:
             return _vertex_spectrum(g)
     elif n <= VERTEX_CAP:
         if len(classes) >= _QUOTIENT_MIN_N:
             return _vertex_spectrum(g)
-    elif states > QUOTIENT_STATE_CAP:
+    elif (states := _quotient_states(g, classes)) > QUOTIENT_STATE_CAP:
         raise ValueError(
             f"cycle counting refused: n={n} is above the vertex cap {VERTEX_CAP}, and its "
             f"{len(classes)} twin classes bound the quotient at {states} states, above the "
@@ -561,19 +591,15 @@ def _vertex_spectrum(g: Graph) -> dict[int, int]:
 
 
 def _quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
-    """The cycle spectrum from the anchored DP over the twin ``classes`` of g
-    (see the module docstring).  The frontier maps each vector of used
-    vertices per class, packed in mixed radix, to its counts per end class.
+    """The cycle spectrum from the anchored DP over the twin ``classes`` of g,
+    with one state per orbit of interchangeable classes (see the module
+    docstring).  The frontier maps each vector of used vertices per class,
+    packed in mixed radix and nonincreasing in class order within each group
+    of peers, to its counts per end class.
     """
     t = len(classes)
     size = [len(cls) for cls in classes]
-    rep = [cls[0] for cls in classes]
-    # sees[w]: the classes adjacent to class w, w itself when it is a clique
-    # (its lowest vertex is then a neighbour of its second)
-    sees = []
-    for cls in classes:
-        row = g.adj[cls[0]] | (g.adj[cls[1]] if len(cls) > 1 else 0)
-        sees.append([u for u, v in enumerate(rep) if row >> v & 1])
+    sees, groups = _class_graph(g, classes)
     place = [1]
     for s in size[:-1]:
         place.append(place[-1] * (s + 1))
@@ -585,6 +611,14 @@ def _quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
         # walks from anchor class a stay in the classes >= a
         steps = [(w, place[w], size[w], [u for u in sees[w] if u >= a]) for w in range(a, t)]
         closing = steps[0][3]  # the end classes that see the anchor class
+        # the classes of a group with two or more above a step as one run,
+        # in class order, and each run scans the frontier on its own, so an
+        # anchor with no run pays nothing for runs per state
+        runs = [[steps[w - a] for w in group if w > a] for group in groups if group[-2] > a]
+        singles = steps
+        if runs:
+            taken = {step[0] for run in runs for step in run}
+            singles = [step for step in steps if step[0] not in taken]
         start = [0] * t
         start[a] = size[a]
         frontier = {pa: start}
@@ -599,7 +633,7 @@ def _quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
                     if cnt:
                         key = (length, used // pa % radix)
                         rooted[key] = rooted.get(key, 0) + cnt
-                for w, pw, sw, into in steps:
+                for w, pw, sw, into in singles:
                     left = sw - used // pw % (sw + 1)
                     if not left:
                         continue
@@ -612,9 +646,76 @@ def _quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
                             row = nxt[used + pw] = [0] * t
                         # (used + pw, w) has the single predecessor vector used
                         row[w] = cnt * left
+            for run in runs:
+                for used, ends in frontier.items():
+                    last = -1
+                    for w, pw, sw, into in run:
+                        have = used // pw % (sw + 1)
+                        if have != last:
+                            # the lowest peer with this count takes the steps
+                            # into every peer with it, at the same weight
+                            last, to, pto = have, w, pw
+                        if have == sw:
+                            continue
+                        cnt = 0
+                        for u in into:
+                            cnt += ends[u]
+                        if cnt:
+                            row = nxt.get(used + pto)
+                            if row is None:
+                                row = nxt[used + pto] = [0] * t
+                            # (used + pto, to) has the single predecessor
+                            # vector used, but the peers step there together
+                            row[to] += cnt * (sw - have)
             frontier = nxt
             length += 1
     return _divide_rootings(rooted)
+
+
+def _class_graph(g: Graph, classes: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The twin ``classes`` of g as a graph: ``sees[w]`` lists the classes
+    that class w sees, w itself when it is a clique, and ``groups`` lists
+    each group of two or more interchangeable classes in class order.
+    Classes are interchangeable when they have equal sizes, are both cliques
+    or both independent, and see the same other classes, so that swapping
+    them is an automorphism of g."""
+    rep = [cls[0] for cls in classes]
+    sees = []
+    for cls in classes:
+        # a clique's lowest vertex is a neighbour of its second
+        row = g.adj[cls[0]] | (g.adj[cls[1]] if len(cls) > 1 else 0)
+        sees.append([u for u, v in enumerate(rep) if row >> v & 1])
+    if len({len(cls) for cls in classes}) == len(classes):
+        return sees, []  # peers have equal sizes
+    peers: dict[tuple[int, int], list[int]] = {}
+    for w, cls in enumerate(classes):
+        # the classes seen with w toggled, set for an independent class and
+        # cleared for a clique: independent peers see each other and clique
+        # peers do not, so peers of either kind get equal keys
+        key = 1 << w
+        for u in sees[w]:
+            key ^= 1 << u
+        peers.setdefault((len(cls), key), []).append(w)
+    return sees, [group for group in peers.values() if len(group) > 1]
+
+
+def _quotient_states(g: Graph, classes: list[list[int]]) -> int:
+    """The most vectors of used vertices that the quotient DP keeps from one
+    anchor class a: |a| + 1 times, over each group of m interchangeable
+    classes of size s above a, the C(m + s, m) nonincreasing vectors (a
+    class with no peer is a group of one)."""
+    t = len(classes)
+    size = [len(cls) for cls in classes]
+    groups = _class_graph(g, classes)[1]
+    grouped = {w for group in groups for w in group}
+    most = 0
+    for a in range(t):
+        states = (size[a] + 1) * prod(size[w] + 1 for w in range(a + 1, t) if w not in grouped)
+        for group in groups:
+            m = sum(w > a for w in group)
+            states *= comb(m + size[group[0]], m)
+        most = max(most, states)
+    return most
 
 
 def _divide_rootings(rooted: dict[tuple[int, int], int]) -> dict[int, int]:

@@ -20,16 +20,19 @@ pairwise :func:`reference_matched_balanced`, and
 recursive composition generators (:func:`reference_partitions_at_most`,
 :func:`reference_compositions_exact`), the one-shot Monte Carlo
 draw :func:`reference_estimate_hits`, :func:`reference_cmd_verify`, the
-``verify`` command with one branch per suite, and
+``verify`` command with one branch per suite,
 :func:`reference_turan_dominance`, the ``turanbest`` suite with every
 sampled subgraph built from its edge list and counted through its
-spectrum, and :func:`reference_path_bound_exhaustive`, the path-product
+spectrum, :func:`reference_path_bound_exhaustive`, the path-product
 optimum re-solved for each budget by a recursion memoized on (position,
-budget used).  :func:`minus_edge_spectrum` counts the cycles of a complete
-multipartite graph less one edge from the ``analytic`` counts alone, the
-check of ``counting`` past 24 vertices.  :func:`graph_texts` is the
-hypothesis strategy of parser input that the fuzz tests share, and
-:func:`partitions_exact` and :func:`extremal_number` are helpers that only
+budget used), and :func:`reference_quotient_spectrum`, the DP over twin
+classes with one state per vector of used vertices, before it kept one per
+orbit of interchangeable classes.  :func:`minus_edge_spectrum` counts the
+cycles of a complete multipartite graph less one edge from the ``analytic``
+counts alone, the check of ``counting`` past 24 vertices.
+:func:`graph_texts` is the hypothesis strategy of parser input that the
+fuzz tests share, and :func:`partitions_exact`, :func:`extremal_number`,
+:func:`random_blowup` and :func:`symmetric_blowup` are helpers that only
 the tests use.
 """
 
@@ -320,6 +323,85 @@ def random_blowup(rng: random.Random, sizes: Sequence[int], p: float) -> Graph:
         if (clique[cls[x]] if cls[x] == cls[y] else base.has_edge(cls[x], cls[y]))
     ]
     return make_graph(n, edges)
+
+
+def symmetric_blowup(rng: random.Random, groups: Sequence[tuple[int, int, bool]], p: float) -> Graph:
+    """A randomly relabeled blow-up in which each entry (m, s, clique) of
+    ``groups`` makes m interchangeable classes of s vertices: cliques that
+    are not joined to each other, or independent sets that are.  Two groups
+    are joined completely with probability p, and not at all otherwise."""
+    owner = [(x, c) for x, (m, _, _) in enumerate(groups) for c in range(m)]
+    join = random_graph(rng, len(groups), p)
+    cls = [i for i, (x, _) in enumerate(owner) for _ in range(groups[x][1])]
+    n = len(cls)
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def joined(i: int, j: int) -> bool:
+        (x, _), (y, _) = owner[i], owner[j]
+        if x != y:
+            return join.has_edge(x, y)
+        return groups[x][2] == (i == j)  # within a clique, or between independent peers
+
+    edges = [
+        (perm[u], perm[v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if joined(cls[u], cls[v])
+    ]
+    return make_graph(n, edges)
+
+
+def reference_quotient_spectrum(g: Graph, classes: list[list[int]]) -> dict[int, int]:
+    """The cycle spectrum of g from the anchored DP over its twin ``classes``
+    with one state per vector of used vertices per class, as ``counting``
+    ran it before it kept one state per orbit of interchangeable classes.
+    The frontier maps each vector, packed in mixed radix, to its counts per
+    end class; stepping into class w multiplies a count by the |w| - used_w
+    vertices left there, and a closed walk from the anchor class that meets
+    it j times is one of the 2j rootings and directions of its cycle."""
+    t = len(classes)
+    size = [len(cls) for cls in classes]
+    rep = [cls[0] for cls in classes]
+    sees = []
+    for cls in classes:
+        row = g.adj[cls[0]] | (g.adj[cls[1]] if len(cls) > 1 else 0)
+        sees.append([u for u, v in enumerate(rep) if row >> v & 1])
+    place = [1]
+    for s in size[:-1]:
+        place.append(place[-1] * (s + 1))
+    rooted: dict[tuple[int, int], int] = {}
+    for a in range(t):
+        pa, radix = place[a], size[a] + 1
+        steps = [(w, place[w], size[w], [u for u in sees[w] if u >= a]) for w in range(a, t)]
+        closing = steps[0][3]
+        start = [0] * t
+        start[a] = size[a]
+        frontier = {pa: start}
+        length = 1
+        while frontier:
+            nxt: dict[int, list[int]] = {}
+            for used, ends in frontier.items():
+                if length >= 3:
+                    cnt = sum(ends[u] for u in closing)
+                    if cnt:
+                        key = (length, used // pa % radix)
+                        rooted[key] = rooted.get(key, 0) + cnt
+                for w, pw, sw, into in steps:
+                    left = sw - used // pw % (sw + 1)
+                    cnt = sum(ends[u] for u in into)
+                    if left and cnt:
+                        row = nxt.setdefault(used + pw, [0] * t)
+                        row[w] = cnt * left
+            frontier = nxt
+            length += 1
+    spectrum: dict[int, int] = {}
+    for (r, j), total in sorted(rooted.items()):
+        count, rem = divmod(total, 2 * j)
+        if rem:
+            raise ArithmeticError(f"rooted count of length {r} not divisible by {2 * j}")
+        spectrum[r] = spectrum.get(r, 0) + count
+    return spectrum
 
 
 def partitions_exact(n: int, k: int) -> list[tuple[int, ...]]:

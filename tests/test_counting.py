@@ -39,6 +39,8 @@ from _oracles import (
     random_blowup,
     random_graph,
     reference_enumerate_graphs,
+    reference_quotient_spectrum,
+    symmetric_blowup,
     walk_cycle_spectrum,
 )
 
@@ -127,13 +129,17 @@ class TestCycleSpectrum:
             raise AssertionError("the quotient ran past the state cap")
 
         monkeypatch.setattr(counting, "_quotient_spectrum", unreachable)
-        # T_10(40): ten classes of four vertices, so 5^10 states
-        assert 5 ** 10 > counting.QUOTIENT_STATE_CAP
-        with pytest.raises(ValueError, match=f"{5 ** 10} states"):
-            cycle_spectrum(turan_graph(40, 10))
+        # classes of sizes 1 to 9: no two are interchangeable, so the
+        # anchor class of size 1 keeps up to 2 * 3 * ... * 10 = 10! vectors
+        assert factorial(10) > counting.QUOTIENT_STATE_CAP
+        with pytest.raises(ValueError, match=f"{factorial(10)} states"):
+            cycle_spectrum(complete_multipartite(range(1, 10)))
 
-    @pytest.mark.parametrize("n, k", [(45, 3), (40, 4), (30, 5)])
+    @pytest.mark.parametrize("n, k", [(45, 3), (40, 4), (30, 5), (40, 10), (64, 8)])
     def test_turan_past_the_vertex_cap(self, n, k):
+        # T_10(40) and T_8(64) have 5^10 and 9^8 vectors of used vertices,
+        # past the state cap, but at most 5 * C(13, 4) and 9 * C(15, 7)
+        # orbits of them from one anchor class
         assert cycle_spectrum(turan_graph(n, k)) == cycle_spectrum_multipartite(turan_class_sizes(n, k))
 
     def test_total_matches_spectrum(self):
@@ -750,6 +756,65 @@ class TestQuotient:
             n = rng.randint(1, 10)
             g = random_blowup(rng, blowup_sizes(rng, n, rng.randint(1, n)), rng.random())
             assert counting._quotient_spectrum(g, twin_classes(g)) == counting._vertex_spectrum(g)
+
+    def test_matches_reference_on_symmetric_blowups(self):
+        # random_blowup draws random sizes, so it almost never makes classes
+        # that the quotient may permute; these blow-ups have groups of them
+        rng = random.Random(131)
+        kinds = set()
+        for _ in range(60):
+            n_max, groups, n = rng.randint(6, 24), [], 0
+            while True:
+                m, s = rng.randint(1, 4), rng.randint(1, 4)
+                if n + m * s > n_max:
+                    break
+                groups.append((m, s, rng.random() < 0.5))
+                n += m * s
+            if not groups:
+                continue
+            g = symmetric_blowup(rng, groups, rng.uniform(0.3, 0.9))
+            classes = twin_classes(g)
+            for group in counting._class_graph(g, classes)[1]:
+                first = classes[group[0]]
+                kinds.add(len(first) > 1 and g.has_edge(*first[:2]))
+                for w in group[1:]:
+                    # swapping two peers class for class is an automorphism
+                    perm = list(range(g.n))
+                    for x, y in zip(first, classes[w]):
+                        perm[x], perm[y] = y, x
+                    assert g.relabel(perm) == g
+            spectrum = counting._quotient_spectrum(g, classes)
+            assert spectrum == reference_quotient_spectrum(g, classes)
+            if g.n <= 13:
+                assert spectrum == walk_cycle_spectrum(g)
+        assert kinds == {False, True}  # peers that are cliques and peers that are not
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (13, 4), (16, 4), (20, 5), (24, 3), (24, 6)])
+    def test_matches_reference_on_turan_edits(self, n, k):
+        # T_k(n), with one edge added inside a class and with one removed
+        # between two classes
+        sizes = turan_class_sizes(n, k)
+        g = complete_multipartite(sizes)
+        u, v = random.Random(n * k).sample(range(sizes[0]), 2)
+        for edited in (g, g.with_edge(u, v), g.without_edges([(0, n - 1)])):
+            classes = twin_classes(edited)
+            spectrum = counting._quotient_spectrum(edited, classes)
+            assert spectrum == reference_quotient_spectrum(edited, classes)
+            if n <= 13:
+                assert spectrum == walk_cycle_spectrum(edited)
+
+    @pytest.mark.parametrize(
+        "parts, states",
+        [
+            ((4,) * 10, 5 * comb(13, 4)),  # T_10(40): 5^10 vectors, above the state cap
+            ((8,) * 8, 9 * comb(15, 7)),  # T_8(64)
+            ((5, 4, 4, 5), 6 * 6 * comb(6, 2)),  # from class 0, only its peer 3 lies above it
+            (range(1, 10), factorial(10)),  # no peers: the product of (|w| + 1)
+        ],
+    )
+    def test_state_bound_counts_orbits(self, parts, states):
+        g = complete_multipartite(parts)
+        assert counting._quotient_states(g, twin_classes(g)) == states
 
     def test_every_multipartite_composition(self):
         # the analytic spectrum depends on the class sizes only, so one value
