@@ -13,7 +13,7 @@ from .graphs import (
     turan_edge_count,
     turan_graph,
 )
-from .counting import count_cycles, count_paths_from, cycle_spectrum
+from .counting import count_cycles, count_paths_from, cycle_spectrum, subgraph_cycle_totals
 from .analytic import (
     bipartite_cycle_counts,
     code_cycle_count,
@@ -45,6 +45,7 @@ __all__ = [
     "make_graph",
     "prob_Q_given_P",
     "rooted_hamilton_permutations_general",
+    "subgraph_cycle_totals",
     "turan_class_sizes",
     "turan_edge_count",
     "turan_graph",

@@ -39,12 +39,15 @@ path ends for ``count_paths_from``.
   ``lru_cache``, holds for each (set T of layer p + 1, vertex u) the flat
   position of (T - u, u) in layer p's product, or of a zero entry just past
   the product when u is not in T or is T's anchor, and for each set its
-  closing entry (set, anchor).  A pass allocates two buffers, each as wide
-  as the widest layer: the rows, and the product with one entry more, as
-  the entry just past each layer's product is set to 0 as its zero entry.
-  Each layer is then one product into the one buffer, one gather back into
-  the other and, for cycles, one gather-sum of the closings; for paths a
-  row of ones times the layer sums its path ends on the BLAS.  The sparse
+  closing entry (set, anchor).  A pass uses two buffers, each as wide as
+  the widest layer: the rows, and the product with one entry more, as the
+  entry just past each layer's product is set to 0 as its zero entry.  Both
+  are regions of one scratch buffer per thread, kept with the views of each
+  layer into it (``_dense_views``), so that a pass allocates nothing but its
+  counts and makes no view per layer.  Each layer is then one product into
+  the one buffer, one gather back into the other and, for cycles, one
+  gather-sum of the closings; for paths a row of ones times the layer sums
+  its path ends on the BLAS.  The sparse
   kernel pays about 25 numpy calls per layer on its masks, bit rows and
   dedup.  The gathers run in numpy's "clip" mode, since under the default
   "raise" numpy copies every gather into ``out`` through a buffer of its
@@ -55,6 +58,30 @@ path ends for ``count_paths_from``.
   n = 14, is 3432 * 14 = 48,048), and the plans for every n up to 14 take
   1.4 MB; numpy gathers by them in "clip" mode about as fast as by intp
   indices.
+
+The dense form counts a stack of graphs with the same n in one pass: it
+takes their 0/1 float64 adjacency matrices with shape (B, n, n), and every
+layer is one stacked ``matmul`` into (B, k, n) rows, one ``take`` along
+axis 1 of the (B, k n + 1) product, each graph's zero entry at the end of
+its own row, and for cycles one ``take`` along axis 1 summed per graph.
+The B graphs share the one plan, and the rows of different graphs never
+mix, so each graph is exact by the bound below and an odd count in any of
+them raises ``ArithmeticError``.  A single graph is a stack of one.
+``subgraph_cycle_totals`` counts many edge subsets of one host this way,
+which is what ``verify turanbest --samples`` asks for: it builds the stack
+from the edge masks with ``unpackbits`` and no ``Graph`` per subgraph.  Its
+chunks hold as many graphs as fit their two buffers, 8 (2 C(n, n/2) n + 1)
+bytes each, into ``_DENSE_CHUNK_BYTES`` = 256 KB: 29 graphs at n = 8, six
+at n = 10 and one from n = 12 to 14.  On the benchmark's ``census``
+workload (2-core x86 VM, ``BENCH_batched_subgraphs.json``) budgets of
+64 KB, 256 KB, 512 KB, 1 MB and no chunking gave a peak RSS of 36.5, 36.75,
+36.9, 37.5 and 38.4 MB, against 34.87 MB when every subgraph was counted
+alone, and a ``wall_s`` of 1.03, 0.78, 0.74, 0.74 and 0.74 s, against
+1.07 s.  At 64 KB a pass holds one graph of ten vertices, and a stack of
+one on the dense form costs about what the dict DP that sparse subgraphs
+take alone does.  256 KB is the largest budget that kept the peak within 6%
+of the per-graph count in paired runs: 512 KB read 36.99 MB there, 6.1%
+above it.
 
 ``_kernel_pays`` picks the form from n, the edge count m and the number p
 of kernel passes the count takes, two for cycles and one for paths: the
@@ -110,8 +137,8 @@ where every run from a second vertex walks nearly all the sets above s;
 the rule sends those to the kernel.
 
 ``count_cycles`` on graphs with ten or fewer vertices sums the vertex
-counts directly instead of building the spectrum dict; the searches and
-``verify turanbest`` make tens of thousands of such calls.
+counts directly instead of building the spectrum dict; the searches make
+thousands of such calls.
 
 The vertex forms count graphs with at most ``VERTEX_CAP`` = 24 vertices.
 That limit is the kernel's: its slot table has 2^n entries, 128 MB at
@@ -203,24 +230,33 @@ cost what they did.
 
 ``cycle_spectrum`` routes by n before ``_kernel_pays`` does.  Graphs on ten
 or fewer vertices take the vertex forms.  From 11 to ``_DENSE_MAX_N``
-vertices a graph with t twin classes takes the quotient when
-3 t prod(|w| + 1) < 2^n, its states and end classes against the dense
-form's vertex sets, and the vertex forms otherwise.  Timed on seeded random
-blow-ups with n = 11 to 14 and 3 to 9 classes (6 per cell, 168 graphs,
-``BENCH_dense_layers.json``), the rule's picks take 51 ms in total against
-44 ms for the faster form of each graph and 164 ms for the class-count rule
-below; the quotient wins at T_5(14) and (5, 5, 4) and loses from about 7
-classes at n = 13.  From ``_DENSE_MAX_N`` + 1 to ``VERTEX_CAP`` vertices a
-graph takes the quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11
-twin classes.  Against the two-pass sparse kernel that crossover depends on
+vertices a graph with t twin classes takes the quotient when 8 t S < 2^n,
+its states and end classes against the dense form's vertex sets, and the
+vertex forms otherwise.  S is the quotient's bound on its states from one
+anchor class, ``_quotient_states`` below.  Only classes of one size >= 2
+can be peers, as two singleton peers would be twins, so S is computed only
+when two twin classes share such a size; otherwise it is prod(|w| + 1), and
+twin-poor graphs such as G(13, 44) pay nothing for it.  The factor was 3
+with S = prod(|w| + 1), set on 168 seeded random blow-ups before the orbit
+states, and before the dense form kept its buffers and views per thread
+(``BENCH_dense_layers.json``).
+Timed again on 344 seeded graphs with 11 to 14 vertices and some twins
+(168 random blow-ups, 96 blow-ups with interchangeable classes and 80
+complete multipartite graphs; ``BENCH_batched_subgraphs.json``), the picks
+of 8 t S take 63.5 ms in total, against 65.8 ms for the old rule, 67.3 ms
+for 3 t S and 55.4 ms for the faster form of each graph; every factor from
+6 to 10 gives 63.5 to 64.5 ms.  The new rule is ahead or level on each
+kind of graph and each n but 13, where it trails by 0.3%.  T_7(14) now
+takes the quotient, 0.43 ms against 0.50 ms on the dense form, but
+(2, 2, 2, 2, 2, 2, 1) takes it too, 0.53 ms against 0.26 ms: the
+quotient's cost per state grows with the classes and with their order.
+From ``_DENSE_MAX_N`` + 1 to ``VERTEX_CAP`` vertices a graph takes the
+quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11 twin classes.  Against the two-pass sparse kernel that crossover depends on
 n: timed on the same VM on seeded random blow-ups (6 per cell, quotient
 over vertex forms, median), the ratio is 0.59 at 8 classes and 1.32 at 9
-for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.  Both rules were
-calibrated with one state per vector of used vertices.  The orbit states
-make the quotient cheaper wherever classes have peers, and the rules have
-not been recalibrated for that: the dense form, which the states rule
-picks, takes (2, 2, 2, 2, 2, 2, 2) in 0.74 ms against 0.42 ms on the
-quotient, and (1, 2, 2, 2, 2, 2, 2) in 0.35 ms against 0.34 ms.
+for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.  That rule was
+calibrated with one state per vector of used vertices, before the orbit
+states made the quotient cheaper wherever classes have peers.
 
 Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
 frontier from anchor class a holds at most |a| + 1 times, over each group
@@ -244,13 +280,14 @@ is refused.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, twin_classes
+from .graphs import Graph, _bits, twin_classes
 
 # The most vertices the vertex forms count (the kernel's slot table has 2^n
 # entries), and the most states from one anchor class, ``_quotient_states``,
@@ -265,6 +302,13 @@ _QUOTIENT_MIN_N = 11
 # Graphs with at most this many vertices that the kernel counts take its
 # dense form (see the module docstring).
 _DENSE_MAX_N = 14
+
+# The bytes that the two buffers of one batched dense pass may take, which
+# sets how many subgraphs ``subgraph_cycle_totals`` counts in one pass (see
+# the module docstring).
+_DENSE_CHUNK_BYTES = 256 << 10
+
+_ODD = "directed cycle counts are not all even: implementation bug"
 
 
 def _kernel_pays(n: int, m: int, passes: int) -> bool:
@@ -285,7 +329,7 @@ def _vertex_cycles(adj: Sequence[int]) -> list[int]:
     if not _kernel_pays(n, sum(row.bit_count() for row in adj) // 2, 2):
         return _dict_cycles(adj)
     if n <= _DENSE_MAX_N:
-        doubled = _dense_layers(adj)
+        doubled = _dense_layers(_stack(adj))[0].tolist()
     else:
         # anchors with at least two neighbours above them; the lowest runs
         # alone, then every higher one in one pass
@@ -295,7 +339,7 @@ def _vertex_cycles(adj: Sequence[int]) -> list[int]:
             if part:
                 doubled = [a + b for a, b in zip(doubled, _path_layers(adj, part))]
     if any(c % 2 for c in doubled):
-        raise ArithmeticError("directed cycle counts are not all even: implementation bug")
+        raise ArithmeticError(_ODD)
     return [c // 2 for c in doubled]
 
 
@@ -418,44 +462,83 @@ def _path_layers(adj: Sequence[int], anchors: list[int], *, ends: bool = False) 
     return out
 
 
-def _dense_layers(adj: Sequence[int], *, ends: bool = False) -> list[int]:
-    """The dense form of the kernel, for at most ``_DENSE_MAX_N`` vertices
-    (see the module docstring): twice the cycles of each length r (entry r)
-    over every anchor in one pass, or with ``ends`` the paths from vertex 0
-    with at least one edge per end vertex (entry v)."""
-    n = len(adj)
-    plan = _dense_plan(n, not ends)
-    cols = np.arange(n)
-    matrix = ((np.array(adj, dtype=np.int64)[:, None] >> cols) & 1).astype(np.float64)
-    # two buffers serve every layer: the rows, and the product with one
-    # entry more, as each layer's zero entry sits just past its product
-    width = max((len(closing) for _, closing in plan), default=0)  # the widest layer's sets
-    rows = np.zeros((width, n))
-    flat_rows = rows.ravel()
-    flat_product = np.empty(width * n + 1)
-    product = flat_product[:-1].reshape(width, n)
+def _dense_layers(matrices: np.ndarray, *, ends: bool = False) -> np.ndarray:
+    """The dense form of the kernel over a stack of graphs with the same
+    n <= ``_DENSE_MAX_N`` vertices, given as their 0/1 float64 adjacency
+    matrices of shape (B, n, n) (see the module docstring).  Row b holds, for
+    graph b, twice the cycles of each length r (entry r) over every anchor in
+    one pass, or with ``ends`` the paths from vertex 0 with at least one edge
+    per end vertex (entry v), as int64."""
+    batch, n = matrices.shape[:2]
+    layers = _dense_views(n, ends, batch)
+    out = np.zeros((batch, n if ends else n + 1), dtype=np.int64)
     if ends:
-        rows[0, 0] = 1.0  # the one path through the set {0}
-        ones = np.ones(width)
-        total = np.zeros(n)
-    else:
-        flat_rows[: n * n: n + 1] = 1.0  # the sets {s}, in rank order s: row s is e_s
-        out = [0] * (n + 1)
-    for p, (gather, closing) in enumerate(plan, 1):
-        k = len(closing)  # the sets of layer p
-        layer = rows[:k]
+        total = np.zeros((batch, n))
+    # layer 1 holds the sets {s} in rank order s for cycles, and the set {0}
+    # for paths, each with the one path through its vertex
+    layers[0][3][:] = np.eye(1 if ends else n, n)
+    for p, (gather, closing, kn, rows, flat, product, gathered, ones) in enumerate(layers, 1):
         if ends and p > 1:  # one-vertex paths have no edge
-            total += ones[:k] @ layer
-        np.matmul(layer, matrix, out=product[:k])
-        flat_product[k * n] = 0.0  # the zero entry that every missing predecessor reads
+            total += ones @ rows
+        np.matmul(rows, matrices, out=product)
+        flat[:, kn] = 0.0  # the zero entry that every missing predecessor reads
         if not ends and p >= 3:
-            out[p] = int(flat_product.take(closing).sum())
+            out[:, p] = np.add.reduce(flat.take(closing, axis=1), axis=1)
         if p == n:
             break
         # "clip" spares numpy the copy it makes of every gather into ``out``
         # under the default "raise"; _dense_plan checked every index
-        flat_product.take(gather, out=flat_rows[: len(gather)], mode="clip")
-    return total.astype(np.int64).tolist() if ends else out
+        flat.take(gather, axis=1, out=gathered, mode="clip")
+    if ends:
+        out[:] = total
+    return out
+
+
+# Each thread's scratch buffer for the dense form, and its per-layer views.
+_scratch = threading.local()
+
+
+def _dense_views(n: int, ends: bool, batch: int) -> list[tuple]:
+    """Per layer of ``_dense_plan(n, not ends)`` for a stack of ``batch``
+    graphs: the layer's gather and closing indices, the k n entries of its
+    product per graph, and views into this thread's scratch buffer of the
+    (B, k, n) rows, the (B, k n + 1) product with its (B, k, n) part that
+    the matmul fills, the next layer's rows as the gather fills them, and a
+    row of k ones.  The rows and the product take two regions of the buffer,
+    each as wide as the widest layer.  The buffer is kept and grows to the
+    largest pass the thread has run, and the views are kept per
+    (n, ends, batch) while it does not grow, at most 16 sets of them, so a
+    pass allocates no buffer and makes no view per layer."""
+    views = getattr(_scratch, "views", {})
+    key = (n, ends, batch)
+    if key in views:
+        return views[key]
+    plan = _dense_plan(n, not ends)
+    width = max(len(closing) for _, closing in plan)  # the widest layer's sets
+    size = batch * (2 * width * n + 1)
+    space = getattr(_scratch, "space", None)
+    if space is None or len(space) < size:
+        space = _scratch.space = np.empty(size)
+        views = _scratch.views = {}
+    elif len(views) >= 16:
+        views.clear()
+    row_buffer = space[: batch * width * n]
+    product_buffer = space[batch * width * n:]
+    layers = []
+    for p, (gather, closing) in enumerate(plan, 1):
+        k, kn = len(closing), len(closing) * n
+        flat = product_buffer[: batch * (kn + 1)].reshape(batch, kn + 1)
+        gathered = row_buffer[: batch * len(gather)].reshape(batch, -1)
+        layers.append((gather, closing, kn, row_buffer[: batch * kn].reshape(batch, k, n), flat,
+                       flat[:, :kn].reshape(batch, k, n), gathered, np.ones(k)))
+    views[key] = layers
+    return layers
+
+
+def _stack(adj: Sequence[int]) -> np.ndarray:
+    """The graph with bit rows ``adj`` as a stack of one 0/1 float64
+    adjacency matrix, of shape (1, n, n)."""
+    return _bit_rows(np.array(adj, dtype=np.int64), len(adj))[None].astype(np.float64)
 
 
 @lru_cache(maxsize=2 * _DENSE_MAX_N)
@@ -570,8 +653,15 @@ def cycle_spectrum(g: Graph) -> dict[int, int]:
         return _vertex_spectrum(g)
     classes = twin_classes(g)
     if n <= _DENSE_MAX_N:
-        # the quotient's states and end classes against the dense form's sets
-        if 3 * prod(len(cls) + 1 for cls in classes) * len(classes) >= 1 << n:
+        # the quotient's states and end classes against the dense form's
+        # sets; only classes of one size >= 2 can be peers, as two singleton
+        # peers would be twins
+        sizes = [len(cls) for cls in classes if len(cls) > 1]
+        if len(set(sizes)) < len(sizes):
+            states = _quotient_states(g, classes)
+        else:
+            states = prod(len(cls) + 1 for cls in classes)
+        if 8 * states * len(classes) >= 1 << n:
             return _vertex_spectrum(g)
     elif n <= VERTEX_CAP:
         if len(classes) >= _QUOTIENT_MIN_N:
@@ -741,6 +831,46 @@ def count_cycles(g: Graph) -> int:
     return sum(cycle_spectrum(g).values())
 
 
+def subgraph_cycle_totals(host: Graph, drops: Sequence[int]) -> list[int]:
+    """For each mask in ``drops``, the total number of cycles of ``host``
+    less the edges whose indices in ``host.edges()`` order are set in the
+    mask.  Up to ``_DENSE_MAX_N`` vertices the subgraphs are counted in
+    batches through the dense form, each batch in one pass over its plan;
+    above that each is counted by ``count_cycles``, under its caps.  A mask
+    outside [0, 2^E), E the edges of ``host``, raises ``ValueError``."""
+    edges = list(host.edges())
+    for mask in drops:
+        if not 0 <= mask < 1 << len(edges):
+            raise ValueError(f"edge mask {mask} outside 0 .. 2^{len(edges)} - 1, "
+                             f"for a host with {len(edges)} edges")
+    n = host.n
+    if n > _DENSE_MAX_N:
+        return [count_cycles(host.without_edges(edges[i] for i in _bits(mask))) for mask in drops]
+    us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    octets = len(edges) // 8 + 1
+    chunk = _dense_chunk(n)
+    totals: list[int] = []
+    for start in range(0, len(drops), chunk):
+        part = drops[start: start + chunk]
+        packed = np.frombuffer(b"".join(mask.to_bytes(octets, "little") for mask in part), dtype=np.uint8)
+        kept = 1 - np.unpackbits(packed.reshape(len(part), octets), axis=1, count=len(edges), bitorder="little")
+        matrices = np.zeros((len(part), n, n))
+        matrices[:, us, vs] = kept
+        matrices[:, vs, us] = kept
+        doubled = _dense_layers(matrices)
+        if (doubled % 2).any():
+            raise ArithmeticError(_ODD)
+        totals += (doubled.sum(axis=1) // 2).tolist()
+    return totals
+
+
+def _dense_chunk(n: int) -> int:
+    """How many graphs on n vertices one batched dense pass for cycles
+    counts: as many as fit their two buffers, 8 (2 C(n, n / 2) n + 1) bytes
+    each, into ``_DENSE_CHUNK_BYTES``, and one at least."""
+    return max(1, _DENSE_CHUNK_BYTES // (8 * (2 * comb(n, n // 2) * n + 1)))
+
+
 def count_paths_from(g: Graph, x: int) -> dict[int, int]:
     """Map y -> number of simple x-y paths with at least one edge, for y != x,
     in a graph with at most ``VERTEX_CAP`` vertices."""
@@ -756,7 +886,7 @@ def count_paths_from(g: Graph, x: int) -> dict[int, int]:
     if not _kernel_pays(n, g.edge_count, 1):
         ends = _dict_ends(adj)
     elif n <= _DENSE_MAX_N:
-        ends = _dense_layers(adj, ends=True)
+        ends = _dense_layers(_stack(adj), ends=True)[0].tolist()
     else:
         ends = _path_layers(adj, [0], ends=True)
     ends[0], ends[x] = ends[x], ends[0]

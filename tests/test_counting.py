@@ -6,8 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +67,17 @@ def odd_closings(adj, anchors, **options):
     return [0, 0, 0, int(anchors == [0])] + [0] * (len(adj) - 3)
 
 
-def odd_dense_closings(adj, **options):
-    """A stand-in dense form whose doubled triangle count is 1."""
-    return [0, 0, 0, 1] + [0] * (len(adj) - 3)
+def odd_dense_closings(matrices, **options):
+    """A stand-in dense form whose doubled triangle count is 1 for every
+    graph of the stack."""
+    batch, n = matrices.shape[:2]
+    return np.array([[0, 0, 0, 1] + [0] * (n - 3)] * batch, dtype=np.int64)
+
+
+def dense(adj, ends=False):
+    """The dense form's counts for the one graph with bit rows ``adj``, as
+    its single-graph callers read them."""
+    return counting._dense_layers(counting._stack(adj), ends=ends)[0].tolist()
 
 
 @st.composite
@@ -169,7 +178,9 @@ class TestCycleSpectrum:
         code = (
             "from cyclekit import counting\n"
             "from cyclekit.graphs import turan_graph\n"
-            "counting._dense_layers = lambda adj, **options: [0, 0, 0, 1] + [0] * (len(adj) - 3)\n"
+            "import numpy as np\n"
+            "counting._dense_layers = lambda matrices, **options: "
+            "np.array([[0, 0, 0, 1] + [0] * (matrices.shape[1] - 3)] * len(matrices))\n"
             "counting._path_layers = lambda adj, anchors, **options: "
             "[0, 0, 0, int(anchors == [0])] + [0] * (len(adj) - 3)\n"
             "for count in (lambda: counting.count_cycles(turan_graph(10, 10)),\n"
@@ -286,11 +297,11 @@ def kernel_calls(monkeypatch):
 def dense_calls(monkeypatch):
     """Record (vertices, ends) of every call of the kernel's dense form."""
     calls = []
-    dense = counting._dense_layers
+    layers = counting._dense_layers
 
-    def recording(adj, *, ends=False):
-        calls.append((len(adj), ends))
-        return dense(adj, ends=ends)
+    def recording(matrices, *, ends=False):
+        calls.append((matrices.shape[1], ends))
+        return layers(matrices, ends=ends)
 
     monkeypatch.setattr(counting, "_dense_layers", recording)
     return calls
@@ -434,7 +445,7 @@ class TestDense:
 
     @staticmethod
     def check(g):
-        doubled = counting._dense_layers(g.adj)
+        doubled = dense(g.adj)
         assert doubled == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
         # Python ints, never floats: a float64 count would compare equal
         assert all(type(c) is int for c in doubled), g.adj
@@ -443,7 +454,7 @@ class TestDense:
             perm = list(range(g.n))
             perm[0], perm[x] = x, 0
             rows = g.relabel(perm).adj
-            ends = counting._dense_layers(rows, ends=True)
+            ends = dense(rows, ends=True)
             assert ends == counting._dict_ends(rows), (g.adj, x)
             assert all(type(c) is int for c in ends), (g.adj, x)
 
@@ -462,10 +473,10 @@ class TestDense:
 
     def test_complete_graph_at_the_cap(self):
         n = counting._DENSE_MAX_N
-        doubled = counting._dense_layers(turan_graph(n, n).adj)
+        doubled = dense(turan_graph(n, n).adj)
         assert doubled == [0, 0, 0] + [comb(n, r) * factorial(r - 1) for r in range(3, n + 1)]
         each = sum(paths_through(n, k) for k in range(n - 1))
-        ends = counting._dense_layers(turan_graph(n, n).adj, ends=True)
+        ends = dense(turan_graph(n, n).adj, ends=True)
         assert ends == [0] + [each] * (n - 1)
         # Python ints, never floats, so that JSON prints 2, not 2.0
         assert all(type(c) is int for c in doubled + ends)
@@ -481,14 +492,14 @@ class TestDense:
         for n, ends in order + order[::-1]:
             g = make_graph(n, rng.sample(list(combinations(range(n), 2)), 3 * n))
             if ends:
-                assert counting._dense_layers(g.adj, ends=True) == counting._dict_ends(g.adj), g.adj
+                assert dense(g.adj, ends=True) == counting._dict_ends(g.adj), g.adj
             else:
-                assert counting._dense_layers(g.adj) == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
+                assert dense(g.adj) == [2 * c for c in counting._dict_cycles(g.adj)], g.adj
 
     def test_edgeless_graphs(self):
         for n in range(1, counting._DENSE_MAX_N + 1):
-            assert counting._dense_layers((0,) * n) == [0] * (n + 1)
-            assert counting._dense_layers((0,) * n, ends=True) == [0] * n
+            assert dense((0,) * n) == [0] * (n + 1)
+            assert dense((0,) * n, ends=True) == [0] * n
 
     def test_plan_cache_is_bounded(self):
         plan = counting._dense_plan
@@ -505,6 +516,47 @@ class TestDense:
         # every plan up to the cap takes about 1.4 MB
         assert sum(a.nbytes + b.nbytes for n in range(1, counting._DENSE_MAX_N + 1)
                    for c in (True, False) for a, b in plan(n, c)) < 2 << 20
+
+    def test_scratch_is_kept_per_thread(self):
+        # the buffer and views of a thread's passes stay its own, and numpy
+        # releases the interpreter lock in its products and gathers, so a
+        # buffer shared between threads would mix their rows
+        rng = random.Random(233)
+        graphs = [make_graph(n, rng.sample(list(combinations(range(n), 2)), 3 * n)) for n in (8, 10, 12, 13, 14)]
+        want = [([2 * c for c in counting._dict_cycles(g.adj)], counting._dict_ends(g.adj)) for g in graphs]
+        failures = []
+
+        def work(offset):
+            for i in range(15):
+                g = graphs[(offset + i) % len(graphs)]
+                if (dense(g.adj), dense(g.adj, ends=True)) != want[(offset + i) % len(graphs)]:
+                    failures.append((offset, g.n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_views_are_bounded_and_follow_the_buffer(self):
+        # a larger pass replaces the buffer and drops the views into the old
+        # one; at most 16 sets of views are kept
+        rng = random.Random(239)
+        for batch in range(1, 25):
+            graphs = [random_graph(rng, 9, 0.6) for _ in range(batch)]
+            matrices = np.concatenate([counting._stack(g.adj) for g in graphs])
+            doubled = [[2 * c for c in counting._dict_cycles(g.adj)] for g in graphs]
+            assert counting._dense_layers(matrices).tolist() == doubled
+            assert len(counting._scratch.views) <= 16
+            assert all(np.shares_memory(layer[3], counting._scratch.space)
+                       for layers in counting._scratch.views.values() for layer in layers)
 
     @staticmethod
     def corrupted(n, cycles, layer, which, value, dtype=None):
@@ -543,6 +595,125 @@ class TestDense:
             "try:\n"
             "    counting._check_plan(plan, 10)\n"
             "except IndexError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(counting.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
+
+
+class TestSubgraphTotals:
+    """``subgraph_cycle_totals`` counts the subgraphs of one host in batched
+    passes of the dense form up to _DENSE_MAX_N vertices, and one by one
+    through ``count_cycles`` above, against the dict DP of each subgraph
+    built from its kept edges."""
+
+    @staticmethod
+    def built(host, masks):
+        edges = list(host.edges())
+        return [host.without_edges(e for i, e in enumerate(edges) if mask >> i & 1) for mask in masks]
+
+    def expected(self, host, masks):
+        return [sum(counting._dict_cycles(g.adj)) for g in self.built(host, masks)]
+
+    @staticmethod
+    def masks(rng, host, count):
+        top = 1 << host.edge_count
+        return [0, top - 1] + [rng.randrange(top) for _ in range(count)]
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Record the number of graphs of every dense pass."""
+        calls = []
+        layers = counting._dense_layers
+
+        def recording(matrices, *, ends=False):
+            calls.append(len(matrices))
+            return layers(matrices, ends=ends)
+
+        monkeypatch.setattr(counting, "_dense_layers", recording)
+        return calls
+
+    def test_matches_dict_dp(self, batches):
+        rng = random.Random(223)
+        for n in range(3, counting._DENSE_MAX_N + 1):
+            pairs = list(combinations(range(n), 2))
+            hosts = [complete_multipartite(turan_class_sizes(n, k)) for k in (2, 3)]
+            hosts += [make_graph(n, rng.sample(pairs, min(m, len(pairs)))) for m in (n, 2 * n)]
+            for host in hosts:
+                masks = self.masks(rng, host, 12 if n <= 12 else 4)
+                del batches[:]
+                totals = counting.subgraph_cycle_totals(host, masks)
+                assert totals == self.expected(host, masks), (n, host.adj)
+                assert all(type(c) is int for c in totals)
+                assert sum(batches) == len(masks)
+
+    def test_complete_graph_at_the_cap(self):
+        # the largest totals the dense form's float64 sums take
+        n = counting._DENSE_MAX_N
+        whole = sum(comb(n, r) * factorial(r - 1) // 2 for r in range(3, n + 1))
+        through = sum(factorial(n - 2) // factorial(n - r) for r in range(3, n + 1))  # cycles through one edge
+        assert counting.subgraph_cycle_totals(turan_graph(n, n), [0, 1, 1 << 90]) == [whole, whole - through,
+                                                                                   whole - through]
+
+    @pytest.mark.parametrize("n", [10, counting._DENSE_MAX_N])
+    def test_batch_lengths_around_the_chunk(self, monkeypatch, batches, n):
+        rng = random.Random(227 + n)
+        host = make_graph(n, rng.sample(list(combinations(range(n), 2)), 3 * n))
+        # the module's budget, then one that fits three graphs' buffers
+        for three in (False, True):
+            if three:
+                monkeypatch.setattr(counting, "_DENSE_CHUNK_BYTES", 3 * 8 * (2 * comb(n, n // 2) * n + 1))
+            chunk = counting._dense_chunk(n)
+            assert chunk == 3 if three else chunk >= 1
+            for length in (1, chunk - 1, chunk, chunk + 1):
+                masks = [rng.randrange(1 << host.edge_count) for _ in range(length)]
+                del batches[:]
+                assert counting.subgraph_cycle_totals(host, masks) == self.expected(host, masks), (n, length)
+                assert batches == [chunk] * (length // chunk) + [length % chunk] * (length % chunk > 0)
+
+    def test_above_the_dense_cap(self, batches):
+        # each subgraph goes through count_cycles, under its caps
+        rng = random.Random(229)
+        for host in (complete_multipartite((8, 8)), make_graph(15, rng.sample(list(combinations(range(15), 2)), 40))):
+            masks = self.masks(rng, host, 4)
+            assert counting.subgraph_cycle_totals(host, masks) == [count_cycles(g) for g in self.built(host, masks)]
+        assert batches == []
+        # past VERTEX_CAP a twin-poor subgraph is refused as count_cycles refuses it
+        host = complete_multipartite((13, 13))
+        assert counting.subgraph_cycle_totals(host, [0]) == [count_cycles(host)]
+        mask = rng.randrange(1 << host.edge_count)
+        with pytest.raises(ValueError, match="state cap"):
+            count_cycles(self.built(host, [mask])[0])
+        with pytest.raises(ValueError, match="state cap"):
+            counting.subgraph_cycle_totals(host, [0, mask])
+
+    def test_masks_outside_the_edge_range(self):
+        for host in (K4, complete_multipartite((8, 8))):
+            top = 1 << host.edge_count
+            assert counting.subgraph_cycle_totals(host, [top - 1]) == [0]
+            for mask in (-1, top, top << 3):
+                with pytest.raises(ValueError, match="edge mask"):
+                    counting.subgraph_cycle_totals(host, [0, mask])
+        assert counting.subgraph_cycle_totals(make_graph(3, []), [0]) == [0]
+        assert counting.subgraph_cycle_totals(K4, []) == []
+
+    def test_odd_count_raises(self, monkeypatch):
+        monkeypatch.setattr(counting, "_dense_layers", odd_dense_closings)
+        with pytest.raises(ArithmeticError):
+            counting.subgraph_cycle_totals(K5, [0, 3])
+
+    def test_odd_count_raises_with_asserts_stripped(self):
+        code = (
+            "import numpy as np\n"
+            "from cyclekit import counting\n"
+            "from cyclekit.graphs import turan_graph\n"
+            "counting._dense_layers = lambda matrices, **options: "
+            "np.array([[0, 0, 0, 1] + [0] * (matrices.shape[1] - 3)] * len(matrices))\n"
+            "try:\n"
+            "    counting.subgraph_cycle_totals(turan_graph(10, 10), [0, 5])\n"
+            "except ArithmeticError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
         )
@@ -846,23 +1017,54 @@ class TestQuotient:
     @pytest.mark.parametrize(
         "parts, quotient",
         [
-            ((1, 2, 2, 2, 2, 2, 2), False),  # 3 * 2 * 3^6 * 7 >= 2^13
+            # six peers of size 2: 8 * 3 * C(7, 5) * 7 < 2^13 orbit states,
+            # where 8 * 2 * 3^6 * 7 vectors of used vertices are not
+            ((1, 2, 2, 2, 2, 2, 2), True),
             ((5, 5, 4), True),
-            ((3, 3, 3, 3, 2), True),  # T_5(14): 3 * 4^4 * 3 * 5 < 2^14
-            ((2,) * 7, False),
+            ((3, 3, 3, 3, 2), True),  # T_5(14): 8 * 4 * C(6, 3) * 3 * 5 < 2^14
+            ((2,) * 7, True),  # T_7(14): 8 * 3 * C(8, 6) * 7 < 2^14
             ((3, 3, 3, 3, 3), True),  # past the dense cap: fewer than 11 classes
             ((2,) * 8, True),
         ],
     )
     def test_routing_by_states(self, monkeypatch, parts, quotient):
-        # up to _DENSE_MAX_N vertices the quotient runs when three times its
-        # states and end classes stay below the dense form's 2^n sets; above
-        # that, when there are fewer than _QUOTIENT_MIN_N classes
+        # up to _DENSE_MAX_N vertices the quotient runs when eight times its
+        # orbit states and end classes stay below the dense form's 2^n sets;
+        # above that, when there are fewer than _QUOTIENT_MIN_N classes
         calls = []
         spectrum = counting._quotient_spectrum
         monkeypatch.setattr(counting, "_quotient_spectrum", lambda g, classes: calls.append(g) or spectrum(g, classes))
         assert cycle_spectrum(complete_multipartite(parts)) == cycle_spectrum_multipartite(parts)
         assert bool(calls) == quotient
+
+    def test_routing_by_orbit_states(self, monkeypatch, dense_calls):
+        # twin-rich graphs whose peers cut the quotient's states take it,
+        # where their vectors of used vertices would pick the dense form;
+        # twin-poor graphs, such as the oracle workload's G(13, 44) and
+        # G(14, 48), have no two classes of one size >= 2, so their states
+        # are the product as before, never computed by _quotient_states
+        calls = []
+        states = counting._quotient_states
+        monkeypatch.setattr(counting, "_quotient_states", lambda g, classes: calls.append(g) or states(g, classes))
+        for parts in ((2,) * 7, (1, 2, 2, 2, 2, 2, 2)):
+            g = complete_multipartite(parts)
+            classes = twin_classes(g)
+            assert 8 * prod(len(cls) + 1 for cls in classes) * len(classes) >= 1 << g.n
+            del calls[:], dense_calls[:]
+            assert cycle_spectrum(g) == cycle_spectrum_multipartite(parts)
+            assert calls == [g] and dense_calls == [], parts
+        rng = random.Random(211)
+        for n, m in ((13, 44), (14, 48)):
+            for _ in range(3):
+                g = make_graph(n, rng.sample(list(combinations(range(n), 2)), m))
+                del calls[:], dense_calls[:]
+                assert cycle_spectrum(g) == dict_spectrum(g)
+                assert calls == [] and dense_calls == [(n, False)], (n, m)
+        # one class of each size >= 2: no peers, so no states to count
+        g = complete_multipartite((5, 3, 2, 1))
+        del calls[:], dense_calls[:]
+        assert cycle_spectrum(g) == cycle_spectrum_multipartite((5, 3, 2, 1))
+        assert calls == []
 
     def test_remainder_raises(self):
         assert counting._divide_rootings({(3, 1): 4, (4, 2): 8, (4, 1): 2}) == {3: 2, 4: 3}

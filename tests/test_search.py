@@ -317,6 +317,12 @@ class TestVerifySuites:
                     expected = reference_turan_dominance(n, k, samples, seed)
                     assert verify_turan_dominance(n, k, samples, seed) == expected, (n, k, samples)
 
+    def test_turan_dominance_matches_reference_past_eleven(self):
+        # the batched dense passes of 12 to 14 vertices, a graph or two per pass
+        for n in range(12, 15):
+            for k in range(2, 4):
+                assert verify_turan_dominance(n, k, 20, 5) == reference_turan_dominance(n, k, 20, 5), (n, k)
+
     def test_turan_dominance_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="sample_subgraphs"):
             verify_turan_dominance(5, 2, sample_subgraphs=-3)
