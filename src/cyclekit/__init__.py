@@ -3,7 +3,6 @@ with desk-scale verification suites for the counting inequalities around
 Turán graphs."""
 
 from .graphs import (
-    ClassVector,
     Graph,
     chromatic_number,
     complete_multipartite,
@@ -27,7 +26,6 @@ from .morphisms import canonical_label, contains_subgraph, is_isomorphic
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassVector",
     "Graph",
     "bipartite_cycle_counts",
     "canonical_label",

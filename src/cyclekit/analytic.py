@@ -83,7 +83,7 @@ pass together for about 7,400).  ``prob_Q_given_P`` is memoized per
 composition, in lowest terms as two ints, in a cache of the same size; a
 composition is validated on its first call, and ``verify major`` compares
 these pairs by cross-multiplication.  The work is polynomial in n, so the
-only size cap is the 64 vertices of a ``ClassVector``.
+only size cap is the 64 vertices that ``graphs.class_sizes`` allows.
 
 Class indices are 1-based throughout this module, matching the alphabet.
 """
@@ -97,7 +97,7 @@ from math import comb, factorial, gcd, perm, prod
 from operator import mul
 from typing import Sequence
 
-from .graphs import ClassVector, as_class_vector
+from .graphs import class_sizes
 
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -107,7 +107,7 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-# class sizes are at most the 64 vertices of a ClassVector, so the unbounded
+# ``class_sizes`` caps every class at 64 vertices, so the unbounded
 # caches below hold at most 65 entries each
 @lru_cache(maxsize=None)
 def _block_poly(c: int) -> tuple[int, ...]:
@@ -235,52 +235,48 @@ def _rooted_word_count(parts: Sequence[int], i: int, j: int) -> int:
     return _word_count(tuple(rest), tuple(sorted((ci - 1, cj - 1))))
 
 
-def code_cycle_count(
-    parts: ClassVector | Sequence[int], rooted: tuple[int, int] | None = None
-) -> int:
+def code_cycle_count(parts: Sequence[int], rooted: tuple[int, int] | None = None) -> int:
     """Exact number of cyclically adjacent-distinct words with letter content
     ``parts``; with ``rooted=(i, j)`` (1-based, i != j), only the words whose
     first letter is i and second letter is j."""
-    cv = as_class_vector(parts)
+    sizes = class_sizes(parts)
     if rooted is None:
-        return _cyclic_word_count(cv.parts)
-    return _rooted_word_count(cv.parts, *rooted)
+        return _cyclic_word_count(sizes)
+    return _rooted_word_count(sizes, *rooted)
 
 
 @lru_cache(maxsize=8192)
-def reduced_prob_Q_given_P(parts: ClassVector | tuple[int, ...]) -> tuple[int, int]:
+def reduced_prob_Q_given_P(parts: tuple[int, ...]) -> tuple[int, int]:
     """:func:`prob_Q_given_P` in lowest terms, as (numerator, denominator),
-    memoized on ``parts``, a class vector or a tuple of class sizes, which
-    is validated on a miss."""
-    cv = as_class_vector(parts)
-    arrangements = factorial(cv.n)
-    for ci in cv.parts:
+    memoized on ``parts``, a tuple of class sizes, which is validated on a
+    miss."""
+    sizes = class_sizes(parts)
+    arrangements = factorial(sum(sizes))
+    for ci in sizes:
         arrangements //= factorial(ci)
-    words = _cyclic_word_count(cv.parts)
+    words = _cyclic_word_count(sizes)
     common = gcd(words, arrangements)
     return words // common, arrangements // common
 
 
-def prob_Q_given_P(c: ClassVector | Sequence[int]) -> Fraction:
+def prob_Q_given_P(c: Sequence[int]) -> Fraction:
     """P[cyclically adjacent-distinct | letter content = c] for uniform words."""
-    return Fraction(*reduced_prob_Q_given_P(as_class_vector(c).parts))
+    return Fraction(*reduced_prob_Q_given_P(class_sizes(c)))
 
 
-def hamilton_multipartite(c: ClassVector | Sequence[int]) -> int:
+def hamilton_multipartite(c: Sequence[int]) -> int:
     """Number of Hamilton cycles of the complete multipartite graph on classes c."""
-    cv = as_class_vector(c)
-    n = cv.n
+    sizes = class_sizes(c)
+    n = sum(sizes)
     if n < 3:
         raise ValueError("Hamilton cycles need at least 3 vertices")
-    numerator = _cyclic_word_count(cv.parts)
-    for ci in cv.parts:
+    numerator = _cyclic_word_count(sizes)
+    for ci in sizes:
         numerator *= factorial(ci)
-    return _exact_div(numerator, 2 * n, f"word count times class orderings for c={cv.parts}")
+    return _exact_div(numerator, 2 * n, f"word count times class orderings for c={sizes}")
 
 
-def rooted_hamilton_permutations_general(
-    c: ClassVector | Sequence[int], i: int, j: int
-) -> int:
+def rooted_hamilton_permutations_general(c: Sequence[int], i: int, j: int) -> int:
     """Orderings v_1..v_n forming a Hamilton cycle with v_1 a fixed vertex of
     class i and v_2 in class j (1-based, i != j).
 
@@ -288,10 +284,10 @@ def rooted_hamilton_permutations_general(
     are both counted when their second vertex lies in class j, so summing over
     j gives twice the rooted cycle count.
     """
-    cv = as_class_vector(c)
-    count = _rooted_word_count(cv.parts, i, j)
+    sizes = class_sizes(c)
+    count = _rooted_word_count(sizes, i, j)
     # (c_i - 1)! orders the rest of class i, c! every other class
-    return prod(map(factorial, cv.parts)) // cv.parts[i - 1] * count
+    return prod(map(factorial, sizes)) // sizes[i - 1] * count
 
 
 @lru_cache(maxsize=None)
@@ -301,15 +297,15 @@ def _spectrum_blocks(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(size, a) * x for x in _block_poly(a)) for a in range(size + 1))
 
 
-def cycle_spectrum_multipartite(c: ClassVector | Sequence[int]) -> dict[int, int]:
+def cycle_spectrum_multipartite(c: Sequence[int]) -> dict[int, int]:
     """Per-length cycle counts of the complete multipartite graph on classes c.
 
     ``rows[r]`` is the u^r coefficient of prod_i sum_a C(c_i, a) a! E_a(t) u^a,
     a block polynomial in t packed into one integer; its cyclic closure, less
     the one-class terms, is 2r times the number of r-cycles.
     """
-    cv = as_class_vector(c)
-    classes = [_spectrum_blocks(size) for size in cv.parts]
+    sizes = class_sizes(c)
+    classes = [_spectrum_blocks(size) for size in sizes]
     width = _slot_width(prod(sum(map(sum, blocks)) for blocks in classes))
     rows = [1]
     for blocks in classes:
@@ -320,11 +316,11 @@ def cycle_spectrum_multipartite(c: ClassVector | Sequence[int]) -> dict[int, int
                 grown[r + a] += row * block
         rows = grown
     spectrum: dict[int, int] = {}
-    for r in range(3, cv.n + 1):
+    for r in range(3, sum(sizes) + 1):
         # a one-class sub-content of r vertices closes to (-1)^(r+1) words
-        one_class = sum(comb(size, r) for size in cv.parts) * factorial(r)
+        one_class = sum(comb(size, r) for size in sizes) * factorial(r)
         closed = _cyclic_sum(_unpack(rows[r], width, r + 1), r) - (-1) ** (r + 1) * one_class
-        count = _exact_div(closed, 2 * r, f"length-{r} closure for c={cv.parts}")
+        count = _exact_div(closed, 2 * r, f"length-{r} closure for c={sizes}")
         if count:
             spectrum[r] = count
     return spectrum

@@ -117,19 +117,15 @@ for n = 20 and 21, and 36, 38.5 and 40 for n = 22, 23 and 24.  So:
 The kernel is the dense form up to ``_DENSE_MAX_N`` vertices and the
 sparse kernel above.  The dense form does the same work at every edge
 count, about 2^n n^2 multiply-adds, where the sparse kernel's work follows
-the reachable sets.  Timed the same way (``BENCH_dense_layers.json``), the
-dense form took 0.09 to 0.31 ms for cycles at n = 8 to 12 over the
-kernel's whole range of edge counts, against 0.6 to 2.0 ms on the sparse
-kernel.  Its two reused buffers and its sums on the BLAS then cut a cycle
-pass by 14 to 32% and a path pass by 19 to 59% at n = 8 to 14
-(``BENCH_dense_buffers.json``).  So reworked, it is ahead of the sparse
-kernel on every graph timed at n = 13 and 14, from the rule's lowest edge
-counts up: 0.33 ms for cycles at n = 13 against 1.0 to 2.2 ms, and 0.7 ms
-at n = 14 against 1.0 ms at 29 edges and 4.1 ms at 56.  Before the rework
-the sparse kernel was ahead at n = 15 up to about 40 edges and at n = 16
-up to about 48, so the cap is 14.  The dense form overtook the dict DP
-well below the rule even before the rework, at about 16 to 20 edges for
-n = 8 to 12, but the rule stays as the sparse kernel's timings set it.
+the reachable sets.  Timed the same way (``BENCH_dense_layers.json``,
+``BENCH_dense_buffers.json``), it is ahead of the sparse kernel on every
+graph timed at n = 8 to 14, over the kernel's whole range of edge counts:
+0.33 ms for cycles at n = 13 against 1.0 to 2.2 ms, and 0.7 ms at n = 14
+against 1.0 ms at 29 edges and 4.1 ms at 56.  The sparse kernel was ahead
+at n = 15 up to about 40 edges and at n = 16 up to about 48
+(``BENCH_dense_layers.json``), so the cap is 14.  The dense form overtakes
+the dict DP below the rule, at about 16 to 20 edges for n = 8 to 12, but
+the rule stays as the sparse kernel's timings set it.
 
 The dict DP's once-counting pays on sparse graphs, where dropping a path
 once it can no longer close cuts most states, and loses on dense ones,
@@ -188,12 +184,11 @@ halves, split exactly in float64 and summed in int64, joined as Python ints.
 All reported counts are Python ints; ``VERTEX_CAP`` and
 ``QUOTIENT_STATE_CAP`` bound runtime and memory, not exactness.
 
-Near ``VERTEX_CAP`` the kernel is the only practical vertex form.  On the
-same VM a dense twin-free G(22, 0.75) takes 3.8 to 5.1 s and about 390 MB
-peak RSS, where the dict DP, when it still counted every cycle twice, took
-171 to 201 s and 1.3 GB on the anchor with 21 vertices above it
-(``BENCH_exact_kernel.json``); K_24 over single vertices takes 20 to 23 s
-and 1.1 GB (``BENCH_float_product.json``).
+Near ``VERTEX_CAP`` the kernel is the only practical vertex form, as the
+dict DP keeps each of its (set, end) states in a Python dict.  On the same
+VM a dense twin-free G(22, 0.75) takes 3.8 to 5.1 s and about 390 MB peak
+RSS on the kernel (``BENCH_exact_kernel.json``), and K_24 over single
+vertices 20 to 23 s and 1.1 GB (``BENCH_float_product.json``).
 
 The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
 anchored dict DP over twin classes instead of vertices (twins have equal
@@ -218,15 +213,12 @@ nonincreasing in class order, and a step into class w goes to the lowest
 peer of w with the same used count, at the same weight |w| - used_w; that
 peer is then the highest with its new count, so each orbit has one
 representative.  The rooted (length, j) sums, their exact division by 2j
-and the Python-int counts are as before.  A class with no peer above a
+and the Python-int counts are those above.  A class with no peer above a
 steps without any scan for peers, and the groups scan the frontier apart
-from it, so an anchor with no group above it runs as before.  The paper's
-extremal graphs T_k(n) have k classes.  Timed on a 2-core x86 VM
+from it, so an anchor with no group above it pays nothing for them.  The
+paper's extremal graphs T_k(n) have k classes.  Timed on a 2-core x86 VM
 (``BENCH_quotient_orbits.json``), T_3(24) costs 0.42 ms and T_8(24)
-5.6 ms, against 0.59 ms and 0.34 s with one state per vector of used
-vertices, where the vertex forms walk 2^23 vertex sets from one anchor.
-Graphs with no peers, such as the complete multipartite graph on (6, 5, 4),
-cost what they did.
+5.6 ms, where the vertex forms walk 2^23 vertex sets from one anchor.
 
 ``cycle_spectrum`` routes by n before ``_kernel_pays`` does.  Graphs on ten
 or fewer vertices take the vertex forms.  From 11 to ``_DENSE_MAX_N``
@@ -236,27 +228,23 @@ vertex forms otherwise.  S is the quotient's bound on its states from one
 anchor class, ``_quotient_states`` below.  Only classes of one size >= 2
 can be peers, as two singleton peers would be twins, so S is computed only
 when two twin classes share such a size; otherwise it is prod(|w| + 1), and
-twin-poor graphs such as G(13, 44) pay nothing for it.  The factor was 3
-with S = prod(|w| + 1), set on 168 seeded random blow-ups before the orbit
-states, and before the dense form kept its buffers and views per thread
-(``BENCH_dense_layers.json``).
-Timed again on 344 seeded graphs with 11 to 14 vertices and some twins
-(168 random blow-ups, 96 blow-ups with interchangeable classes and 80
-complete multipartite graphs; ``BENCH_batched_subgraphs.json``), the picks
-of 8 t S take 63.5 ms in total, against 65.8 ms for the old rule, 67.3 ms
-for 3 t S and 55.4 ms for the faster form of each graph; every factor from
-6 to 10 gives 63.5 to 64.5 ms.  The new rule is ahead or level on each
-kind of graph and each n but 13, where it trails by 0.3%.  T_7(14) now
+twin-poor graphs such as G(13, 44) pay nothing for it.  Timed on 344
+seeded graphs with 11 to 14 vertices and some twins (168 random blow-ups,
+96 blow-ups with interchangeable classes and 80 complete multipartite
+graphs; ``BENCH_batched_subgraphs.json``), the picks of 8 t S take 63.5 ms
+in total, against 67.3 ms for 3 t S and 55.4 ms for the faster form of
+each graph; every factor from 6 to 10 gives 63.5 to 64.5 ms.  T_7(14)
 takes the quotient, 0.43 ms against 0.50 ms on the dense form, but
 (2, 2, 2, 2, 2, 2, 1) takes it too, 0.53 ms against 0.26 ms: the
 quotient's cost per state grows with the classes and with their order.
 From ``_DENSE_MAX_N`` + 1 to ``VERTEX_CAP`` vertices a graph takes the
-quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11 twin classes.  Against the two-pass sparse kernel that crossover depends on
-n: timed on the same VM on seeded random blow-ups (6 per cell, quotient
-over vertex forms, median), the ratio is 0.59 at 8 classes and 1.32 at 9
-for n = 15, and 0.97 at 10 and 1.43 at 11 for n = 17.  That rule was
-calibrated with one state per vector of used vertices, before the orbit
-states made the quotient cheaper wherever classes have peers.
+quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11 twin classes.
+Against the two-pass sparse kernel that crossover depends on n: timed on
+the same VM on seeded random blow-ups (6 per cell, quotient over vertex
+forms, median), the ratio is 0.59 at 8 classes and 1.32 at 9 for n = 15,
+and 0.97 at 10 and 1.43 at 11 for n = 17.  Those blow-ups were timed with
+one state per vector of used vertices, without the orbit states, which
+make the quotient cheaper wherever classes have peers.
 
 Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
 frontier from anchor class a holds at most |a| + 1 times, over each group
@@ -264,14 +252,13 @@ of m peers of size s above a, C(m + s, m) vectors of used vertices, a class
 with no peer being a group of one (``_quotient_states``).  With no peers
 that is prod(|w| + 1) over the twin classes w.  A graph whose largest such
 bound over its anchor classes exceeds ``QUOTIENT_STATE_CAP`` = 2^21 raises
-``ValueError`` before any counting.  A state costs about what it did with
-one state per vector, when T_9(36)'s 5^9 = 1,953,125 vectors took about
-20 s and 190 MB, so the cap still admits about the work that K_24 costs
-the kernel (20 s, 1.1 GB).  On the same VM T_9(36), bounded at 2,475
-states, takes 0.023 s against 13.4 s with one state per vector, and
-T_6(48) 0.048 s against 1.9 s.  T_10(40) and T_8(64), whose 5^10 and 9^8
-vectors were refused, take 0.044 and 0.50 s, bounded at 3,575 and 57,915
-states, and T_3(45), T_4(40) and T_5(30) less one edge 0.015 to 0.06 s.
+``ValueError`` before any counting.  The cap admits about the work that
+K_24 costs the kernel (20 s, 1.1 GB): 5^9 = 1,953,125 states, one per
+vector of used vertices of T_9(36), took about 20 s and 190 MB.  On the
+same VM T_9(36), bounded at 2,475 states, takes 0.023 s and T_6(48)
+0.048 s; T_10(40) and T_8(64), bounded at 3,575 and 57,915 states, take
+0.044 and 0.50 s, and T_3(45), T_4(40) and T_5(30) less one edge 0.015 to
+0.06 s.
 Up to ``VERTEX_CAP`` no state cap is needed: a graph with at most 24
 vertices and at most ten classes has a product of at most
 4^4 3^6 = 186,624.  A twin-poor graph above 24 vertices, such as G(25, m),
@@ -283,6 +270,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -837,8 +825,10 @@ def subgraph_cycle_totals(host: Graph, drops: Sequence[int]) -> list[int]:
     mask.  Up to ``_DENSE_MAX_N`` vertices the subgraphs are counted in
     batches through the dense form, each batch in one pass over its plan;
     above that each is counted by ``count_cycles``, under its caps.  A mask
-    outside [0, 2^E), E the edges of ``host``, raises ``ValueError``."""
+    outside [0, 2^E), E the edges of ``host``, raises ``ValueError``, and one
+    that is not an integer ``TypeError``."""
     edges = list(host.edges())
+    drops = [index(mask) for mask in drops]
     for mask in drops:
         if not 0 <= mask < 1 << len(edges):
             raise ValueError(f"edge mask {mask} outside 0 .. 2^{len(edges)} - 1, "

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -155,33 +156,19 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return list(classes.values())
 
 
-@dataclass(frozen=True)
-class ClassVector:
-    """A composition ``(c_1, ..., c_k)`` of positive class sizes, sum <= 64."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 1:
-            raise ValueError("at least one class required")
-        if min(self.parts) < 1:
-            raise ValueError("class sizes must be positive")
-        if sum(self.parts) > MAX_VERTICES:
-            raise ValueError(f"total size exceeds {MAX_VERTICES}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-
-def as_class_vector(c: "ClassVector | Sequence[int]") -> ClassVector:
-    if isinstance(c, ClassVector):
-        return c
-    return ClassVector(tuple(map(int, c)))
+def class_sizes(c: Iterable[int]) -> tuple[int, ...]:
+    """The class sizes ``c`` of a complete multipartite graph as a tuple of
+    ints.  Raises ``ValueError`` unless there is at least one class, every
+    size is positive and they total at most ``MAX_VERTICES``, and
+    ``TypeError`` on a size that is not an integer, such as 2.5."""
+    sizes = tuple(map(index, c))
+    if not sizes:
+        raise ValueError("at least one class required")
+    if min(sizes) < 1:
+        raise ValueError("class sizes must be positive")
+    if sum(sizes) > MAX_VERTICES:
+        raise ValueError(f"total size exceeds {MAX_VERTICES}")
+    return sizes
 
 
 def turan_class_sizes(n: int, k: int) -> tuple[int, ...]:
@@ -192,14 +179,14 @@ def turan_class_sizes(n: int, k: int) -> tuple[int, ...]:
     return tuple([q + 1] * r + [q] * (k - r))
 
 
-def complete_multipartite(c: ClassVector | Sequence[int]) -> Graph:
+def complete_multipartite(c: Sequence[int]) -> Graph:
     """Complete multipartite graph: classes of sizes ``c``, edges across classes."""
-    cv = as_class_vector(c)
-    n = cv.n
+    sizes = class_sizes(c)
+    n = sum(sizes)
     cls_of = []
-    for i, size in enumerate(cv.parts):
+    for i, size in enumerate(sizes):
         cls_of.extend([i] * size)
-    class_mask = [0] * cv.k
+    class_mask = [0] * len(sizes)
     for v, i in enumerate(cls_of):
         class_mask[i] |= 1 << v
     full = (1 << n) - 1

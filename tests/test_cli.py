@@ -731,6 +731,19 @@ def test_bad_class_sizes_name_the_flag(capsys, argv, value):
     assert err.startswith(f"error: {argv[-1]} needs ") and repr(value) in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("count", "--parts", "2,0"), "class sizes must be positive", id="count-zero"),
+    pytest.param(("analytic", "--parts", "3,-1"), "class sizes must be positive", id="analytic-negative"),
+    pytest.param(("count", "--parts", "33,32"), "total size exceeds 64", id="count-65"),
+    pytest.param(("analytic", "--parts", "33,32"), "total size exceeds 64", id="analytic-65"),
+])
+def test_invalid_class_sizes_exit_2(capsys, argv, message):
+    # integers that parse, but are no class sizes
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def run_fresh(*argv):
     """main() in a new interpreter: (exit code, stdout, stderr)."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

@@ -699,6 +699,19 @@ class TestSubgraphTotals:
         assert counting.subgraph_cycle_totals(make_graph(3, []), [0]) == [0]
         assert counting.subgraph_cycle_totals(K4, []) == []
 
+    def test_numpy_masks_and_float_masks(self):
+        # numpy integer masks count as ints do, on both sides of the dense
+        # cap; a float mask is not an edge set
+        rng = random.Random(233)
+        for host in (K5, complete_multipartite((8, 7))):
+            masks = self.masks(rng, host, 4)
+            want = counting.subgraph_cycle_totals(host, masks)
+            assert counting.subgraph_cycle_totals(host, np.array(masks, dtype=np.int64)) == want
+            assert counting.subgraph_cycle_totals(host, [np.uint64(m) for m in masks]) == want
+            for bad in (1.0, 2.5, np.float64(3)):
+                with pytest.raises(TypeError):
+                    counting.subgraph_cycle_totals(host, [0, bad])
+
     def test_odd_count_raises(self, monkeypatch):
         monkeypatch.setattr(counting, "_dense_layers", odd_dense_closings)
         with pytest.raises(ArithmeticError):

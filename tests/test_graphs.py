@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from cyclekit import analytic
 from cyclekit.graphs import (
-    ClassVector,
     Graph,
     chromatic_number,
+    class_sizes,
     complete_multipartite,
     has_critical_edge,
     make_graph,
@@ -126,13 +128,47 @@ class TestCompleteMultipartite:
         assert sorted(g.degree(v) for v in range(g.n)) == [2, 2, 3, 3]
         assert not is_isomorphic(g, k4)
 
-    def test_class_vector_validation(self):
+    def test_class_sizes_validation(self):
+        assert class_sizes([3, 1, 2]) == (3, 1, 2)
+        assert class_sizes((64,)) == (64,)
+        for bad in ((), (2, 0), (3, -1), (65,), (32, 33)):
+            with pytest.raises(ValueError):
+                class_sizes(bad)
+        for bad in ((2.5, 3), (2.0, 3), (np.float64(2), 3), ("2", 3)):
+            with pytest.raises(TypeError):
+                class_sizes(bad)
+
+
+# every public function that takes class sizes, with its other arguments
+CLASS_SIZE_ENTRY_POINTS = {
+    "complete_multipartite": complete_multipartite,
+    "code_cycle_count": analytic.code_cycle_count,
+    "code_cycle_count_rooted": lambda c: analytic.code_cycle_count(c, rooted=(1, 2)),
+    "reduced_prob_Q_given_P": analytic.reduced_prob_Q_given_P,
+    "prob_Q_given_P": analytic.prob_Q_given_P,
+    "hamilton_multipartite": analytic.hamilton_multipartite,
+    "rooted_hamilton_permutations_general": lambda c: analytic.rooted_hamilton_permutations_general(c, 1, 2),
+    "cycle_spectrum_multipartite": analytic.cycle_spectrum_multipartite,
+}
+
+
+@pytest.mark.parametrize("name", CLASS_SIZE_ENTRY_POINTS)
+def test_class_sizes_at_every_entry_point(name):
+    """Sizes that are not integers raise instead of being truncated, and a
+    list, a tuple and numpy integers give the same result.  The memoized
+    ``reduced_prob_Q_given_P`` takes hashable tuples only."""
+    f = CLASS_SIZE_ENTRY_POINTS[name]
+    with pytest.raises(TypeError):
+        f((2.5, 3))
+    want = f((3, 2, 4))
+    assert f(tuple(np.array([3, 2, 4], dtype=np.int64))) == want
+    assert f((np.int32(3), np.uint8(2), 4)) == want
+    if name != "reduced_prob_Q_given_P":
+        assert f([3, 2, 4]) == want
+        assert f(np.array([3, 2, 4])) == want
+    for bad in ((), (2, 0), (65,)):
         with pytest.raises(ValueError):
-            ClassVector(())
-        with pytest.raises(ValueError):
-            ClassVector((2, 0))
-        with pytest.raises(ValueError):
-            ClassVector((65,))
+            f(bad)
 
 
 class TestChromatic:
