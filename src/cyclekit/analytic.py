@@ -80,10 +80,12 @@ letters after the drop) in one bounded cache, sized so that no suite run
 evicts (``verify major --n-max 30 --k-max 5`` asks for 5,324 distinct
 contents, and every suite and ``analytic`` job of one benchmark ``sweep``
 pass together for about 7,400).  ``prob_Q_given_P`` is memoized per
-composition, in lowest terms as two ints, in a cache of the same size; a
-composition is validated on its first call, and ``verify major`` compares
-these pairs by cross-multiplication.  The work is polynomial in n, so the
-only size cap is the 64 vertices that ``graphs.class_sizes`` allows.
+composition, in lowest terms as two ints, in a cache of the same size,
+``_reduced_prob``.  The public entry points check the sizes before the
+memo; ``verify major`` reads it directly with the compositions it
+generates, and compares the pairs by cross-multiplication.  The work is
+polynomial in n, so the only size cap is the 64 vertices that
+``graphs.class_sizes`` allows.
 
 Class indices are 1-based throughout this module, matching the alphabet.
 """
@@ -246,11 +248,9 @@ def code_cycle_count(parts: Sequence[int], rooted: tuple[int, int] | None = None
 
 
 @lru_cache(maxsize=8192)
-def reduced_prob_Q_given_P(parts: tuple[int, ...]) -> tuple[int, int]:
-    """:func:`prob_Q_given_P` in lowest terms, as (numerator, denominator),
-    memoized on ``parts``, a tuple of class sizes, which is validated on a
-    miss."""
-    sizes = class_sizes(parts)
+def _reduced_prob(sizes: tuple[int, ...]) -> tuple[int, int]:
+    """:func:`reduced_prob_Q_given_P` of class sizes already checked by
+    ``graphs.class_sizes``, memoized on them."""
     arrangements = factorial(sum(sizes))
     for ci in sizes:
         arrangements //= factorial(ci)
@@ -259,9 +259,16 @@ def reduced_prob_Q_given_P(parts: tuple[int, ...]) -> tuple[int, int]:
     return words // common, arrangements // common
 
 
+def reduced_prob_Q_given_P(c: Sequence[int]) -> tuple[int, int]:
+    """:func:`prob_Q_given_P` in lowest terms, as (numerator, denominator).
+    The sizes are checked before the memo, so a size that is not an
+    integer raises ``TypeError`` even when an equal key is cached."""
+    return _reduced_prob(class_sizes(c))
+
+
 def prob_Q_given_P(c: Sequence[int]) -> Fraction:
     """P[cyclically adjacent-distinct | letter content = c] for uniform words."""
-    return Fraction(*reduced_prob_Q_given_P(class_sizes(c)))
+    return Fraction(*reduced_prob_Q_given_P(c))
 
 
 def hamilton_multipartite(c: Sequence[int]) -> int:

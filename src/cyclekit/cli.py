@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import analytic, bounds, randcodes, search
-from .counting import cycle_spectrum
+from .counting import VERTEX_CAP, cycle_spectrum
 from .graphs import MAX_VERTICES, Graph, complete_multipartite, turan_graph
 from .graph_io import (
     GraphFormatError,
@@ -49,12 +49,12 @@ class Suite:
     """One ``verify`` suite.  ``reports(args, k_values)`` yields its
     reports over the parsed ranges; ``k_min`` is the least k it accepts (and
     where the default k range starts), or None when it reads no k, ``flags``
-    the keys of ``SUITE_FLAGS`` it reads, ``n_cap`` the largest ``--n-max``
-    (by default the vertex limit of the class vectors the suites build, so
-    that a run past it fails before printing anything), and a failed check
-    of an ``asserted`` suite exits 1.  The suite's parser takes
-    ``--format``, ``--n-max``, ``--k`` and ``--k-max`` when it has a
-    ``k_min``, and ``flags``.  A sweep's table form prints the
+    the keys of ``SUITE_FLAGS`` it reads, ``n_cap(args)`` the largest
+    ``--n-max``, or None for no cap (by default the most vertices class
+    sizes may total), checked so that a run past it fails before printing
+    anything, and a failed check of an ``asserted`` suite exits 1.  The
+    suite's parser takes ``--format``, ``--n-max``, ``--k`` and ``--k-max``
+    when it has a ``k_min``, and ``flags``.  A sweep's table form prints the
     ``violation`` line of each failed case, then ``summary`` with the
     failure total.  The rows call the suite functions through their
     modules, so a patched module attribute takes effect."""
@@ -63,7 +63,7 @@ class Suite:
     asserted: bool
     reports: Callable[[argparse.Namespace, Sequence[int]], Iterator]
     flags: tuple[str, ...] = ()
-    n_cap: int | None = MAX_VERTICES
+    n_cap: Callable[[argparse.Namespace], int | None] = lambda a: MAX_VERTICES
     violation: str | None = None
     summary: str | None = None
 
@@ -71,7 +71,8 @@ class Suite:
 SUITES: dict[str, Suite] = {
     "turanbest": Suite(2, True, lambda a, ks: (
         search.verify_turan_dominance(n, k, a.samples, a.seed) for k in ks for n in range(max(3, k), a.n_max + 1)),
-        flags=("samples", "seed")),
+        # a sampled subgraph past VERTEX_CAP has too few twins to be counted
+        flags=("samples", "seed"), n_cap=lambda a: VERTEX_CAP if a.samples > 0 else MAX_VERTICES),
     "major": Suite(2, True, lambda a, ks: (
         search.verify_balanced_code_probability(n, k) for k in ks for n in range(2, a.n_max + 1))),
     "stepcount": Suite(3, True, lambda a, ks: (
@@ -88,7 +89,7 @@ SUITES: dict[str, Suite] = {
         bounds.check_total_to_hamilton(n, k) for k in ks for n in range(3, a.n_max + 1))),
     "second2count": Suite(None, True, lambda a, ks: (
         bounds.check_bipartite_decay(n, i) for n in range(4, a.n_max + 1) for i in range(min(a.i_max, n - 4) + 1)),
-        flags=("i_max",), n_cap=None),  # a closed form, built from no class vector
+        flags=("i_max",), n_cap=lambda a: None),  # a closed form, built from no class sizes
     # k = 2 is the bipartite ratio, reported before every k >= 3
     "kkmain": Suite(3, False, lambda a, ks: (
         bounds.report_asymptotic_ratio(n, k) for k in (2, *ks) for n in range(4, a.n_max + 1))),
@@ -96,7 +97,7 @@ SUITES: dict[str, Suite] = {
         None, True,
         lambda a, ks: (bounds.verify_path_bound(n, a.n0) for n in range(a.n0 + 1, a.n_max + 1)),
         flags=("n0",),
-        n_cap=bounds.PATH_BOUND_CAP,
+        n_cap=lambda a: bounds.PATH_BOUND_CAP,
         violation="ref3count n={n} m={m}: VIOLATED",
         summary="ref3count: structured <= exhaustive sweep done, {failures} failures",
     ),
@@ -234,8 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.k is not None and args.k < suite.k_min:
             raise ValueError(f"verify {name} needs --k >= {suite.k_min}, got {args.k}")
         k_values = [args.k] if args.k is not None else range(suite.k_min, args.k_max + 1)
-    if suite.n_cap is not None and args.n_max > suite.n_cap:
-        raise ValueError(f"verify {name} is capped at --n-max {suite.n_cap}, got {args.n_max}")
+    n_cap = suite.n_cap(args)
+    if n_cap is not None and args.n_max > n_cap:
+        raise ValueError(f"verify {name} is capped at --n-max {n_cap}, got {args.n_max}")
     reports = suite.reports(args, k_values)
     first = next(reports, None)
     if first is None:

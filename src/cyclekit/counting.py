@@ -4,151 +4,55 @@ Cycles are counted up to rotation and reflection.  Each cycle is charged to
 its lowest-indexed vertex s, its anchor, and counted from the simple paths
 that start at s and visit only vertices above s; a path closes to a cycle
 through the edge from its end back to s.  Path counts from x swap x with
-vertex 0 and count the paths from 0.
+vertex 0 and count the paths from 0.  Each form returns only what its caller
+reads: per-length cycle counts, or path ends per vertex.  The forms over
+single vertices count graphs with at most ``VERTEX_CAP`` = 24 vertices, the
+kernel's limit: its slot table has 2^n entries, 128 MB at 24.
 
-Over single vertices there are three forms, and each returns only what
-its caller reads: per-length cycle counts for the cycle spectrum, per-vertex
-path ends for ``count_paths_from``.
+- The dict DP (``_dict_cycles``, ``_dict_ends``) keeps a frontier of Python
+  ints per (vertex set, end).  Its cost follows the reachable states, with
+  no fixed cost per layer, and it counts each cycle once.
+- ``_path_layers``, the sparse numpy kernel, holds layer p, the paths
+  through p vertices, as their vertex sets and a matrix of counts per (set,
+  end); one matrix product with the adjacency extends every path by one
+  vertex.  For cycles the product's entry in the anchor's column is the
+  closing count, read before the set and the vertices below the anchor are
+  masked out.  Every cycle closes in both directions, so ``_vertex_cycles``
+  halves the counts and an odd count raises ``ArithmeticError``.  Cycles
+  take two passes, the lowest anchor alone and then every higher anchor
+  together, which halves the peak memory of one pass over all anchors.
+- ``_dense_layers``, the kernel's dense form up to ``_DENSE_MAX_N`` = 14
+  vertices, holds every vertex set of each size in a fixed order, so each
+  layer is one product, one gather by a precomputed plan (``_dense_plan``)
+  and one closing sum, with every anchor in one pass.  The gathers run in
+  numpy's "clip" mode, since under "raise" numpy copies each gather through
+  a buffer of its own, and ``_check_plan`` raises ``IndexError`` on any
+  index that clipping would hide.  Plan indices fit 2 bytes: the largest,
+  at n = 14, is 3432 * 14 = 48,048.  A stack of graphs with the same n
+  runs in one pass, each a row of every stacked product and gather, so
+  ``subgraph_cycle_totals`` counts the subgraphs that ``verify turanbest
+  --samples`` draws in batches.  A batch's two buffers take at most
+  ``_DENSE_CHUNK_BYTES`` = 256 KB, the largest budget that kept the
+  ``census`` peak RSS within 6% of counting each subgraph alone
+  (``BENCH_batched_subgraphs.json``).
 
-- The dict DP keeps a ``dict[(mask, v)] -> int`` frontier of Python ints.
-  Its cost follows the reachable states exactly and it has no per-layer
-  fixed cost.  ``_dict_cycles`` counts each cycle once: for anchor s it
-  runs one frontier per second vertex a, a neighbour of s above s.  That
-  frontier closes only at the neighbours of s above a, and it drops a path
-  once the path has visited all of them, so the highest neighbour of s
-  starts no run.  A cycle whose neighbours of s are a < b is counted by the
-  run from a alone.  ``_dict_ends`` is the one frontier from vertex 0 over
-  every vertex, and serves path counts only.
-- ``_path_layers`` is the sparse numpy kernel.  Layer p holds the paths through p
-  vertices as their vertex sets and a matrix of counts per (set, end
-  vertex); the anchor of a set is its lowest vertex.  One matrix product
-  with the adjacency extends every path by one vertex.  For cycles, the
-  product's entry in the anchor's column is the closing count, read before
-  the set and the vertices below the anchor (``set | (low - 1)``) are
-  masked out.  Every cycle closes in both of its directions, so the kernel
-  returns doubled counts, and ``_vertex_cycles`` halves them.  An odd count
-  raises ``ArithmeticError``.  For paths, the kernel sums each layer's rows
-  per end vertex and takes no closing sum.  Only reachable sets are stored,
-  so sparse graphs stay cheap.
-- ``_dense_layers`` is the kernel's dense form, for graphs with at most
-  ``_DENSE_MAX_N`` = 14 vertices.  Layer p is a float64 table of every
-  vertex set of size p by the n end vertices, with the sets in a fixed
-  order, so no set needs to be found.  For cycles every anchor runs in one
-  pass, and for paths the table holds only the sets that hold vertex 0.  A
-  plan, built once per (n, cycles or paths) and kept in a bounded
-  ``lru_cache``, holds for each (set T of layer p + 1, vertex u) the flat
-  position of (T - u, u) in layer p's product, or of a zero entry just past
-  the product when u is not in T or is T's anchor, and for each set its
-  closing entry (set, anchor).  A pass uses two buffers, each as wide as
-  the widest layer: the rows, and the product with one entry more, as the
-  entry just past each layer's product is set to 0 as its zero entry.  Both
-  are regions of one scratch buffer per thread, kept with the views of each
-  layer into it (``_dense_views``), so that a pass allocates nothing but its
-  counts and makes no view per layer.  Each layer is then one product into
-  the one buffer, one gather back into the other and, for cycles, one
-  gather-sum of the closings; for paths a row of ones times the layer sums
-  its path ends on the BLAS.  The sparse
-  kernel pays about 25 numpy calls per layer on its masks, bit rows and
-  dedup.  The gathers run in numpy's "clip" mode, since under the default
-  "raise" numpy copies every gather into ``out`` through a buffer of its
-  own.  So that clipping never hides a bad index, ``_dense_plan`` checks
-  once per plan that every gather index is at most its layer's zero entry
-  and every closing index lies inside its layer, and raises ``IndexError``
-  otherwise.  The plan's indices take 2 bytes each (the largest, at
-  n = 14, is 3432 * 14 = 48,048), and the plans for every n up to 14 take
-  1.4 MB; numpy gathers by them in "clip" mode about as fast as by intp
-  indices.
-
-The dense form counts a stack of graphs with the same n in one pass: it
-takes their 0/1 float64 adjacency matrices with shape (B, n, n), and every
-layer is one stacked ``matmul`` into (B, k, n) rows, one ``take`` along
-axis 1 of the (B, k n + 1) product, each graph's zero entry at the end of
-its own row, and for cycles one ``take`` along axis 1 summed per graph.
-The B graphs share the one plan, and the rows of different graphs never
-mix, so each graph is exact by the bound below and an odd count in any of
-them raises ``ArithmeticError``.  A single graph is a stack of one.
-``subgraph_cycle_totals`` counts many edge subsets of one host this way,
-which is what ``verify turanbest --samples`` asks for: it builds the stack
-from the edge masks with ``unpackbits`` and no ``Graph`` per subgraph.  Its
-chunks hold as many graphs as fit their two buffers, 8 (2 C(n, n/2) n + 1)
-bytes each, into ``_DENSE_CHUNK_BYTES`` = 256 KB: 29 graphs at n = 8, six
-at n = 10 and one from n = 12 to 14.  On the benchmark's ``census``
-workload (2-core x86 VM, ``BENCH_batched_subgraphs.json``) budgets of
-64 KB, 256 KB, 512 KB, 1 MB and no chunking gave a peak RSS of 36.5, 36.75,
-36.9, 37.5 and 38.4 MB, against 34.87 MB when every subgraph was counted
-alone, and a ``wall_s`` of 1.03, 0.78, 0.74, 0.74 and 0.74 s, against
-1.07 s.  At 64 KB a pass holds one graph of ten vertices, and a stack of
-one on the dense form costs about what the dict DP that sparse subgraphs
-take alone does.  256 KB is the largest budget that kept the peak within 6%
-of the per-graph count in paired runs: 512 KB read 36.99 MB there, 6.1%
-above it.
-
-``_kernel_pays`` picks the form from n, the edge count m and the number p
-of kernel passes the count takes, two for cycles and one for paths: the
-kernel when m >= max(22, n + 3 + 6p, 3n - 34 + 3p), the dict DP
-otherwise.  The dict DP's states are paths, so its work is bounded by a
-function of m alone, and at a fixed m it falls as n grows and the edges
-spread thinner.
-The kernel pays a fixed cost of about fifteen numpy calls per layer and
-pass, so its cost grows with n and p.  Timed per graph on a 2-core x86 VM
-(numpy 2.4 with one OpenBLAS thread, seeded G(n, m), medians of 3 to 6
-graphs; ``BENCH_cycle_routing.json``, ``BENCH_verify_suites.json``), the
-two kernel passes overtake the once-counting dict DP at about 22, 24.5, 25,
-26, 29, 31, 32, 37.5, 41 and 47 edges for n = 8, 10, 12, 14, 16, 19, 20,
-22, 23 and 24, and the one path pass overtakes the dict DP's path ends at
-about 21 to 23 edges for n = 8 to 14, 24.5 for n = 16, 27.5 for n = 19, 29
-for n = 20 and 21, and 36, 38.5 and 40 for n = 22, 23 and 24.  So:
-
-- the floor of 22 edges is one more than K_7 has, so every graph on seven
-  or fewer vertices takes the dict DP: at n = 7 the kernel takes 0.19 to
-  0.85 ms, the dict DP 0.01 to 0.24 ms;
-- n + 3 + 6p, that is n + 15 for cycles and n + 9 for paths, follows the
-  crossovers from 8 to 20 vertices within about 2 edges: sparse graphs take
-  the dict DP (G(11, 0.2) and G(12, 0.2) take 0.05 and 0.04 ms on it, and
-  0.92 and 0.54 ms on the kernel), and dense graphs from eight vertices up
-  the kernel (G(10, 0.8) takes 9.0 ms on the dict DP and 1.4 ms on the
-  kernel);
-- 3n - 34 + 3p takes over from 21 vertices for paths and 22 for cycles,
-  where the kernel's 2^n slot table dominates its cost: each vertex more
-  moves the crossover by about three edges, and a second pass by about
-  three more.  At n = 21 the path rule asks for 32 edges against a
-  crossover near 29.
-
-The kernel is the dense form up to ``_DENSE_MAX_N`` vertices and the
-sparse kernel above.  The dense form does the same work at every edge
-count, about 2^n n^2 multiply-adds, where the sparse kernel's work follows
-the reachable sets.  Timed the same way (``BENCH_dense_layers.json``,
-``BENCH_dense_buffers.json``), it is ahead of the sparse kernel on every
-graph timed at n = 8 to 14, over the kernel's whole range of edge counts:
-0.33 ms for cycles at n = 13 against 1.0 to 2.2 ms, and 0.7 ms at n = 14
-against 1.0 ms at 29 edges and 4.1 ms at 56.  The sparse kernel was ahead
-at n = 15 up to about 40 edges and at n = 16 up to about 48
-(``BENCH_dense_layers.json``), so the cap is 14.  The dense form overtakes
-the dict DP below the rule, at about 16 to 20 edges for n = 8 to 12, but
-the rule stays as the sparse kernel's timings set it.
-
-The dict DP's once-counting pays on sparse graphs, where dropping a path
-once it can no longer close cuts most states, and loses on dense ones,
-where every run from a second vertex walks nearly all the sets above s;
-the rule sends those to the kernel.
-
-``count_cycles`` on graphs with ten or fewer vertices sums the vertex
-counts directly instead of building the spectrum dict; the searches make
-thousands of such calls.
-
-The vertex forms count graphs with at most ``VERTEX_CAP`` = 24 vertices.
-That limit is the kernel's: its slot table has 2^n entries, 128 MB at
-n = 24.
-
-The kernel runs twice per graph: once for the lowest anchor alone, then
-once for all higher anchors together, so a graph pays the kernel's fixed
-cost per layer twice instead of once per anchor.  The lowest anchor has
-about as many reachable sets as all higher anchors together, and running
-the two apart halves the peak memory of one pass over all anchors.  Each
-layer's new sets are deduplicated by direct addressing (``_dedup``): every
-set is scattered into a 2^n slot table, one writer per set wins, and
-reading the table back gives each path its row.  That replaces a sort
-(``np.unique``); exact counts do not depend on the order of the rows.
+``_kernel_pays`` routes over single vertices: the kernel, in p passes (two
+for cycles, one for paths), when m >= max(22, n + 3 + 6p, 3n - 34 + 3p) for
+a graph with n vertices and m edges, and the dict DP otherwise.  The dict
+DP's work is bounded by a function of m, which falls as n grows and the
+edges spread thinner; the kernel pays a fixed cost per layer and pass.  The
+floor of 22 edges is one more than K_7 has, so every graph on seven or fewer
+vertices takes the dict DP; n + 3 + 6p follows the measured crossovers from
+8 to 20 vertices within about 2 edges; and 3n - 34 + 3p takes over from 21
+vertices for paths and 22 for cycles, where the slot table dominates the
+kernel's cost (``BENCH_cycle_routing.json``, ``BENCH_verify_suites.json``).
+The kernel is the dense form up to 14 vertices, where it was ahead of the
+sparse kernel on every graph timed, and the sparse kernel above, which was
+ahead on sparse graphs at 15 and 16 (``BENCH_dense_layers.json``).  Near
+``VERTEX_CAP`` the kernel is the only practical vertex form, as the dict DP
+keeps every state in a Python dict (``BENCH_float_product.json``).
+``count_cycles`` on at most ten vertices sums the vertex counts without
+building a spectrum dict; the searches make thousands of such calls.
 
 The kernel is exact at any n, by a bound per layer.  A row at layer p counts
 the paths through p vertices with one vertex set and one end, at most
@@ -156,113 +60,64 @@ the paths through p vertices with one vertex set and one end, at most
 most (p - 1)!.  Rows and the adjacency matrix are float64 while
 (p - 1)! < 2^53, that is up to layer p = 19, so that ``rows @ matrix`` runs
 on numpy's float64 BLAS product; numpy has none for integer types, and its
-own int64 loop took 7 to 12 times as long on a block of 2000 rows by 13
-columns.  The float product is exact: every term is a nonnegative integer
-and every partial sum lies between 0 and the entry, so every partial sum is
-an integer below 2^53 and exactly representable, whatever the order of
+own int64 loop is several times slower (``BENCH_float_product.json``).  The
+float product is exact: every term is a nonnegative integer and every
+partial sum lies between 0 and the entry, so every partial sum is an
+integer below 2^53 and exactly representable, whatever the order of
 summation, the use of FMA or the split across threads.  That needs a BLAS
 that sums plain products, as OpenBLAS, MKL and Accelerate do, not a
 Strassen-type one.  From layer 20 on the rows go through int64 to object
 dtype (Python ints) and the matrix to int64; at n = 24 those layers hold at
-most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.
+most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.  The
+dense form runs wholly in float64: up to n = 14 every entry of a product is at most 13!, a closing
+sum at most C(14, 13) 12! <= 2 * 13!, and the path ends summed over every
+layer at most sum_{j <= 12} 12! / (12 - j)! <= e * 12!, all below 2^53 and
+sums of nonnegative integers, so exact in any order of summation.  In the
+sparse kernel a closing or end sum adds one layer's counts over every
+anchor of a pass in int64.  The anchors have distinct numbers j <= n - 1 of
+vertices above them, so such a sum is at most sum_{j < n} j! <= 2 (n - 1)!,
+which fits int64 for n <= 21; larger passes sum the counts' high and low
+32-bit halves apart (``_exact_sum``).  All reported counts are Python
+ints; the caps bound runtime and memory, not exactness.
 
-The dense form is exact by the same bound, and takes its sums in float64
-too.  Up to n = 14 every entry of a product is at most 13! < 2^53, so the
-whole pass runs in float64.  A closing sum is twice the cycles of one
-length, at most C(14, 13) 12! <= 2 * 13!, and the path ends summed over
-every layer are at most the paths from vertex 0 to one end vertex,
-sum_{j <= 12} 12! / (12 - j)! <= e * 12!, about 1.3 * 10^9.  Every term is
-a nonnegative integer, so every partial sum lies between 0 and the total,
-below 2^53, and is exact in any order of summation.
+The cycle spectrum has a third form, ``_quotient_spectrum``, the anchored
+dict DP over twin classes (see ``graphs.twin_classes``).  A state is (how
+many vertices of each class the path has used, end class); stepping into
+class w multiplies the count by the |w| - used_w vertices left there, and a
+step inside w is allowed only when w is a clique.  Anchor class a starts
+with weight |a| and uses only classes >= a.  A directed closed walk from
+class a that meets class a j times is one of the 2j rootings and directions
+of its cycle, so the sums are kept per (length, j) and divided by 2j
+exactly (``_divide_rootings``).  Swapping two peer classes
+(``_class_graph``) above a fixes the start and the closings and maps each
+step to one of the same weight, so the frontier keeps one state per orbit:
+within each group of peers the used counts are nonincreasing in class
+order, and a step into class w goes to the lowest peer of w with the same
+used count.  The k classes of T_k(n) are all peers, so the paper's extremal
+graphs are cheap (``BENCH_quotient_orbits.json``).
 
-In the sparse kernel a closing or end sum adds one layer's counts over every
-anchor of a pass in int64: float64 counts are cast as they are summed.  The
-anchors have distinct numbers j <= n - 1 of vertices above them, so such a
-sum is at most sum_{j < n} j! <= 2 (n - 1)!, which fits int64 for n <= 21;
-larger passes take each sum as the sums of the counts' high and low 32-bit
-halves, split exactly in float64 and summed in int64, joined as Python ints.
-All reported counts are Python ints; ``VERTEX_CAP`` and
-``QUOTIENT_STATE_CAP`` bound runtime and memory, not exactness.
+``cycle_spectrum`` routes by n before ``_kernel_pays`` does, with t twin
+classes and S = ``_quotient_states``, the quotient's bound on its states
+from one anchor class:
 
-Near ``VERTEX_CAP`` the kernel is the only practical vertex form, as the
-dict DP keeps each of its (set, end) states in a Python dict.  On the same
-VM a dense twin-free G(22, 0.75) takes 3.8 to 5.1 s and about 390 MB peak
-RSS on the kernel (``BENCH_exact_kernel.json``), and K_24 over single
-vertices 20 to 23 s and 1.1 GB (``BENCH_float_product.json``).
-
-The cycle spectrum has a third form, ``_quotient_spectrum``, which runs the
-anchored dict DP over twin classes instead of vertices (twins have equal
-neighbourhoods apart from each other; see ``graphs.twin_classes``).  Vertices
-of one class are interchangeable, so a state is (how many vertices of each
-class the path has used, end class), stepping into class w multiplies the
-count by the |w| - used_w vertices left there, and a step inside w is allowed
-only when w is a clique.  Anchor class a starts with weight |a| and uses
-only classes >= a.  A directed closed walk from class a that meets class a j
-times is one of the 2j rootings and directions of its cycle, so the sums are
-kept per (length, j) and each is divided by 2j; the division must be exact,
-and a remainder raises ``ArithmeticError``.
-
-Classes can be interchangeable in turn.  Two classes are peers when they
-have equal sizes, are both cliques or both independent, and see the same
-other classes, so that swapping them is an automorphism; ``_class_graph``
-groups them once per graph, and the k classes of T_k(n) are all peers.  A
-swap of two peers above the anchor class fixes the start and the closings
-and maps each step to one of the same weight, so the frontier keeps one
-state per orbit of the peers above a.  Within each group the used counts are
-nonincreasing in class order, and a step into class w goes to the lowest
-peer of w with the same used count, at the same weight |w| - used_w; that
-peer is then the highest with its new count, so each orbit has one
-representative.  The rooted (length, j) sums, their exact division by 2j
-and the Python-int counts are those above.  A class with no peer above a
-steps without any scan for peers, and the groups scan the frontier apart
-from it, so an anchor with no group above it pays nothing for them.  The
-paper's extremal graphs T_k(n) have k classes.  Timed on a 2-core x86 VM
-(``BENCH_quotient_orbits.json``), T_3(24) costs 0.42 ms and T_8(24)
-5.6 ms, where the vertex forms walk 2^23 vertex sets from one anchor.
-
-``cycle_spectrum`` routes by n before ``_kernel_pays`` does.  Graphs on ten
-or fewer vertices take the vertex forms.  From 11 to ``_DENSE_MAX_N``
-vertices a graph with t twin classes takes the quotient when 8 t S < 2^n,
-its states and end classes against the dense form's vertex sets, and the
-vertex forms otherwise.  S is the quotient's bound on its states from one
-anchor class, ``_quotient_states`` below.  Only classes of one size >= 2
-can be peers, as two singleton peers would be twins, so S is computed only
-when two twin classes share such a size; otherwise it is prod(|w| + 1), and
-twin-poor graphs such as G(13, 44) pay nothing for it.  Timed on 344
-seeded graphs with 11 to 14 vertices and some twins (168 random blow-ups,
-96 blow-ups with interchangeable classes and 80 complete multipartite
-graphs; ``BENCH_batched_subgraphs.json``), the picks of 8 t S take 63.5 ms
-in total, against 67.3 ms for 3 t S and 55.4 ms for the faster form of
-each graph; every factor from 6 to 10 gives 63.5 to 64.5 ms.  T_7(14)
-takes the quotient, 0.43 ms against 0.50 ms on the dense form, but
-(2, 2, 2, 2, 2, 2, 1) takes it too, 0.53 ms against 0.26 ms: the
-quotient's cost per state grows with the classes and with their order.
-From ``_DENSE_MAX_N`` + 1 to ``VERTEX_CAP`` vertices a graph takes the
-quotient when it has fewer than ``_QUOTIENT_MIN_N`` = 11 twin classes.
-Against the two-pass sparse kernel that crossover depends on n: timed on
-the same VM on seeded random blow-ups (6 per cell, quotient over vertex
-forms, median), the ratio is 0.59 at 8 classes and 1.32 at 9 for n = 15,
-and 0.97 at 10 and 1.43 at 11 for n = 17.  Those blow-ups were timed with
-one state per vector of used vertices, without the orbit states, which
-make the quotient cheaper wherever classes have peers.
-
-Above ``VERTEX_CAP`` only the quotient runs, whatever the class count.  Its
-frontier from anchor class a holds at most |a| + 1 times, over each group
-of m peers of size s above a, C(m + s, m) vectors of used vertices, a class
-with no peer being a group of one (``_quotient_states``).  With no peers
-that is prod(|w| + 1) over the twin classes w.  A graph whose largest such
-bound over its anchor classes exceeds ``QUOTIENT_STATE_CAP`` = 2^21 raises
-``ValueError`` before any counting.  The cap admits about the work that
-K_24 costs the kernel (20 s, 1.1 GB): 5^9 = 1,953,125 states, one per
-vector of used vertices of T_9(36), took about 20 s and 190 MB.  On the
-same VM T_9(36), bounded at 2,475 states, takes 0.023 s and T_6(48)
-0.048 s; T_10(40) and T_8(64), bounded at 3,575 and 57,915 states, take
-0.044 and 0.50 s, and T_3(45), T_4(40) and T_5(30) less one edge 0.015 to
-0.06 s.
-Up to ``VERTEX_CAP`` no state cap is needed: a graph with at most 24
-vertices and at most ten classes has a product of at most
-4^4 3^6 = 186,624.  A twin-poor graph above 24 vertices, such as G(25, m),
-is refused.
+- up to ten vertices, the vertex forms;
+- from 11 to 14, the quotient when 8 t S < 2^n, its states and end classes
+  against the dense form's vertex sets.  Two singleton peers would be
+  twins, so S is computed only when two twin classes share a size >= 2 and
+  is prod(|w| + 1) otherwise.  On 344 twin-rich graphs the factors 6 to 10
+  picked about equally well and better than 3; the quotient's cost per state
+  grows with its classes, so graphs with many small classes can still take
+  the slower form (``BENCH_batched_subgraphs.json``);
+- from 15 to 24, the quotient when the graph has fewer than
+  ``_QUOTIENT_MIN_N`` = 11 twin classes, about where it fell behind the
+  two-pass sparse kernel at n = 17 (``BENCH_float_product.json``);
+- above 24, the quotient alone.  A graph whose largest S exceeds
+  ``QUOTIENT_STATE_CAP`` = 2^21 raises ``ValueError`` before any counting,
+  as a twin-poor G(25, m) does.  The cap admits about the work that K_24
+  costs the kernel: the 5^9 vectors of used vertices of T_9(36), counted
+  one state each, took about as long (``CHANGES.md``).  Up to 24 vertices
+  no cap is needed: with at most ten classes, prod(|w| + 1) <= 4^4 3^6 =
+  186,624.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ permutation check the vertex count, the row range, self-loops and symmetry,
 and raise ``ValueError``.  Rows that are valid by construction, such as a
 valid graph with symmetric pairs of bits cleared (``Graph.without_edges``) or
 a complete multipartite graph, skip those checks through
-``_unchecked_graph``.  On a 2-core x86 VM the checks cost 3 to 5 us per
-graph with at most 10 vertices and ``_unchecked_graph`` about 0.4 us, and
-``verify turanbest`` and the searches build tens of thousands of such graphs.
+``_unchecked_graph``, which costs a fraction of the checks
+(``BENCH_small_graphs.json``): ``verify turanbest`` and the searches build
+tens of thousands of such graphs.
 """
 
 from __future__ import annotations

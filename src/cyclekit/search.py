@@ -37,28 +37,22 @@ child is labelled only when its deletion is in doubt.  When the new vertex
 m is the only least-key vertex, it is the canonical deletion; when it is a
 twin of every tied vertex, a twin swap maps it onto the canonical deletion.
 Either way m passes without a labelling, and only the remaining tied
-children are labelled.  At K3-free n = 6 that leaves 12 last-level
-labellings where every one of 43 candidates was labelled before, and 1809
-where 8442 were at K4-free n = 8.  ``enumerate_graphs`` labels what the
-last level yields, so it returns canonical forms; ``max_cycles_h_free``
-labels only its extremal classes.
+children are labelled (counts in ``BENCH_last_level.json``).
+``enumerate_graphs`` labels what the last level yields, so it returns
+canonical forms; ``max_cycles_h_free`` labels only its extremal classes.
 
 The maximum-cycle search counts a last-level child from its parent: a cycle
 through the new vertex m is m, a u-w path of the parent and m again, so
 c(child) = c(parent) + sum over u < w in N(m) of p_parent(u, w).  The
 parent's path counts come from ``count_paths_from``, once per vertex that
-some child needs.  Against recounting every child, timed on a 2-core x86 VM
-over the last levels alone (best of 3): K4-free n = 8 (6431 children of 685
-parents) 0.26 s -> 0.062 s, all graphs n = 8 (12346 of 1044) 0.90 s ->
-0.15 s, K3-free n = 9 0.050 s -> 0.016 s, and K3-free n = 6 0.45 ms ->
-0.19 ms.  Path counts from every vertex of each parent instead took 0.11,
-0.23, 0.055 s and 0.67 ms.
+some child needs, which was no slower than recounting every child or
+counting paths from every vertex of the parent on every search timed
+(``BENCH_last_level.json``).
 
 A child is tested for the forbidden graph through its new vertex m only,
-by the containment search rooted at m (see ``morphisms``).  Against
-embedding H anywhere with m forced into H's last slot, whole searches on
-the same VM took: K4-free n = 9 13.2 s -> 8.1 s, K5-free n = 9 41.4 s ->
-16.5 s, and B_3-free n = 9 6.7 s -> 5.2 s.
+by the containment search rooted at m (see ``morphisms``), which was faster
+than embedding H anywhere with m forced into H's last slot
+(``BENCH_rooted_containment.json``).
 
 The verify_* suites check the counting inequalities exactly, in integer or
 rational arithmetic, across every composition in range.
@@ -79,6 +73,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .analytic import (
+    _reduced_prob,
     cycle_spectrum_multipartite,
     hamilton_multipartite,
     reduced_prob_Q_given_P,
@@ -597,8 +592,9 @@ def verify_balanced_code_probability(n: int, k: int) -> VerifyReport:
     kk = min(k, n)  # empty letters reduce k > n to the all-distinct content
     top, bottom = reduced_prob_Q_given_P(turan_class_sizes(n, kk))
     balanced = f"{top}/{bottom}"
+    # the checked balanced call bounds n, so the compositions of n skip the check
     for comp in partitions_at_most(n, kk):
-        num, den = reduced_prob_Q_given_P(comp)
+        num, den = _reduced_prob(comp)
         ok = top * den >= num * bottom
         report.cases.append(
             {"composition": list(comp), "prob": f"{num}/{den}", "balanced_prob": balanced, "ok": ok}

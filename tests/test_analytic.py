@@ -408,12 +408,19 @@ class TestWordCountMemo:
 
         # and each reduced probability once, though 9,455 cases ask for one
         analytic._word_count.cache_clear()
-        analytic.reduced_prob_Q_given_P.cache_clear()
+        analytic._reduced_prob.cache_clear()
         assert main(["verify", "major", "--n-max", "30", "--k-max", "5"]) == 0
         capsys.readouterr()
-        for memo in (analytic._word_count, analytic.reduced_prob_Q_given_P):
+        for memo in (analytic._word_count, analytic._reduced_prob):
             info = memo.cache_info()
             assert info.misses == info.currsize == 5324
+
+    @pytest.mark.parametrize("f", [analytic.reduced_prob_Q_given_P, analytic.prob_Q_given_P])
+    def test_sizes_are_checked_on_a_memo_hit(self, f):
+        # (2.0, 3) hashes and compares equal to the cached key (2, 3)
+        f((2, 3))
+        with pytest.raises(TypeError):
+            f((2.0, 3))
 
 
 class TestDivisionChecks:

@@ -292,16 +292,18 @@ class TestVerify:
         assert err == f"error: verify {argv[0]}: the given ranges hold no case\n"
 
     # ref3count's exhaustive optimizer stops at 14; the suites that build
-    # class vectors stop at 64 vertices, before any row is printed
-    @pytest.mark.parametrize("suite, n_max, cap", [
-        pytest.param("ref3count", 20, 14, id="ref3count"),
-        *(pytest.param(name, 65, 64, id=name) for name in (
+    # class sizes stop at 64 vertices, and turanbest's sampled subgraphs at
+    # the vertex cap of cycle counting, 24, before any row is printed
+    @pytest.mark.parametrize("argv, n_max, cap", [
+        pytest.param(("ref3count",), 20, 14, id="ref3count"),
+        *(pytest.param((name,), 65, 64, id=name) for name in (
             "turanbest", "major", "stepcount", "close", "turancount", "recursion", "secondcount", "kkmain")),
+        pytest.param(("turanbest", "--k", "2", "--samples", "1"), 25, 24, id="turanbest-samples"),
     ])
-    def test_n_max_over_the_suite_cap_exit_2(self, capsys, suite, n_max, cap):
-        code, out, err = run(capsys, "verify", suite, "--n-max", str(n_max))
+    def test_n_max_over_the_suite_cap_exit_2(self, capsys, argv, n_max, cap):
+        code, out, err = run(capsys, "verify", *argv, "--n-max", str(n_max))
         assert (code, out) == (2, "")
-        assert err == f"error: verify {suite} is capped at --n-max {cap}, got {n_max}\n"
+        assert err == f"error: verify {argv[0]} is capped at --n-max {cap}, got {n_max}\n"
 
 
 def run_reference(capsys, *argv):

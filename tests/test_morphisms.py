@@ -256,3 +256,10 @@ class TestOrbits:
         path = make_graph(5, [(i, i + 1) for i in range(4)])
         assert canonical_orbits(path)[2] == (0, 1, 2, 1, 0)
         assert canonical_orbits(complete_multipartite((3, 2)))[2] == (0, 0, 0, 3, 3)
+
+    @pytest.mark.parametrize("complete", [False, True], ids=["empty", "complete"])
+    def test_empty_and_complete_graphs_are_their_own_canonical_forms(self, complete):
+        # one twin class: the identity labelling, one orbit and no automorphism
+        for n in range(1, 11):
+            g = turan_graph(n, n) if complete else make_graph(n, [])
+            assert canonical_orbits(g) == (g, tuple(range(n)), (0,) * n, ())
