@@ -34,7 +34,8 @@ kernel's limit: its slot table has 2^n entries, 128 MB at 24.
   --samples`` draws in batches.  A batch's two buffers take at most
   ``_DENSE_CHUNK_BYTES`` = 256 KB, the largest budget that kept the
   ``census`` peak RSS within 6% of counting each subgraph alone
-  (``BENCH_batched_subgraphs.json``).
+  (``BENCH_batched_subgraphs.json``); a float32 batch (see below) holds
+  twice the graphs of a float64 one (``BENCH_float32_dense.json``).
 
 ``_kernel_pays`` routes over single vertices: the kernel, in p passes (two
 for cycles, one for paths), when m >= max(22, n + 3 + 6p, 3n - 34 + 3p) for
@@ -69,11 +70,17 @@ that sums plain products, as OpenBLAS, MKL and Accelerate do, not a
 Strassen-type one.  From layer 20 on the rows go through int64 to object
 dtype (Python ints) and the matrix to int64; at n = 24 those layers hold at
 most C(23, 19) + C(23, 20) + ... + 1 = 10,903 vertex sets per pass.  The
-dense form runs wholly in float64: up to n = 14 every entry of a product is at most 13!, a closing
-sum at most C(14, 13) 12! <= 2 * 13!, and the path ends summed over every
-layer at most sum_{j <= 12} 12! / (12 - j)! <= e * 12!, all below 2^53 and
-sums of nonnegative integers, so exact in any order of summation.  In the
-sparse kernel a closing or end sum adds one layer's counts over every
+dense form runs each pass wholly in one float type, ``_dense_dtype(n)``, by
+the same argument: over n vertices a product entry is at most (n - 1)!,
+the closing sum of layer p at most C(n, p) (p - 1)! <= n! / (n - 1), and
+the path ends summed over every layer at most sum_{j <= n - 2} (n - 2)! /
+(n - 2 - j)! <= e (n - 2)!.  Up to ``_DENSE_FLOAT32_MAX_N`` = 11 vertices
+all three are below 2^24 (10! = 3,628,800, 11! / 10 = 3,991,680 and
+986,410), so the pass runs in float32, whose products move half the bytes
+of float64 ones; at n = 12, 11! is above 2^24, and up to n = 14 every bound
+is below 2^53, so the pass runs in float64.
+
+In the sparse kernel a closing or end sum adds one layer's counts over every
 anchor of a pass in int64.  The anchors have distinct numbers j <= n - 1 of
 vertices above them, so such a sum is at most sum_{j < n} j! <= 2 (n - 1)!,
 which fits int64 for n <= 21; larger passes sum the counts' high and low
@@ -145,6 +152,11 @@ _QUOTIENT_MIN_N = 11
 # Graphs with at most this many vertices that the kernel counts take its
 # dense form (see the module docstring).
 _DENSE_MAX_N = 14
+
+# Dense passes over at most this many vertices run in float32, where every
+# product entry, at most (n - 1)!, stays below 2^24 (see the module
+# docstring).
+_DENSE_FLOAT32_MAX_N = 11
 
 # The bytes that the two buffers of one batched dense pass may take, which
 # sets how many subgraphs ``subgraph_cycle_totals`` counts in one pass (see
@@ -307,16 +319,16 @@ def _path_layers(adj: Sequence[int], anchors: list[int], *, ends: bool = False) 
 
 def _dense_layers(matrices: np.ndarray, *, ends: bool = False) -> np.ndarray:
     """The dense form of the kernel over a stack of graphs with the same
-    n <= ``_DENSE_MAX_N`` vertices, given as their 0/1 float64 adjacency
-    matrices of shape (B, n, n) (see the module docstring).  Row b holds, for
-    graph b, twice the cycles of each length r (entry r) over every anchor in
-    one pass, or with ``ends`` the paths from vertex 0 with at least one edge
-    per end vertex (entry v), as int64."""
+    n <= ``_DENSE_MAX_N`` vertices, given as their 0/1 adjacency matrices of
+    shape (B, n, n) in ``_dense_dtype(n)`` (see the module docstring).  Row
+    b holds, for graph b, twice the cycles of each length r (entry r) over
+    every anchor in one pass, or with ``ends`` the paths from vertex 0 with
+    at least one edge per end vertex (entry v), as int64."""
     batch, n = matrices.shape[:2]
     layers = _dense_views(n, ends, batch)
     out = np.zeros((batch, n if ends else n + 1), dtype=np.int64)
     if ends:
-        total = np.zeros((batch, n))
+        total = np.zeros((batch, n), dtype=_dense_dtype(n))
     # layer 1 holds the sets {s} in rank order s for cycles, and the set {0}
     # for paths, each with the one path through its vertex
     layers[0][3][:] = np.eye(1 if ends else n, n)
@@ -337,51 +349,62 @@ def _dense_layers(matrices: np.ndarray, *, ends: bool = False) -> np.ndarray:
     return out
 
 
-# Each thread's scratch buffer for the dense form, and its per-layer views.
+# Each thread's scratch bytes for the dense form, and its per-layer views.
 _scratch = threading.local()
 
 
 def _dense_views(n: int, ends: bool, batch: int) -> list[tuple]:
     """Per layer of ``_dense_plan(n, not ends)`` for a stack of ``batch``
     graphs: the layer's gather and closing indices, the k n entries of its
-    product per graph, and views into this thread's scratch buffer of the
-    (B, k, n) rows, the (B, k n + 1) product with its (B, k, n) part that
-    the matmul fills, the next layer's rows as the gather fills them, and a
-    row of k ones.  The rows and the product take two regions of the buffer,
-    each as wide as the widest layer.  The buffer is kept and grows to the
-    largest pass the thread has run, and the views are kept per
-    (n, ends, batch) while it does not grow, at most 16 sets of them, so a
-    pass allocates no buffer and makes no view per layer."""
+    product per graph, and views in ``_dense_dtype(n)`` into this thread's
+    scratch bytes of the (B, k, n) rows, the (B, k n + 1) product with its
+    (B, k, n) part that the matmul fills, the next layer's rows as the
+    gather fills them, and a row of k ones.  The rows and the product take
+    two regions of the bytes, each as wide as the widest layer, at the
+    dtype's bytes per entry: 4 up to ``_DENSE_FLOAT32_MAX_N`` vertices and 8
+    above.  The bytes are kept and grow to the largest pass the thread has
+    run, and the views are kept per (n, ends, batch) while they do not grow,
+    at most 16 sets of them, so a pass allocates no buffer and makes no view
+    per layer."""
     views = getattr(_scratch, "views", {})
     key = (n, ends, batch)
     if key in views:
         return views[key]
+    dtype = _dense_dtype(n)
     plan = _dense_plan(n, not ends)
     width = max(len(closing) for _, closing in plan)  # the widest layer's sets
-    size = batch * (2 * width * n + 1)
+    half = batch * width * n * dtype.itemsize  # the rows' bytes
+    size = 2 * half + batch * dtype.itemsize
     space = getattr(_scratch, "space", None)
     if space is None or len(space) < size:
-        space = _scratch.space = np.empty(size)
+        space = _scratch.space = np.empty(size, dtype=np.uint8)
         views = _scratch.views = {}
     elif len(views) >= 16:
         views.clear()
-    row_buffer = space[: batch * width * n]
-    product_buffer = space[batch * width * n:]
+    row_buffer = space[:half].view(dtype)
+    product_buffer = space[half:size].view(dtype)
     layers = []
     for p, (gather, closing) in enumerate(plan, 1):
         k, kn = len(closing), len(closing) * n
         flat = product_buffer[: batch * (kn + 1)].reshape(batch, kn + 1)
         gathered = row_buffer[: batch * len(gather)].reshape(batch, -1)
         layers.append((gather, closing, kn, row_buffer[: batch * kn].reshape(batch, k, n), flat,
-                       flat[:, :kn].reshape(batch, k, n), gathered, np.ones(k)))
+                       flat[:, :kn].reshape(batch, k, n), gathered, np.ones(k, dtype)))
     views[key] = layers
     return layers
 
 
 def _stack(adj: Sequence[int]) -> np.ndarray:
-    """The graph with bit rows ``adj`` as a stack of one 0/1 float64
-    adjacency matrix, of shape (1, n, n)."""
-    return _bit_rows(np.array(adj, dtype=np.int64), len(adj))[None].astype(np.float64)
+    """The graph with bit rows ``adj`` as a stack of one 0/1 adjacency
+    matrix, of shape (1, n, n), in ``_dense_dtype(n)``."""
+    return _bit_rows(np.array(adj, dtype=np.int64), len(adj))[None].astype(_dense_dtype(len(adj)))
+
+
+def _dense_dtype(n: int) -> np.dtype:
+    """The float type of every matrix of a dense pass over n vertices:
+    float32 up to ``_DENSE_FLOAT32_MAX_N`` vertices and float64 above (see
+    the module docstring)."""
+    return np.dtype(np.float32 if n <= _DENSE_FLOAT32_MAX_N else np.float64)
 
 
 @lru_cache(maxsize=2 * _DENSE_MAX_N)
@@ -699,7 +722,7 @@ def subgraph_cycle_totals(host: Graph, drops: Sequence[int]) -> list[int]:
         part = drops[start: start + chunk]
         packed = np.frombuffer(b"".join(mask.to_bytes(octets, "little") for mask in part), dtype=np.uint8)
         kept = 1 - np.unpackbits(packed.reshape(len(part), octets), axis=1, count=len(edges), bitorder="little")
-        matrices = np.zeros((len(part), n, n))
+        matrices = np.zeros((len(part), n, n), dtype=_dense_dtype(n))
         matrices[:, us, vs] = kept
         matrices[:, vs, us] = kept
         doubled = _dense_layers(matrices)
@@ -711,9 +734,11 @@ def subgraph_cycle_totals(host: Graph, drops: Sequence[int]) -> list[int]:
 
 def _dense_chunk(n: int) -> int:
     """How many graphs on n vertices one batched dense pass for cycles
-    counts: as many as fit their two buffers, 8 (2 C(n, n / 2) n + 1) bytes
-    each, into ``_DENSE_CHUNK_BYTES``, and one at least."""
-    return max(1, _DENSE_CHUNK_BYTES // (8 * (2 * comb(n, n // 2) * n + 1)))
+    counts: as many as fit their two buffers, (2 C(n, n / 2) n + 1) entries
+    each at the bytes per entry of ``_dense_dtype(n)``, into
+    ``_DENSE_CHUNK_BYTES``, and one at least."""
+    entries = 2 * comb(n, n // 2) * n + 1
+    return max(1, _DENSE_CHUNK_BYTES // (_dense_dtype(n).itemsize * entries))
 
 
 def count_paths_from(g: Graph, x: int) -> dict[int, int]:

@@ -481,6 +481,27 @@ class TestDense:
         # Python ints, never floats, so that JSON prints 2, not 2.0
         assert all(type(c) is int for c in doubled + ends)
 
+    def test_complete_graph_at_the_float32_edge(self):
+        # K_11 takes the largest counts a float32 pass forms: products up to
+        # 10!, closing sums up to 11! / 10 and 986,410 path ends per vertex,
+        # all below 2^24; at 12 vertices 11! is not, and the pass is float64
+        assert factorial(10) < 1 << 24 <= factorial(11)
+        n = counting._DENSE_FLOAT32_MAX_N
+        assert n == 11
+        doubled = dense(turan_graph(n, n).adj)
+        spectrum = cycle_spectrum_multipartite((1,) * n)
+        assert doubled == [2 * spectrum.get(r, 0) for r in range(n + 1)]
+        assert max(doubled) == factorial(n) // (n - 1)
+        ends = dense(turan_graph(n, n).adj, ends=True)
+        assert ends == [0] + [986_410] * (n - 1)
+        assert sum(paths_through(n, k) for k in range(n - 1)) == 986_410
+        assert all(type(c) is int for c in doubled + ends)
+        for size, dtype in ((n, np.float32), (n + 1, np.float64)):
+            for paths in (False, True):
+                layers = counting._dense_views(size, paths, 1)
+                assert all(view.dtype == dtype for layer in layers for view in layer[3:])
+                assert counting._stack(turan_graph(size, size).adj).dtype == dtype
+
     def test_interleaved_forms(self):
         # each call fills its own buffers: no row, product or zero entry of
         # one call or layer may reach the next, whichever form or n came first
@@ -547,16 +568,20 @@ class TestDense:
 
     def test_views_are_bounded_and_follow_the_buffer(self):
         # a larger pass replaces the buffer and drops the views into the old
-        # one; at most 16 sets of views are kept
+        # one; at most 16 sets of views are kept.  The buffer is bytes, viewed
+        # as float32 at nine vertices and as float64 at twelve, which reuse
+        # each other's bytes
         rng = random.Random(239)
         for batch in range(1, 25):
-            graphs = [random_graph(rng, 9, 0.6) for _ in range(batch)]
-            matrices = np.concatenate([counting._stack(g.adj) for g in graphs])
-            doubled = [[2 * c for c in counting._dict_cycles(g.adj)] for g in graphs]
-            assert counting._dense_layers(matrices).tolist() == doubled
-            assert len(counting._scratch.views) <= 16
-            assert all(np.shares_memory(layer[3], counting._scratch.space)
-                       for layers in counting._scratch.views.values() for layer in layers)
+            for n in (9, 12):
+                graphs = [random_graph(rng, n, 0.6) for _ in range(batch if n == 9 else 1)]
+                matrices = np.concatenate([counting._stack(g.adj) for g in graphs])
+                doubled = [[2 * c for c in counting._dict_cycles(g.adj)] for g in graphs]
+                assert counting._dense_layers(matrices).tolist() == doubled
+                assert len(counting._scratch.views) <= 16
+                assert counting._scratch.space.dtype == np.uint8
+                assert all(np.shares_memory(layer[3], counting._scratch.space)
+                           for layers in counting._scratch.views.values() for layer in layers)
 
     @staticmethod
     def corrupted(n, cycles, layer, which, value, dtype=None):
@@ -657,14 +682,30 @@ class TestSubgraphTotals:
         assert counting.subgraph_cycle_totals(turan_graph(n, n), [0, 1, 1 << 90]) == [whole, whole - through,
                                                                                    whole - through]
 
+    def test_dense_subgraphs_at_the_float32_edge(self, batches):
+        # K_11 less a few edges, in one float32 pass, against count_cycles
+        # and the dict DP of each subgraph
+        n = counting._DENSE_FLOAT32_MAX_N
+        host = turan_graph(n, n)
+        rng = random.Random(241)
+        masks = [0] + [sum(1 << i for i in rng.sample(range(host.edge_count), rng.randint(1, 4)))
+                       for _ in range(4)]
+        totals = counting.subgraph_cycle_totals(host, masks)
+        assert batches == [len(masks)]
+        assert totals == [count_cycles(g) for g in self.built(host, masks)]
+        assert totals == self.expected(host, masks)
+
     @pytest.mark.parametrize("n", [10, counting._DENSE_MAX_N])
     def test_batch_lengths_around_the_chunk(self, monkeypatch, batches, n):
         rng = random.Random(227 + n)
         host = make_graph(n, rng.sample(list(combinations(range(n), 2)), 3 * n))
-        # the module's budget, then one that fits three graphs' buffers
+        # the module's budget, then one that fits three graphs' buffers, at
+        # 4 bytes per entry (float32) at n = 10 and 8 (float64) at the cap
+        itemsize = 4 if n <= 11 else 8
+        assert counting._dense_dtype(n).itemsize == itemsize
         for three in (False, True):
             if three:
-                monkeypatch.setattr(counting, "_DENSE_CHUNK_BYTES", 3 * 8 * (2 * comb(n, n // 2) * n + 1))
+                monkeypatch.setattr(counting, "_DENSE_CHUNK_BYTES", 3 * itemsize * (2 * comb(n, n // 2) * n + 1))
             chunk = counting._dense_chunk(n)
             assert chunk == 3 if three else chunk >= 1
             for length in (1, chunk - 1, chunk, chunk + 1):
